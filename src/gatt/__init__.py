@@ -2,36 +2,8 @@
 small tape-based autodiff core.
 
 Feature maps are [N, C, |H|, Y, X] tensors tagged with their symmetry group
-(pose extent 1 marks a planar map).  Group convolutions, the attention
-mechanisms, and every verification oracle live in their own modules; this
-package root re-exports the working set.
+(pose extent 1 marks a planar map).  Import from the submodules: groups,
+tensor, autodiff, gconv, attention, nn, data, training, verify and cli.
 """
-
-from .groups import (AffineElement, FiniteGroup, GROUP_NAMES, apply_action,
-                     compose_affine, feature_perm, invert_affine, make_group,
-                     plane_index_map, transform_array, transform_feature,
-                     transform_filter)
-from .tensor import Tape, Tensor
-from . import tensor
-from .autodiff import (Adam, Parameter, SGD, backward, dropout,
-                       finite_diff_grad, grad_rel_err, he_init, new_rng,
-                       step_decay_lr, zero_grads)
-from .gconv import (DEFAULT_MEMORY_CAP, FeatureMapG, GConvLayer, MemoryCapError,
-                    check_feature, filter_bank, gconv_forward, group_conv,
-                    group_pool, intermediate_responses, lift_conv,
-                    make_gconv_layer, spatial_gpool)
-from .attention import (ChannelAttentionParams, SpatialAttentionParams,
-                        attention_maps, attentive_group_conv, channel_attention,
-                        channel_stats, input_attention, input_attention_maps,
-                        make_channel_attention, make_spatial_attention,
-                        residual_gate, spatial_attention, spatial_stats)
-from .nn import (ForwardCtx, GBatchNorm, GBlock, GDropout, GroupPoolL, MaxPoolG,
-                 Network, PoseBias, ReLUG, SpatialMeanL, VARIANTS,
-                 build_digit_net, build_parity_nets, build_tiny_net)
-from .data import (ConfigError, RunConfig, attention_montage, load_checkpoint,
-                   load_config, load_idx_images, load_idx_labels, make_rotmnist,
-                   read_idx, read_pgm, read_ppm, rotate_bilinear,
-                   save_checkpoint, synth_shapes, write_pgm, write_ppm)
-from .training import accuracy, fit, minibatch_order, predict
 
 __version__ = "0.1.0"

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import tensor as T
 from .autodiff import Parameter, he_init
-from .gconv import (DEFAULT_MEMORY_CAP, FeatureMapG, GConvLayer, _conv_on_group,
-                    check_feature, intermediate_responses)
+from .gconv import (FeatureMapG, GConvLayer, check_feature, group_conv,
+                    intermediate_responses)
 from .groups import make_group, transform_filter
 from .tensor import Tensor
 
@@ -222,32 +222,33 @@ def spatial_attention(s_x, params: SpatialAttentionParams, grp, residual_branch=
 
 def attention_maps(f: FeatureMapG, layer, ch_params=None, sp_params=None,
                    variant="full", residual_branch=True, pool_out=True,
-                   index_mode="relative", memory_cap=DEFAULT_MEMORY_CAP):
-    """Materialize (alpha_C, alpha_X, per-pair responses) for one layer.
+                   index_mode="relative"):
+    """Materialize (alpha_C, alpha_X, channel-gated responses) for one layer.
 
-    Serial order: the spatial statistics are taken from the channel-modulated
-    responses, so alpha_X depends on alpha_C.  Missing maps (per variant) are
-    returned as None.
+    The gated responses are the per-pair responses times alpha_C, or the
+    responses themselves when the variant has no channel map.  Serial order:
+    the spatial statistics are taken from the gated responses, so alpha_X
+    depends on alpha_C.  Missing maps (per variant) are returned as None.
     """
     if variant not in ("full", "channel", "spatial"):
         raise ValueError(f"unknown attention variant {variant!r}")
-    ftilde = intermediate_responses(f, layer, memory_cap=memory_cap)
+    ftilde = intermediate_responses(f, layer)
     alpha_c = alpha_x = None
-    mod = ftilde
+    gated = ftilde
     if variant in ("full", "channel"):
         if ch_params is None:
             raise ValueError(f"variant {variant!r} needs channel attention parameters")
         s_avg, s_max = channel_stats(ftilde, pool_out=pool_out)
         alpha_c = channel_attention(s_avg, s_max, ch_params, layer.group,
                                     residual_branch=residual_branch, index_mode=index_mode)
-        mod = T.mul(mod, _expand_alpha_c(alpha_c))
+        gated = T.mul(ftilde, _expand_alpha_c(alpha_c))
     if variant in ("full", "spatial"):
         if sp_params is None:
             raise ValueError(f"variant {variant!r} needs spatial attention parameters")
-        s_x = spatial_stats(mod, pool_out=pool_out)
+        s_x = spatial_stats(gated, pool_out=pool_out)
         alpha_x = spatial_attention(s_x, sp_params, layer.group,
                                     residual_branch=residual_branch)
-    return alpha_c, alpha_x, ftilde
+    return alpha_c, alpha_x, gated
 
 
 def _expand_alpha_c(alpha_c):
@@ -266,33 +267,18 @@ def _expand_alpha_x(alpha_x):
 
 def attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_params=None,
                          variant="full", residual_branch=True, pool_out=True,
-                         index_mode="relative", memory_cap=DEFAULT_MEMORY_CAP,
-                         alpha_c_override=None, alpha_x_override=None) -> FeatureMapG:
+                         index_mode="relative") -> FeatureMapG:
     """Group convolution with its per-pair responses modulated by attention.
 
     Computes the responses, applies the channel map, then the spatial map
     (computed from the channel-modulated responses), reduces over input
-    channels and poses, and adds the shared per-channel bias.  The override
-    arguments substitute fixed maps and exist for verification.
+    channels and poses, and adds the shared per-channel bias.
     """
-    check_feature(f, layer.group)
-    if alpha_c_override is not None or alpha_x_override is not None:
-        ftilde = intermediate_responses(f, layer, memory_cap=memory_cap)
-        mod = ftilde
-        if alpha_c_override is not None:
-            mod = T.mul(mod, alpha_c_override)
-        if alpha_x_override is not None:
-            mod = T.mul(mod, alpha_x_override)
-    else:
-        alpha_c, alpha_x, ftilde = attention_maps(
-            f, layer, ch_params, sp_params, variant=variant,
-            residual_branch=residual_branch, pool_out=pool_out,
-            index_mode=index_mode, memory_cap=memory_cap)
-        mod = ftilde
-        if alpha_c is not None:
-            mod = T.mul(mod, _expand_alpha_c(alpha_c))
-        if alpha_x is not None:
-            mod = T.mul(mod, _expand_alpha_x(alpha_x))
+    _, alpha_x, mod = attention_maps(
+        f, layer, ch_params, sp_params, variant=variant,
+        residual_branch=residual_branch, pool_out=pool_out, index_mode=index_mode)
+    if alpha_x is not None:
+        mod = T.mul(mod, _expand_alpha_x(alpha_x))
     out = T.reduce(mod, axes=(2, 4), mode="sum")  # [N, O, H, Y, X]
     if layer.bias is not None:
         out = T.add(out, T.reshape(layer.bias, (1, layer.bias.shape[0], 1, 1, 1)))
@@ -309,8 +295,7 @@ def _input_attention_pieces(f, ch_params, sp_params, residual_branch):
     # channel branch: pool over space, bottleneck as a pose-axis group conv
     s_avg = T.reduce(f.data, axes=(3, 4), mode="mean")  # [N, C, Hf]
     s_max = T.reduce(f.data, axes=(3, 4), mode="max")
-    k2 = grp_eff.cayley[grp_eff.inverse].astype(np.intp) if hf > 1 \
-        else np.zeros((1, 1), dtype=np.intp)
+    k2 = _rel_index(grp_eff, hf, "relative")
     mid = ch_params.w1.shape[1]
 
     def big(w, rows, cols):
@@ -325,7 +310,7 @@ def _input_attention_pieces(f, ch_params, sp_params, residual_branch):
 
     def branch(s):
         sf = T.reshape(T.transpose(s, (2, 1, 0)), (hf * c, n))
-        return T.matmul(w2_big, T.relu(T.matmul(w1_big, sf)))  # [Hf*C, N]
+        return T.bmm(w2_big, T.relu(T.bmm(w1_big, sf)))  # [Hf*C, N]
 
     z = T.add(branch(s_avg), branch(s_max))
     alpha_c = T.transpose(T.reshape(_gate(z, residual_branch), (hf, c, n)), (2, 1, 0))
@@ -336,7 +321,7 @@ def _input_attention_pieces(f, ch_params, sp_params, residual_branch):
     mx = T.reduce(f1, axes=(1,), mode="max")
     s_x = T.stack([mean, mx], axis=1)                 # [N, 2, Hf, Y, X]
     psi_layer = GConvLayer(grp_eff, sp_params.psi, bias=None, stride=1, padding="same")
-    alpha_x = _gate(_conv_on_group(FeatureMapG(s_x, grp_eff), psi_layer).data,
+    alpha_x = _gate(group_conv(FeatureMapG(s_x, grp_eff), psi_layer).data,
                     residual_branch)                  # [N, 1, Hf, Y, X]
     f2 = T.mul(f1, alpha_x)
     return alpha_c, alpha_x, f2

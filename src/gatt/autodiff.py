@@ -1,4 +1,4 @@
-"""Backward pass driver, gradient checking, optimizers and stochastic ops.
+"""Backward pass driver, gradient checking, the Adam optimizer and dropout.
 
 The tape (see gatt.tensor) stores op records in execution order, which is a
 topological order of the graph; ``backward`` walks it once in strict reverse.
@@ -84,30 +84,6 @@ def grad_rel_err(a, b):
     return float(np.max(np.abs(a - b) / denom)) if a.size else 0.0
 
 
-class SGD:
-    def __init__(self, params, lr, momentum=0.0, weight_decay=0.0):
-        self.params = list(params)
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
-        self.step_count = 0
-
-    def step(self):
-        self.step_count += 1
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if self.weight_decay and p.weight_decay:
-                g = g + p.data.dtype.type(self.weight_decay) * p.data
-            if self.momentum:
-                v *= p.data.dtype.type(self.momentum)
-                v += g
-                g = v
-            p.data -= p.data.dtype.type(self.lr) * g
-
-
 class Adam:
     """Adam with decoupled-from-nothing L2: decay is added to the raw gradient."""
 
@@ -141,15 +117,6 @@ class Adam:
             mhat = m / dt(1 - b1 ** t)
             vhat = v / dt(1 - b2 ** t)
             p.data -= dt(self.lr) * mhat / (np.sqrt(vhat) + dt(self.eps))
-
-
-def step_decay_lr(base_lr, epoch, decay_epochs, factor=0.1):
-    """Step schedule: multiply by `factor` at each epoch listed in decay_epochs."""
-    lr = base_lr
-    for e in sorted(decay_epochs):
-        if epoch >= e:
-            lr *= factor
-    return lr
 
 
 def dropout(t, rate, rng, training=True):

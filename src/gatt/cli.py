@@ -18,20 +18,12 @@ from .data import (ConfigError, GROUP_ALIASES, attention_montage, load_config,
                    make_rotmnist, read_pgm, save_checkpoint, load_checkpoint,
                    synth_shapes, write_pgm)
 from .nn import VARIANTS, build_digit_net, build_tiny_net
-from .training import accuracy, fit
+from .training import _fmt, accuracy, fit
 from .verify import (alpha_panels, alpha_x_consistency, attention_relabel_report,
                      attentive_block_indices, conv_oracle_report, gradcheck_report,
                      parity_report, stack_suite, transform_input)
 
 DATA_DIR_ENV = "GATT_DATA_DIR"
-
-
-def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.10g}"
-    return str(v)
 
 
 def emit(report, out_dir, name):

@@ -1,20 +1,23 @@
 """Datasets, image file I/O, run configuration and checkpointing.
 
 File formats kept deliberately plain: IDX for digit data (big-endian header,
-raw payload), binary PGM/PPM for image dumps, a line-oriented key=value
-config, and a small tagged binary checkpoint ("GATT" magic, little-endian
-buffers) that round-trips parameters and optimizer state bitwise.
+raw payload), binary PGM for image dumps, a line-oriented key=value config,
+and a small tagged binary checkpoint ("GATT" magic, little-endian buffers)
+that round-trips parameters and Adam state bitwise.  The readers reject
+every malformed file with ValueError.
 """
 from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .autodiff import new_rng
 from .groups import make_group, transform_array
+from .nn import VARIANTS
 
 # ---------------------------------------------------------------------------
 # IDX
@@ -30,8 +33,11 @@ def _open_maybe_gz(path):
 
 def read_idx(path):
     """Parse an IDX file: u32 big-endian magic, u32 dims, raw payload."""
-    with _open_maybe_gz(path) as fh:
-        raw = fh.read()
+    try:
+        with _open_maybe_gz(path) as fh:
+            raw = fh.read()
+    except (EOFError, gzip.BadGzipFile, zlib.error) as exc:
+        raise ValueError(f"{path}: corrupt gzip stream ({exc})") from None
     if len(raw) < 4:
         raise ValueError(f"{path}: truncated IDX header")
     magic = struct.unpack(">I", raw[:4])[0]
@@ -42,6 +48,8 @@ def read_idx(path):
     else:
         raise ValueError(f"{path}: unsupported IDX magic 0x{magic:08x}")
     header = 4 + 4 * ndim
+    if len(raw) < header:
+        raise ValueError(f"{path}: truncated IDX header")
     dims = struct.unpack(f">{ndim}I", raw[4:header])
     count = int(np.prod(dims))
     if len(raw) - header != count:
@@ -205,7 +213,7 @@ def synth_shapes(n, seed=0, size=16):
 
 
 # ---------------------------------------------------------------------------
-# PGM / PPM
+# PGM
 
 def _quantize(plane):
     """Map [0,1] floats to bytes as floor(v * 255), clipped.
@@ -226,24 +234,15 @@ def write_pgm(path, plane):
         fh.write(b.tobytes())
 
 
-def write_ppm(path, image):
-    """Binary (P6) pixmap from [Y, X, 3] floats in [0, 1]."""
-    b = _quantize(image)
-    if b.ndim != 3 or b.shape[2] != 3:
-        raise ValueError("write_ppm expects [Y, X, 3]")
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{b.shape[1]} {b.shape[0]}\n255\n".encode())
-        fh.write(b.tobytes())
-
-
-def _read_netpbm(path, magic):
+def read_pgm(path):
+    """Binary (P5) graymap with maxval 255 as a [Y, X] uint8 array."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if not raw.startswith(magic):
-        raise ValueError(f"{path}: not a {magic.decode()} file")
+    if not raw.startswith(b"P5"):
+        raise ValueError(f"{path}: not a P5 file")
     # header = magic, width, height, maxval; '#' starts a comment
     tokens = []
-    pos = len(magic)
+    pos = 2
     while len(tokens) < 3:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
             pos += 1
@@ -259,21 +258,10 @@ def _read_netpbm(path, magic):
     w, h, maxval = tokens
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    return np.frombuffer(raw, dtype=np.uint8, offset=pos), w, h
-
-
-def read_pgm(path):
-    data, w, h = _read_netpbm(path, b"P5")
+    data = np.frombuffer(raw, dtype=np.uint8, offset=pos)
     if data.size != w * h:
         raise ValueError(f"{path}: payload does not match {w}x{h}")
     return data.reshape(h, w)
-
-
-def read_ppm(path):
-    data, w, h = _read_netpbm(path, b"P6")
-    if data.size != w * h * 3:
-        raise ValueError(f"{path}: payload does not match {w}x{h}x3")
-    return data.reshape(h, w, 3)
 
 
 def attention_montage(input_plane, alpha_planes, upsample=8, gap=1):
@@ -323,7 +311,6 @@ class ConfigError(ValueError):
 
 
 GROUP_ALIASES = {"p4": "C4", "p4m": "D4", "c1": "C1", "c2": "C2"}
-_VARIANTS = ("plain", "full", "channel", "spatial", "input")
 
 
 @dataclass(frozen=True)
@@ -356,7 +343,7 @@ def _parse_bool(val, key, lineno):
 
 _CONFIG_PARSERS = {
     "group": lambda v, k, ln: _choice(v, k, ln, tuple(GROUP_ALIASES)),
-    "variant": lambda v, k, ln: _choice(v, k, ln, _VARIANTS),
+    "variant": lambda v, k, ln: _choice(v, k, ln, VARIANTS),
     "filter_size": lambda v, k, ln: _int(v, k, ln),
     "reduction_ratio": lambda v, k, ln: _int(v, k, ln),
     "lr": lambda v, k, ln: _float(v, k, ln),
@@ -421,6 +408,7 @@ def load_config(path=None, text=None, overrides=None) -> RunConfig:
 
 CKPT_MAGIC = b"GATT"
 CKPT_VERSION = 1
+CKPT_ADAM = 2  # optimizer-kind byte; 0 marks a file without optimizer state
 _DTYPE_TAG = {"f32": 0, "f64": 1}
 _TAG_DTYPE = {0: "<f4", 1: "<f8"}
 
@@ -432,19 +420,33 @@ def _write_array(fh, arr):
     fh.write(arr.astype(_TAG_DTYPE[tag], copy=False).tobytes())
 
 
-def _read_array(fh):
-    tag, ndim = struct.unpack("<BB", fh.read(2))
-    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-    count = int(np.prod(shape)) if shape else 1
+def _read_exact(fh, size):
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError(f"{fh.name}: checkpoint truncated")
+    return buf
+
+
+def _unpack(fh, fmt):
+    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
+
+
+def _read_array_like(fh, p, what):
+    """Next tagged buffer; its shape and dtype must match parameter `p`."""
+    tag, ndim = _unpack(fh, "<BB")
+    if tag not in _TAG_DTYPE:
+        raise ValueError(f"{fh.name}: unknown dtype tag {tag} for {what}")
+    shape = _unpack(fh, f"<{ndim}I")
+    # checked before the payload is read, so a corrupt shape allocates nothing
+    if shape != p.data.shape or _DTYPE_TAG[p.dtype] != tag:
+        raise ValueError(f"{fh.name}: manifest mismatch for {what}")
     dt = np.dtype(_TAG_DTYPE[tag])
-    buf = fh.read(count * dt.itemsize)
-    if len(buf) != count * dt.itemsize:
-        raise ValueError("checkpoint truncated")
-    return np.frombuffer(buf, dtype=dt).reshape(shape).astype(dt.newbyteorder("=")), tag
+    buf = _read_exact(fh, p.data.size * dt.itemsize)
+    return np.frombuffer(buf, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
 
 
 def save_checkpoint(path, params, optimizer=None):
-    """Parameter manifest plus buffers, then optional optimizer state."""
+    """Parameter manifest plus buffers, then optional Adam state."""
     names = [p.name for p in params]
     if len(set(names)) != len(names):
         raise ValueError("parameter names must be unique for checkpointing")
@@ -460,43 +462,48 @@ def save_checkpoint(path, params, optimizer=None):
         if optimizer is None:
             fh.write(struct.pack("<B", 0))
         else:
-            kind = 2 if hasattr(optimizer, "m") else 1
-            fh.write(struct.pack("<B", kind))
-            fh.write(struct.pack("<Q", optimizer.step_count))
-            if kind == 2:
-                for buf in optimizer.m + optimizer.v:
-                    _write_array(fh, buf)
-            else:
-                for buf in optimizer.velocity:
-                    _write_array(fh, buf)
+            fh.write(struct.pack("<BQ", CKPT_ADAM, optimizer.step_count))
+            for buf in optimizer.m + optimizer.v:
+                _write_array(fh, buf)
 
 
 def load_checkpoint(path, params, optimizer=None):
-    """Restore parameters (matched by name, shape and dtype) and optimizer state."""
+    """Restore parameters (matched by name, shape and dtype) and Adam state.
+
+    The whole file is parsed and checked before anything is assigned: a
+    truncated, malformed or mismatched file raises ValueError and leaves the
+    parameters and the optimizer untouched.
+    """
     with open(path, "rb") as fh:
         if fh.read(4) != CKPT_MAGIC:
             raise ValueError(f"{path}: bad checkpoint magic")
-        version = struct.unpack("<I", fh.read(4))[0]
+        (version,) = _unpack(fh, "<I")
         if version != CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        count = struct.unpack("<I", fh.read(4))[0]
+        (count,) = _unpack(fh, "<I")
         if count != len(params):
             raise ValueError(f"{path}: checkpoint has {count} parameters, "
                              f"model has {len(params)}")
+        arrays = []
         for p in params:
-            nlen = struct.unpack("<H", fh.read(2))[0]
-            name = fh.read(nlen).decode()
-            arr, tag = _read_array(fh)
+            (nlen,) = _unpack(fh, "<H")
+            name = _read_exact(fh, nlen).decode()
             if name != p.name:
                 raise ValueError(f"{path}: parameter order mismatch "
                                  f"({name!r} vs {p.name!r})")
-            if arr.shape != p.data.shape or _DTYPE_TAG[p.dtype] != tag:
-                raise ValueError(f"{path}: manifest mismatch for {name!r}")
-            p.data = arr.astype(p.data.dtype, copy=False).copy()
-        kind = struct.unpack("<B", fh.read(1))[0]
-        if kind and optimizer is not None:
-            optimizer.step_count = struct.unpack("<Q", fh.read(8))[0]
-            bufs = optimizer.m + optimizer.v if kind == 2 else optimizer.velocity
-            for i in range(len(bufs)):
-                arr, _ = _read_array(fh)
-                bufs[i][...] = arr
+            arrays.append(_read_array_like(fh, p, repr(name)))
+        (kind,) = _unpack(fh, "<B")
+        if kind not in (0, CKPT_ADAM):
+            raise ValueError(f"{path}: unknown optimizer kind {kind}")
+        if kind:
+            (step_count,) = _unpack(fh, "<Q")
+            state = [_read_array_like(fh, p, f"optimizer state of {p.name!r}")
+                     for p in list(params) * 2]
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the checkpoint")
+    for p, arr in zip(params, arrays):
+        p.data = arr.astype(p.data.dtype, copy=False).copy()
+    if kind and optimizer is not None:
+        optimizer.step_count = step_count
+        for buf, arr in zip(optimizer.m + optimizer.v, state):
+            buf[...] = arr

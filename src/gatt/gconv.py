@@ -23,7 +23,8 @@ from .tensor import Tensor
 # Cap on the materialized per-pair response tensor (bytes).  The full
 # [N, O, C, |H|, |H_in|, Y, X] block grows with |H|^2 * O * C and gets out of
 # hand quickly, so it is estimated up front and refused beyond the cap.
-DEFAULT_MEMORY_CAP = 1 << 30
+# Read at call time.
+MEMORY_CAP = 1 << 30
 
 
 class MemoryCapError(RuntimeError):
@@ -43,10 +44,6 @@ class FeatureMapG:
     @property
     def poses(self):
         return self.data.shape[2]
-
-    @property
-    def planar(self):
-        return self.data.shape[2] == 1
 
 
 def check_feature(f: FeatureMapG, group=None):
@@ -79,10 +76,6 @@ class GConvLayer:
         self.stride = stride
         self.padding = padding
 
-    @property
-    def lifting(self):
-        return self.weight.shape[2] == 1
-
     def params(self):
         out = [self.weight]
         if self.bias is not None:
@@ -91,13 +84,13 @@ class GConvLayer:
 
 
 def make_gconv_layer(rng, group, in_channels, out_channels, kernel=3, lifting=False,
-                     stride=1, padding="same", dtype="f32", bias=True, name=""):
+                     stride=1, padding="same", dtype="f32", name=""):
     hin = 1 if lifting else group.order
     fan_in = in_channels * hin * kernel * kernel
     w = he_init(rng, (out_channels, in_channels, hin, kernel, kernel), fan_in,
                 dtype=dtype, name=f"{name}.weight")
     b = Parameter(np.zeros(out_channels), dtype=dtype, name=f"{name}.bias",
-                  weight_decay=False) if bias else None
+                  weight_decay=False)
     return GConvLayer(group, w, b, stride=stride, padding=padding)
 
 
@@ -116,14 +109,35 @@ def filter_bank(layer):
     return T.concat(banks, axis=0)
 
 
-def _conv_on_group(f: FeatureMapG, layer, bank=None):
-    grp = layer.group
+def _check_input(f: FeatureMapG, layer):
+    check_feature(f, layer.group)
+    if f.shape[1] != layer.weight.shape[1]:
+        raise ValueError(f"channel mismatch: {f.shape[1]} vs {layer.weight.shape[1]}")
+    if f.poses != layer.weight.shape[2]:
+        raise ValueError(f"pose mismatch: input {f.poses} vs filter {layer.weight.shape[2]}")
+
+
+def _bank_conv(f: FeatureMapG, layer, conv):
+    """Correlate the flattened input with the filter bank via `conv`
+    (T.conv2d or T.conv2d_multi)."""
     n, c, hin, y, x = f.shape
-    o = layer.weight.shape[0]
-    if bank is None:
-        bank = filter_bank(layer)
+    bank = filter_bank(layer)  # [(H*O), C*Hin, k, k]
     flat = T.reshape(f.data, (n, c * hin, y, x))
-    out = T.conv2d(flat, bank, padding=layer.padding, stride=layer.stride)
+    return conv(flat, bank, padding=layer.padding, stride=layer.stride)
+
+
+def group_conv(f: FeatureMapG, layer) -> FeatureMapG:
+    """Lifting or group-to-group convolution, summing over input channels and
+    poses.
+
+    The input's pose extent must match the filter's |H_in|: a planar map for
+    a lifting layer, a full group axis otherwise.
+    """
+    _check_input(f, layer)
+    grp = layer.group
+    n = f.shape[0]
+    o = layer.weight.shape[0]
+    out = _bank_conv(f, layer, T.conv2d)
     yo, xo = out.shape[2], out.shape[3]
     out = T.reshape(out, (n, grp.order, o, yo, xo))
     out = T.transpose(out, (0, 2, 1, 3, 4))
@@ -132,62 +146,29 @@ def _conv_on_group(f: FeatureMapG, layer, bank=None):
     return FeatureMapG(out, grp)
 
 
-def lift_conv(f: FeatureMapG, layer) -> FeatureMapG:
-    """Planar input -> feature map with one slice per group element."""
-    check_feature(f, layer.group)
-    if not layer.lifting:
-        raise ValueError("lift_conv needs a lifting layer (filter pose axis 1)")
-    if not f.planar:
-        raise ValueError("lift_conv input must be planar (group axis extent 1)")
-    if f.shape[1] != layer.weight.shape[1]:
-        raise ValueError(f"channel mismatch: {f.shape[1]} vs {layer.weight.shape[1]}")
-    return _conv_on_group(f, layer)
-
-
-def group_conv(f: FeatureMapG, layer) -> FeatureMapG:
-    """Group-to-group convolution, summing over input channels and poses."""
-    check_feature(f, layer.group)
-    if layer.lifting:
-        raise ValueError("group_conv needs a group-to-group layer; use lift_conv")
-    if f.planar:
-        raise ValueError("group_conv input must carry a full group axis")
-    if f.shape[1] != layer.weight.shape[1]:
-        raise ValueError(f"channel mismatch: {f.shape[1]} vs {layer.weight.shape[1]}")
-    return _conv_on_group(f, layer)
-
-
-def gconv_forward(f: FeatureMapG, layer) -> FeatureMapG:
-    return lift_conv(f, layer) if layer.lifting else group_conv(f, layer)
-
-
-def intermediate_responses(f: FeatureMapG, layer, memory_cap=DEFAULT_MEMORY_CAP):
+def intermediate_responses(f: FeatureMapG, layer):
     """Per-pair responses before reduction, [N, O, C, |H|, |H_in|, Yo, Xo].
 
     Entry [n, o, c, h, t] is the spatial cross-correlation of input slice
     (c, t) with slice (c, t) of the h-transformed filter; summing over
-    (C, |H_in|) and adding the bias reproduces the layer output.
+    (C, |H_in|) and adding the bias reproduces the layer output.  Refused with
+    MemoryCapError when the tensor would exceed MEMORY_CAP bytes.
     """
-    check_feature(f, layer.group)
-    if f.shape[1] != layer.weight.shape[1]:
-        raise ValueError(f"channel mismatch: {f.shape[1]} vs {layer.weight.shape[1]}")
-    if f.poses != layer.weight.shape[2]:
-        raise ValueError(f"pose mismatch: input {f.poses} vs filter {layer.weight.shape[2]}")
+    _check_input(f, layer)
     grp = layer.group
     n, c, hin, y, x = f.shape
     o, _, _, k, _ = layer.weight.shape
-    pt, pb, yo = T._pad_amounts(y, k, layer.stride, layer.padding)
-    pl, pr, xo = T._pad_amounts(x, k, layer.stride, layer.padding)
+    _, _, yo = T._pad_amounts(y, k, layer.stride, layer.padding)
+    _, _, xo = T._pad_amounts(x, k, layer.stride, layer.padding)
     itemsize = f.data.data.dtype.itemsize
     est = n * o * c * grp.order * hin * yo * xo * itemsize
-    if est > memory_cap:
+    if est > MEMORY_CAP:
         raise MemoryCapError(
             f"per-pair response tensor needs {est} bytes "
             f"(N*O*C*|H|*|H_in|*Y*X*itemsize = {n}*{o}*{c}*{grp.order}*{hin}*{yo}*{xo}*{itemsize}) "
-            f"which exceeds the cap of {memory_cap}; reduce the batch or channel counts, "
-            f"raise memory_cap, or use the input-attention variant which avoids this tensor")
-    bank = filter_bank(layer)  # [(H*O), C*Hin, k, k]
-    flat = T.reshape(f.data, (n, c * hin, y, x))
-    resp = T.conv2d_multi(flat, bank, padding=layer.padding, stride=layer.stride)
+            f"which exceeds the cap of {MEMORY_CAP}; reduce the batch or channel counts, "
+            f"or use the input-attention variant which avoids this tensor")
+    resp = _bank_conv(f, layer, T.conv2d_multi)
     resp = T.reshape(resp, (n, grp.order, o, c, hin, yo, xo))
     return T.transpose(resp, (0, 2, 3, 1, 4, 5, 6))
 
@@ -196,9 +177,3 @@ def group_pool(f: FeatureMapG, mode="max") -> Tensor:
     """Reduce the pose axis away: [N, C, |H|, Y, X] -> [N, C, Y, X]."""
     check_feature(f)
     return T.reduce(f.data, axes=(2,), mode=mode)
-
-
-def spatial_gpool(f: FeatureMapG, mode="mean") -> Tensor:
-    """Reduce the spatial axes away: [N, C, |H|, Y, X] -> [N, C, |H|]."""
-    check_feature(f)
-    return T.reduce(f.data, axes=(3, 4), mode=mode)

@@ -36,11 +36,7 @@ class FiniteGroup:
     cayley: np.ndarray       # [n, n] int, cayley[a][b] = index of a*b
     inverse: np.ndarray      # [n] int
     action: np.ndarray       # [n, 2, 2] int matrices on (row, col) offsets
-    is_reflection: np.ndarray  # [n] bool, True iff det == -1
     _plane_maps: dict = field(default_factory=dict, repr=False)
-
-    def __len__(self):
-        return self.order
 
 
 class AffineElement(NamedTuple):
@@ -80,11 +76,8 @@ def make_group(name: str) -> FiniteGroup:
     inverse = np.empty(n, dtype=np.int64)
     for a in range(n):
         inverse[a] = index_of(np.linalg.inv(mats[a]).round().astype(np.int64))
-    action = np.stack(mats)
-    refl = np.array([round(float(np.linalg.det(m))) == -1 for m in mats])
-
     grp = FiniteGroup(name=name, order=n, cayley=cayley, inverse=inverse,
-                      action=action, is_reflection=refl)
+                      action=np.stack(mats))
     _validate(grp)
     return grp
 
@@ -118,13 +111,6 @@ def invert_affine(grp, g: AffineElement) -> AffineElement:
     return AffineElement(x, hinv)
 
 
-def apply_action(grp, h, x):
-    """Apply the 2x2 matrix of element h to an integer (row, col) offset."""
-    m = grp.action[h]
-    return (int(m[0, 0]) * x[0] + int(m[0, 1]) * x[1],
-            int(m[1, 0]) * x[0] + int(m[1, 1]) * x[1])
-
-
 def plane_index_map(grp, h, size):
     """Source-index map (I, J) with out[i, j] = in[I[i, j], J[i, j]].
 
@@ -154,14 +140,14 @@ def feature_perm(grp, h):
     return grp.cayley[hinv].copy()
 
 
-def _check_square(arr_shape, h, grp, what):
+def _check_square(arr_shape, h, what):
     if arr_shape[-1] != arr_shape[-2] and h != 0:
         raise ValueError(f"{what} spatial dims must be square to transform, got {arr_shape[-2:]}")
 
 
 def transform_array(grp, h, arr, group_axis=None):
     """Numpy-level transform: spatial index map plus optional group-axis permutation."""
-    _check_square(arr.shape, h, grp, "plane")
+    _check_square(arr.shape, h, "plane")
     out = arr
     if group_axis is not None and arr.shape[group_axis] != 1:
         if arr.shape[group_axis] != grp.order:
@@ -175,15 +161,13 @@ def transform_array(grp, h, arr, group_axis=None):
 def transform_feature(grp, h, f):
     """Left regular action on a stacked map: out(x, t) = f(h^-1 x, h^-1 t).
 
-    `f` has axes [..., |H|, Y, X]; a group-axis extent of 1 marks a planar map
-    and skips the slice permutation.  Accepts a Tensor (differentiable; the
-    backward pass applies the inverse element) or a bare ndarray.
+    `f` is a Tensor with axes [..., |H|, Y, X]; a group-axis extent of 1 marks
+    a planar map and skips the slice permutation.  Differentiable: the
+    backward pass applies the inverse element.
     """
-    if isinstance(f, np.ndarray):
-        return transform_array(grp, h, f, group_axis=-3)
     if f.ndim < 3:
         raise ValueError("transform_feature expects axes [..., |H|, Y, X]")
-    _check_square(f.shape, h, grp, "feature")
+    _check_square(f.shape, h, "feature")
     size = f.shape[-1]
     out = f
     if f.shape[-3] != 1:

@@ -14,8 +14,7 @@ from . import tensor as T
 from .attention import (attentive_group_conv, input_attention, make_channel_attention,
                         make_spatial_attention)
 from .autodiff import Parameter, dropout, new_rng
-from .gconv import (FeatureMapG, GConvLayer, gconv_forward, group_pool,
-                    make_gconv_layer, spatial_gpool)
+from .gconv import FeatureMapG, GConvLayer, group_conv, group_pool, make_gconv_layer
 from .groups import make_group
 from .tensor import Tensor
 
@@ -28,7 +27,7 @@ class ForwardCtx:
     rng: object = None
 
 
-def _map_data(x, fn, group=None):
+def _map_data(x, fn):
     if isinstance(x, FeatureMapG):
         return FeatureMapG(fn(x.data), x.group)
     return fn(x)
@@ -52,11 +51,11 @@ class GBlock:
 
     def forward(self, f, ctx):
         if self.variant == "plain":
-            return gconv_forward(f, self.layer)
+            return group_conv(f, self.layer)
         if self.variant == "input":
             gated = input_attention(f, self.ch_params, self.sp_params,
                                     residual_branch=self.residual_branch)
-            return gconv_forward(gated, self.layer)
+            return group_conv(gated, self.layer)
         return attentive_group_conv(
             f, self.layer, self.ch_params, self.sp_params, variant=self.variant,
             residual_branch=self.residual_branch, pool_out=self.pool_out,
@@ -225,8 +224,8 @@ class Network:
 # ---------------------------------------------------------------------------
 # reference architectures
 
-def _attention_for(rng, variant, group, in_channels, in_poses, reduction_ratio,
-                   kernel, dtype, name):
+def _attention_for(rng, variant, in_channels, in_poses, reduction_ratio, kernel,
+                   dtype, name):
     """Attention parameter pair sized for a block's input.
 
     A planar input (pose extent 1) has no relative pose, so a single matrix
@@ -261,8 +260,8 @@ def build_tiny_net(group_name="C4", variant="input", channels=8, n_classes=4,
         ReLUG(),
         MaxPoolG(2, 2),
     ]
-    ch, sp = _attention_for(rng, variant, grp, channels, grp.order,
-                            reduction_ratio, att_kernel, dtype, "block2")
+    ch, sp = _attention_for(rng, variant, channels, grp.order, reduction_ratio,
+                            att_kernel, dtype, "block2")
     layers += [
         GBlock(make_gconv_layer(rng, grp, channels, channels, 3, dtype=dtype,
                                 name="conv2"),
@@ -322,8 +321,8 @@ def build_digit_net(group_name="C4", variant="plain", channels=10, n_classes=10,
         ReLUG(),
     ]
     for i in range(2, 8):
-        ch, sp = _attention_for(rng, variant, grp, channels, grp.order,
-                                reduction_ratio, att_kernel, dtype, f"block{i}")
+        ch, sp = _attention_for(rng, variant, channels, grp.order, reduction_ratio,
+                                att_kernel, dtype, f"block{i}")
         layers.append(GBlock(make_gconv_layer(rng, grp, channels, channels, 3,
                                               dtype=dtype, name=f"conv{i}"),
                              variant=variant, ch_params=ch, sp_params=sp,

@@ -8,7 +8,7 @@ the record list is already a topological order of the data-flow graph and
 
 Numerical conventions, fixed for reproducibility:
 
-* conv2d / matmul / bmm accumulate in float64 internally regardless of the
+* conv2d / bmm accumulate in float64 internally regardless of the
   storage dtype, then cast back.  With identical inputs this makes results
   bit-reproducible across runs and independent of BLAS threading.
 * reductions use numpy's deterministic reduction kernels; ``max`` ties are
@@ -80,46 +80,8 @@ class Tensor:
     def dtype(self):
         return DTYPE_TAGS[self.data.dtype]
 
-    def item(self):
-        return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-    # operator sugar; all defer to the module-level ops below
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other, self))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other, self), self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def _coerce(x, like):
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
 
 def _ensure_grad(t):
     if t.grad is None:
@@ -144,7 +106,7 @@ def _unbroadcast(g, shape):
     axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
-    return g.astype(g.dtype, copy=False)
+    return g
 
 
 def _check_same_dtype(a, b):
@@ -156,7 +118,6 @@ def _check_same_dtype(a, b):
 # elementwise ops
 
 def add(a, b):
-    b = _coerce(b, a)
     _check_same_dtype(a, b)
     out = Tensor(a.data + b.data)
 
@@ -174,7 +135,6 @@ def add(a, b):
 
 
 def sub(a, b):
-    b = _coerce(b, a)
     _check_same_dtype(a, b)
     out = Tensor(a.data - b.data)
 
@@ -192,7 +152,6 @@ def sub(a, b):
 
 
 def mul(a, b):
-    b = _coerce(b, a)
     _check_same_dtype(a, b)
     out = Tensor(a.data * b.data)
 
@@ -210,7 +169,6 @@ def mul(a, b):
 
 
 def div(a, b):
-    b = _coerce(b, a)
     _check_same_dtype(a, b)
     out = Tensor(a.data / b.data)
 
@@ -225,18 +183,6 @@ def div(a, b):
                 b.data.dtype, copy=False)
 
     _record(out, (a, b), bwd)
-    return out
-
-
-def neg(a):
-    out = Tensor(-a.data)
-
-    def bwd():
-        if a.requires_grad:
-            _ensure_grad(a)
-            a.grad -= out.grad
-
-    _record(out, (a,), bwd)
     return out
 
 
@@ -263,31 +209,6 @@ def sigmoid(a):
         if a.requires_grad:
             _ensure_grad(a)
             a.grad += out.grad * s * (1.0 - s)
-
-    _record(out, (a,), bwd)
-    return out
-
-
-def exp(a):
-    e = np.exp(a.data)
-    out = Tensor(e)
-
-    def bwd():
-        if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += out.grad * e
-
-    _record(out, (a,), bwd)
-    return out
-
-
-def log(a):
-    out = Tensor(np.log(a.data))
-
-    def bwd():
-        if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += out.grad / a.data
 
     _record(out, (a,), bwd)
     return out
@@ -325,17 +246,6 @@ def reduce(a, axes=None, mode="sum", keepdims=False):
     """
     if mode not in ("sum", "mean", "max"):
         raise ValueError(f"unknown reduce mode {mode!r}")
-    if axes == () or axes == []:
-        out = Tensor(a.data.copy())
-
-        def bwd_id():
-            if a.requires_grad:
-                _ensure_grad(a)
-                a.grad += out.grad
-
-        _record(out, (a,), bwd_id)
-        return out
-
     axes = _norm_axes(axes, a.ndim)
     if mode == "sum":
         out = Tensor(a.data.sum(axis=axes, keepdims=keepdims))
@@ -374,10 +284,7 @@ def reduce(a, axes=None, mode="sum", keepdims=False):
     flat = moved.reshape(outer + (-1,))
     idx = flat.argmax(axis=-1)
     vals = np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0]
-    if keepdims:
-        out_data = np.expand_dims(vals, axes) if axes else vals
-    else:
-        out_data = vals
+    out_data = np.expand_dims(vals, axes) if keepdims else vals
     out = Tensor(out_data.copy())
 
     def bwd_max():
@@ -530,25 +437,7 @@ def gather_plane(a, src_ij, inv_ij):
 
 
 # ---------------------------------------------------------------------------
-# matrix products (float64 accumulation)
-
-def matmul(a, b):
-    _check_same_dtype(a, b)
-    out64 = np.matmul(a.data.astype(np.float64), b.data.astype(np.float64))
-    out = Tensor(out64.astype(a.data.dtype))
-
-    def bwd():
-        g = out.grad.astype(np.float64)
-        if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += np.matmul(g, b.data.astype(np.float64).T).astype(a.data.dtype)
-        if b.requires_grad:
-            _ensure_grad(b)
-            b.grad += np.matmul(a.data.astype(np.float64).T, g).astype(b.data.dtype)
-
-    _record(out, (a, b), bwd)
-    return out
-
+# batched matrix product (float64 accumulation)
 
 def bmm(a, b):
     """Batched matmul [..., M, K] @ [..., K, N]; batch axes broadcast."""
@@ -587,11 +476,10 @@ def _pad_amounts(extent, k, stride, padding):
     raise ValueError(f"unknown padding {padding!r}")
 
 
-def _im2col(fp, k, stride):
+def _im2col(fp, k, stride, yo, xo):
     win = sliding_window_view(fp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c, yo, xo = win.shape[:4]
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, yo * xo)
-    return cols, yo, xo
+    n, c = win.shape[:2]
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, yo * xo)
 
 
 def _col2im(gcols, pad_shape, k, stride, yo, xo):
@@ -604,7 +492,14 @@ def _col2im(gcols, pad_shape, k, stride, yo, xo):
     return g
 
 
-def _conv_checks(f, w, stride):
+def _unfold(f, w, padding, stride):
+    """Shared conv prologue and epilogue.
+
+    Checks the operands, zero-pads f in float64 and unfolds it into columns
+    [N, C*k*k, Yo*Xo].  Returns the columns, the output extents, and `fold`,
+    which adds a column gradient back into f.grad (col2im, then crop).
+    """
+    _check_same_dtype(f, w)
     if f.ndim != 4 or w.ndim != 4:
         raise ValueError("conv2d expects f [N,C,Y,X] and w [O,C,k,k]")
     if f.shape[1] != w.shape[1]:
@@ -613,6 +508,20 @@ def _conv_checks(f, w, stride):
         raise ValueError(f"kernel must be odd and square, got {w.shape[2]}x{w.shape[3]}")
     if stride < 1:
         raise ValueError(f"stride must be >= 1, got {stride}")
+    y, x = f.shape[2:]
+    k = w.shape[2]
+    pt, pb, yo = _pad_amounts(y, k, stride, padding)
+    pl, pr, xo = _pad_amounts(x, k, stride, padding)
+    fp = np.pad(f.data.astype(np.float64), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    cols = _im2col(fp, k, stride, yo, xo)
+    pad_shape = fp.shape
+
+    def fold(gcols):
+        _ensure_grad(f)
+        gp = _col2im(gcols, pad_shape, k, stride, yo, xo)
+        f.grad += gp[:, :, pt:pt + y, pl:pl + x].astype(f.data.dtype)
+
+    return cols, yo, xo, fold
 
 
 def conv2d(f, w, padding="same", stride=1):
@@ -621,16 +530,9 @@ def conv2d(f, w, padding="same", stride=1):
     `same` zero-pads to ceil(extent / stride) outputs; `valid` takes only fully
     covered positions.  Accumulation runs in float64.
     """
-    _check_same_dtype(f, w)
-    _conv_checks(f, w, stride)
-    n, c, y, x = f.shape
-    o = w.shape[0]
-    k = w.shape[2]
-    pt, pb, yo = _pad_amounts(y, k, stride, padding)
-    pl, pr, xo = _pad_amounts(x, k, stride, padding)
-    fp = np.pad(f.data.astype(np.float64), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols, yo2, xo2 = _im2col(fp, k, stride)
-    assert (yo, xo) == (yo2, xo2)
+    cols, yo, xo, fold = _unfold(f, w, padding, stride)
+    n, c = f.shape[:2]
+    o, _, k, _ = w.shape
     wm = w.data.astype(np.float64).reshape(o, c * k * k)
     out_flat = np.matmul(wm[None], cols)  # [N, O, P]
     out = Tensor(out_flat.reshape(n, o, yo, xo).astype(f.data.dtype))
@@ -642,10 +544,7 @@ def conv2d(f, w, padding="same", stride=1):
             gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
             w.grad += gw.reshape(w.shape).astype(w.data.dtype)
         if f.requires_grad:
-            _ensure_grad(f)
-            gcols = np.matmul(wm.T[None], g)
-            gp = _col2im(gcols, fp.shape, k, stride, yo, xo)
-            f.grad += gp[:, :, pt:pt + y, pl:pl + x].astype(f.data.dtype)
+            fold(np.matmul(wm.T[None], g))
 
     _record(out, (f, w), bwd)
     return out
@@ -657,23 +556,15 @@ def conv2d_multi(f, w, padding="same", stride=1):
     out[n, o, c] is the single-channel cross-correlation of f[n, c] with
     w[o, c]; summing over c reproduces conv2d up to accumulation order.
     """
-    _check_same_dtype(f, w)
-    _conv_checks(f, w, stride)
-    n, c, y, x = f.shape
-    o = w.shape[0]
-    k = w.shape[2]
-    pt, pb, yo = _pad_amounts(y, k, stride, padding)
-    pl, pr, xo = _pad_amounts(x, k, stride, padding)
-    fp = np.pad(f.data.astype(np.float64), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols, _, _ = _im2col(fp, k, stride)
-    colsb = cols.reshape(n, c, k * k, yo * xo).transpose(1, 0, 2, 3).reshape(c, n * k * k, yo * xo)
+    cols, yo, xo, fold = _unfold(f, w, padding, stride)
+    n, c = f.shape[:2]
+    o, _, k, _ = w.shape
     # per-channel batched product: [C, O, k2] @ [C, k2, P] done per sample
     colsc = cols.reshape(n, c, k * k, yo * xo).transpose(1, 2, 0, 3).reshape(c, k * k, n * yo * xo)
     wb = w.data.astype(np.float64).transpose(1, 0, 2, 3).reshape(c, o, k * k)
     prod = np.matmul(wb, colsc)  # [C, O, N*P]
     out_data = prod.reshape(c, o, n, yo * xo).transpose(2, 1, 0, 3).reshape(n, o, c, yo, xo)
     out = Tensor(out_data.astype(f.data.dtype))
-    del colsb
 
     def bwd():
         g = out.grad.astype(np.float64).reshape(n, o, c, yo * xo)
@@ -683,12 +574,9 @@ def conv2d_multi(f, w, padding="same", stride=1):
             gw = np.matmul(gc, colsc.transpose(0, 2, 1))  # [C, O, k2]
             w.grad += gw.transpose(1, 0, 2).reshape(w.shape).astype(w.data.dtype)
         if f.requires_grad:
-            _ensure_grad(f)
             gcolsc = np.matmul(wb.transpose(0, 2, 1), gc)  # [C, k2, N*P]
-            gcols = gcolsc.reshape(c, k * k, n, yo * xo).transpose(2, 0, 1, 3).reshape(
-                n, c * k * k, yo * xo)
-            gp = _col2im(gcols, fp.shape, k, stride, yo, xo)
-            f.grad += gp[:, :, pt:pt + y, pl:pl + x].astype(f.data.dtype)
+            fold(gcolsc.reshape(c, k * k, n, yo * xo).transpose(2, 0, 1, 3).reshape(
+                n, c * k * k, yo * xo))
 
     _record(out, (f, w), bwd)
     return out
@@ -715,38 +603,6 @@ def max_pool2d(f, window=2, stride=2):
             rows = yi * stride + idx // window
             colsx = xi * stride + idx % window
             np.add.at(f.grad, (ni, ci, rows, colsx), out.grad)
-
-    _record(out, (f,), bwd)
-    return out
-
-
-def upsample_nearest(f, factor=2):
-    if f.ndim != 4:
-        raise ValueError("upsample_nearest expects [N,C,Y,X]")
-    out = Tensor(np.repeat(np.repeat(f.data, factor, axis=2), factor, axis=3))
-
-    def bwd():
-        if f.requires_grad:
-            _ensure_grad(f)
-            n, c, y, x = f.shape
-            g = out.grad.reshape(n, c, y, factor, x, factor)
-            f.grad += g.sum(axis=(3, 5))
-
-    _record(out, (f,), bwd)
-    return out
-
-
-def pad_zero(f, amount):
-    """Symmetric spatial zero padding by `amount` on each side."""
-    if f.ndim != 4:
-        raise ValueError("pad_zero expects [N,C,Y,X]")
-    a = int(amount)
-    out = Tensor(np.pad(f.data, ((0, 0), (0, 0), (a, a), (a, a))))
-
-    def bwd():
-        if f.requires_grad:
-            _ensure_grad(f)
-            f.grad += out.grad[:, :, a:-a if a else None, a:-a if a else None]
 
     _record(out, (f,), bwd)
     return out

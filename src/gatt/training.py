@@ -82,6 +82,9 @@ def fit(net, train_xy, val_xy=None, epochs=10, batch=128, lr=0.001,
 
 
 def _fmt(v):
+    """Report value text: true/false for bools, 10 significant digits for floats."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, float):
-        return f"{v:.6g}"
+        return f"{v:.10g}"
     return str(v)

@@ -189,33 +189,16 @@ def test_zero_parameter_attention_quarters_the_response():
     np.testing.assert_allclose(got, 0.25 * (plain - bias) + bias, atol=1e-13)
 
 
-def test_unit_alpha_override_recovers_group_conv():
-    layer, _, _, x = _setup()
-    f = _feature(x)
-    ones = Tensor(np.ones((1, 1, 1, 1, 1, 1, 1)))
-    got = attentive_group_conv(f, layer, alpha_c_override=ones,
-                               alpha_x_override=ones).data.data
-    want = group_conv(f, layer).data.data
-    np.testing.assert_allclose(got, want, atol=1e-13)
-
-
-def test_zero_spatial_override_leaves_only_bias():
-    layer, _, _, x = _setup()
-    f = _feature(x)
-    zero = Tensor(np.zeros((1, 1, 1, 1, 1, 1, 1)))
-    got = attentive_group_conv(f, layer, alpha_x_override=zero).data.data
-    want = np.broadcast_to(layer.bias.data.reshape(1, -1, 1, 1, 1), got.shape)
-    np.testing.assert_array_equal(got, want)
-
-
 def test_spatial_map_sees_channel_modulated_responses():
     # recompute alpha_X from the public pieces: it must come from the
     # channel-gated responses, not the raw ones
     layer, ch, sp, x = _setup()
     f = _feature(x)
-    ac, ax, ft = attention_maps(f, layer, ch, sp, variant="full")
+    ac, ax, gated = attention_maps(f, layer, ch, sp, variant="full")
+    ft = intermediate_responses(f, layer)
     n, c, hh, hin = ac.shape
     mod = ft.data * ac.data.reshape(n, 1, c, hh, hin, 1, 1)
+    np.testing.assert_array_equal(gated.data, mod)
     s_x = spatial_stats(Tensor(mod), pool_out=True)
     again = spatial_attention(s_x, sp, GRP, residual_branch=True).data
     np.testing.assert_array_equal(ax.data, again)

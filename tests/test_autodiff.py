@@ -1,10 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import gatt.tensor as T
-from gatt.autodiff import (Adam, Parameter, SGD, backward, dropout,
-                           finite_diff_grad, grad_rel_err, he_init, new_rng,
-                           step_decay_lr, zero_grads)
+from gatt.autodiff import (Adam, Parameter, backward, dropout, finite_diff_grad,
+                           grad_rel_err, he_init, new_rng, zero_grads)
 from gatt.tensor import Tape, Tensor
 from gatt.verify import gradcheck_cases, run_gradcheck_case
 
@@ -56,22 +57,34 @@ def test_gradcheck_catches_a_wrong_gradient():
     assert run_gradcheck_case([p], lambda: T.reduce(bad_square(p))) > 1e-2
 
 
+def test_gradcheck_cases_cover_every_op(monkeypatch):
+    # every public op of gatt.tensor that records on the tape must be called
+    # by at least one gradcheck case
+    ops = {name for name, fn in vars(T).items()
+           if inspect.isfunction(fn) and not name.startswith("_")
+           and fn.__module__ == T.__name__ and "_record(" in inspect.getsource(fn)}
+    called = set()
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            called.add(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ops:
+        monkeypatch.setattr(T, name, spy(name, getattr(T, name)))
+    for _, _, loss_fn in gradcheck_cases():
+        loss_fn()
+    assert {"conv2d", "sub", "bmm", "softmax_cross_entropy"} <= ops
+    assert ops - called == set()
+
+
 # ---------------------------------------------------------------------------
 # optimizers
 
-def test_sgd_momentum_frozen_sequence():
-    p = Parameter(np.array([1.0]), dtype="f64")
-    opt = SGD([p], lr=0.1, momentum=0.9)
-    for want in (0.9, 0.71, 0.439):
-        p.grad = np.array([1.0])
-        opt.step()
-        assert float(p.data[0]) == pytest.approx(want, abs=1e-15)
-    assert opt.step_count == 3
-
-
-def test_sgd_skips_missing_grads():
+def test_adam_skips_missing_grads():
     p = Parameter(np.array([2.0]), dtype="f64")
-    opt = SGD([p], lr=0.5)
+    opt = Adam([p], lr=0.5)
     opt.step()  # no grad set
     assert float(p.data[0]) == 2.0
 
@@ -101,19 +114,14 @@ def test_adam_state_shapes_match_params():
 def test_weight_decay_eligibility():
     decayed = Parameter(np.array([2.0]), dtype="f64", weight_decay=True)
     frozen = Parameter(np.array([2.0]), dtype="f64", weight_decay=False)
-    opt = SGD([decayed, frozen], lr=1.0, weight_decay=0.1)
+    opt = Adam([decayed, frozen], lr=1.0, weight_decay=0.1)
     decayed.grad = np.array([0.0])
     frozen.grad = np.array([0.0])
     opt.step()
-    assert float(decayed.data[0]) == pytest.approx(1.8)
+    # decay enters the raw gradient, g = 0.1 * 2; a first Adam step moves by
+    # lr * g / (|g| + eps)
+    assert float(decayed.data[0]) == pytest.approx(2.0 - 0.2 / (0.2 + opt.eps), rel=1e-12)
     assert float(frozen.data[0]) == 2.0
-
-
-def test_step_decay_lr():
-    assert step_decay_lr(0.1, 5, [10, 20]) == pytest.approx(0.1)
-    assert step_decay_lr(0.1, 10, [10, 20]) == pytest.approx(0.01)
-    assert step_decay_lr(0.1, 25, [10, 20]) == pytest.approx(0.001)
-    assert step_decay_lr(0.1, 3, []) == pytest.approx(0.1)
 
 
 def test_zero_grads():

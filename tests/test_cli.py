@@ -1,6 +1,8 @@
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -209,13 +211,28 @@ def test_attend_checkpoint_mismatch_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_attend_truncated_checkpoint_exits_2(capsys, tmp_path):
+    run_cli(capsys, *_train_args(tmp_path, "--variant", "input"))
+    ckpt = tmp_path / "model.ckpt"
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(ckpt.read_bytes()[:-3])
+    code = main(["attend", "--checkpoint", str(cut), "--variant", "input",
+                 "--channels", "4", "--seed", "5"])
+    assert code == 2
+    assert "truncated" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 
 def test_console_entry_point_runs():
     exe = shutil.which("gatt")
     cmd = [exe] if exe else [sys.executable, "-m", "gatt.cli"]
+    # the package's own src/ first, so an uninstalled checkout runs too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(cmd + ["parity-demo", "--size", "8"],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0
     assert "err_stride=" in proc.stdout

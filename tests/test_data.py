@@ -1,15 +1,15 @@
 import gzip
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from gatt.autodiff import Adam, Parameter, SGD, new_rng
+from gatt.autodiff import Adam, Parameter, new_rng
 from gatt.data import (ConfigError, RunConfig, attention_montage, load_checkpoint,
                        load_config, load_idx_images, load_idx_labels,
-                       make_rotmnist, read_idx, read_pgm, read_ppm,
-                       rotate_bilinear, save_checkpoint, synth_shapes, write_pgm,
-                       write_ppm)
+                       make_rotmnist, read_idx, read_pgm, rotate_bilinear,
+                       save_checkpoint, synth_shapes, write_pgm)
 from gatt.groups import make_group, transform_array
 
 
@@ -72,6 +72,21 @@ def test_idx_error_paths(tmp_path):
     imgs.write_bytes(idx_images_bytes(np.zeros((1, 2, 2), dtype=np.uint8)))
     with pytest.raises(ValueError, match="label"):
         load_idx_labels(imgs)
+
+
+def test_idx_rejects_every_truncation(tmp_path):
+    raw = idx_images_bytes(np.arange(18, dtype=np.uint8).reshape(2, 3, 3))
+    cut, cut_gz = tmp_path / "cut", tmp_path / "cut.gz"
+    cut.write_bytes(raw)
+    cut_gz.write_bytes(gzip.compress(raw))
+    for path in (cut, cut_gz):
+        for n in reversed(range(path.stat().st_size)):
+            os.truncate(path, n)
+            with pytest.raises(ValueError):
+                read_idx(path)
+    cut.write_bytes(raw + b"\x00")
+    with pytest.raises(ValueError, match="payload"):
+        read_idx(cut)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +213,7 @@ def test_make_rotmnist_errors(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# PGM / PPM
+# PGM
 
 def test_quantization_frozen_values(tmp_path):
     p = tmp_path / "q.pgm"
@@ -216,15 +231,6 @@ def test_pgm_round_trip_and_header(tmp_path):
     got = read_pgm(p)
     assert got.shape == (5, 7)
     np.testing.assert_array_equal(got, np.floor(plane * 255).astype(np.uint8))
-
-
-def test_ppm_round_trip(tmp_path):
-    img = new_rng(9).random((4, 3, 3))
-    p = tmp_path / "x.ppm"
-    write_ppm(p, img)
-    got = read_ppm(p)
-    assert got.shape == (4, 3, 3)
-    np.testing.assert_array_equal(got, np.floor(img * 255).astype(np.uint8))
 
 
 def test_netpbm_comment_headers(tmp_path):
@@ -246,8 +252,6 @@ def test_netpbm_error_paths(tmp_path):
         read_pgm(p)
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
-    with pytest.raises(ValueError):
-        write_ppm(tmp_path / "x.ppm", np.zeros((2, 2)))
 
 
 def test_attention_montage_layout():
@@ -381,22 +385,6 @@ def test_checkpoint_restores_adam_state(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
-def test_checkpoint_restores_sgd_state(tmp_path):
-    ps = _params(5)
-    opt = SGD(ps, lr=0.1, momentum=0.9)
-    for p in ps:
-        p.grad = np.ones_like(p.data)
-    opt.step()
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, ps, opt)
-    fresh = _params(6)
-    opt2 = SGD(fresh, lr=0.1, momentum=0.9)
-    load_checkpoint(path, fresh, opt2)
-    assert opt2.step_count == 1
-    for a, b in zip(opt.velocity, opt2.velocity):
-        np.testing.assert_array_equal(a, b)
-
-
 def test_checkpoint_error_paths(tmp_path):
     ps = _params(7)
     path = tmp_path / "m.ckpt"
@@ -438,3 +426,54 @@ def test_checkpoint_rejects_duplicate_names(tmp_path):
           Parameter(np.zeros(2), dtype="f32", name="w")]
     with pytest.raises(ValueError, match="unique"):
         save_checkpoint(tmp_path / "m.ckpt", ps)
+
+
+def _adam_checkpoint(tmp_path):
+    ps = _params(8)
+    opt = Adam(ps, lr=0.05)
+    for p in ps:
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    path = tmp_path / "adam.ckpt"
+    save_checkpoint(path, ps, opt)
+    return path.read_bytes()
+
+
+def test_checkpoint_rejects_every_truncation(tmp_path):
+    raw = _adam_checkpoint(tmp_path)
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(raw)
+    for n in reversed(range(len(raw))):
+        os.truncate(cut, n)
+        fresh = _params(9)
+        opt = Adam(fresh)
+        with pytest.raises(ValueError):
+            load_checkpoint(cut, fresh, opt)
+        with pytest.raises(ValueError):
+            load_checkpoint(cut, fresh)  # without an optimizer, as `attend` loads
+        # a rejected file assigns nothing
+        for p, q in zip(fresh, _params(9)):
+            np.testing.assert_array_equal(p.data, q.data)
+        assert opt.step_count == 0
+
+
+def test_checkpoint_rejects_corrupt_fields(tmp_path):
+    raw = _adam_checkpoint(tmp_path)
+    plain = tmp_path / "plain.ckpt"
+    save_checkpoint(plain, _params(8))
+    kind_at = len(plain.read_bytes()) - 1  # optimizer-kind byte
+    tag_at = 4 + 4 + 4 + 2 + 1             # dtype tag of parameter "w"
+    path = tmp_path / "bad.ckpt"
+
+    def rejects(data, match):
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path, _params(9), Adam(_params(9)))
+
+    bad = bytearray(raw)
+    bad[tag_at] = 7
+    rejects(bad, "dtype tag")
+    bad = bytearray(raw)
+    bad[kind_at] = 1  # the kind byte of the former SGD state
+    rejects(bad, "optimizer kind")
+    rejects(raw + b"\x00", "trailing")

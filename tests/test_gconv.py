@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+import gatt.gconv
 import gatt.tensor as T
 from gatt.autodiff import new_rng
 from gatt.gconv import (FeatureMapG, GConvLayer, MemoryCapError, filter_bank,
-                        gconv_forward, group_conv, group_pool,
-                        intermediate_responses, lift_conv, make_gconv_layer,
-                        spatial_gpool)
+                        group_conv, group_pool, intermediate_responses,
+                        make_gconv_layer)
 from gatt.groups import make_group, transform_array
 from gatt.tensor import Tensor
 from gatt.verify import naive_group_conv, relabel, transform_input
@@ -24,21 +24,21 @@ def test_c1_lift_is_plain_conv2d():
     rng = new_rng(0)
     layer = make_gconv_layer(rng, grp, 2, 3, kernel=3, lifting=True, dtype="f64")
     x = new_rng(1).standard_normal((2, 2, 6, 6))
-    out = lift_conv(_feature(x[:, :, None], grp), layer).data.data
+    out = group_conv(_feature(x[:, :, None], grp), layer).data.data
     want = T.conv2d(Tensor(x), T.reshape(layer.weight, (3, 2, 3, 3))).data \
         + layer.bias.data.reshape(1, 3, 1, 1)
     np.testing.assert_array_equal(out[:, :, 0], want)
 
 
 def test_c1_group_layer_degenerates_to_lifting():
-    # with a trivial pose axis, "group-to-group" and lifting coincide; the
-    # dispatcher takes the lifting path and the result is a plain conv
+    # with a trivial pose axis, "group-to-group" and lifting coincide and the
+    # result is a plain conv
     grp = make_group("C1")
     rng = new_rng(2)
     layer = make_gconv_layer(rng, grp, 2, 3, kernel=3, lifting=False, dtype="f64")
-    assert layer.lifting
+    assert layer.weight.shape[2] == 1
     x = new_rng(3).standard_normal((1, 2, 1, 5, 5))
-    out = gconv_forward(_feature(x, grp), layer).data.data
+    out = group_conv(_feature(x, grp), layer).data.data
     want = T.conv2d(Tensor(x[:, :, 0]), T.reshape(layer.weight, (3, 2, 3, 3))).data \
         + layer.bias.data.reshape(1, 3, 1, 1)
     np.testing.assert_array_equal(out[:, :, 0], want)
@@ -53,10 +53,10 @@ def test_lift_conv_equivariance(group_name):
     layer = make_gconv_layer(new_rng(4), grp, 2, 3, kernel=3, lifting=True,
                              dtype="f64")
     x = new_rng(5).standard_normal((2, 2, 7, 7))
-    base = lift_conv(_feature(x[:, :, None], grp), layer).data.data
+    base = group_conv(_feature(x[:, :, None], grp), layer).data.data
     for h in range(grp.order):
         xt = transform_array(grp, h, x)
-        got = lift_conv(_feature(xt[:, :, None], grp), layer).data.data
+        got = group_conv(_feature(xt[:, :, None], grp), layer).data.data
         want = relabel(grp, h, base, pose_axes=(2,))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -85,7 +85,7 @@ def test_gconv_matches_double_sum(group_name, lifting):
                              dtype="f64")
     hin = 1 if lifting else grp.order
     x = new_rng(9).standard_normal((1, 2, hin, 5, 5))
-    got = gconv_forward(_feature(x, grp), layer).data.data
+    got = group_conv(_feature(x, grp), layer).data.data
     want = naive_group_conv(x, grp, layer.weight.data, layer.bias.data)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -133,18 +133,21 @@ def test_intermediate_responses_lifting():
     resp = intermediate_responses(f, layer).data
     assert resp.shape == (1, 3, 2, 4, 1, 5, 5)
     summed = resp.sum(axis=(2, 4)) + layer.bias.data.reshape(1, 3, 1, 1, 1)
-    np.testing.assert_allclose(summed, lift_conv(f, layer).data.data, atol=1e-13)
+    np.testing.assert_allclose(summed, group_conv(f, layer).data.data, atol=1e-13)
 
 
-def test_memory_cap_refuses_large_blocks():
+def test_memory_cap_refuses_large_blocks(monkeypatch):
     grp = make_group("D4")
     layer = make_gconv_layer(new_rng(17), grp, 4, 4, kernel=3, dtype="f64")
     x = _feature(np.zeros((1, 4, 8, 10, 10)), grp)
     # 1*4*4*8*8*10*10*8 bytes = 819200; a cap below that must refuse
+    monkeypatch.setattr(gatt.gconv, "MEMORY_CAP", 819199)
     with pytest.raises(MemoryCapError) as err:
-        intermediate_responses(x, layer, memory_cap=819199)
+        intermediate_responses(x, layer)
+    assert isinstance(err.value, RuntimeError)
     assert "819200" in str(err.value)
-    intermediate_responses(x, layer, memory_cap=819200)  # exactly at the cap fits
+    monkeypatch.setattr(gatt.gconv, "MEMORY_CAP", 819200)
+    intermediate_responses(x, layer)  # exactly at the cap fits
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +173,6 @@ def test_group_pool_modes():
                                atol=1e-15)
 
 
-def test_spatial_gpool_shape():
-    grp = make_group("D4")
-    x = new_rng(20).standard_normal((2, 3, 8, 4, 4))
-    out = spatial_gpool(_feature(x, grp), mode="mean").data
-    assert out.shape == (2, 3, 8)
-    np.testing.assert_allclose(out, x.mean(axis=(3, 4)), atol=1e-15)
-
-
 # ---------------------------------------------------------------------------
 # misuse
 
@@ -199,13 +194,9 @@ def test_forward_input_validation():
     planar = _feature(np.zeros((1, 2, 1, 5, 5), dtype=np.float32), grp)
     stacked = _feature(np.zeros((1, 2, 4, 5, 5), dtype=np.float32), grp)
     with pytest.raises(ValueError):
-        lift_conv(stacked, lift_layer)   # lift wants planar input
+        group_conv(stacked, lift_layer)  # a lifting layer wants planar input
     with pytest.raises(ValueError):
-        group_conv(planar, gc_layer)     # group conv wants a full pose axis
-    with pytest.raises(ValueError):
-        lift_conv(planar, gc_layer)      # wrong layer kind
-    with pytest.raises(ValueError):
-        group_conv(stacked, lift_layer)
+        group_conv(planar, gc_layer)     # group-to-group wants a full pose axis
     with pytest.raises(ValueError):
         group_conv(_feature(np.zeros((1, 3, 4, 5, 5), dtype=np.float32), grp),
                    gc_layer)             # channel mismatch
