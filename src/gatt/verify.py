@@ -11,8 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .attention import (attention_maps, attentive_group_conv, input_attention,
-                        input_attention_maps, make_channel_attention,
-                        make_spatial_attention)
+                        input_attention_maps)
 from .autodiff import (Parameter, backward, dropout, finite_diff_grad,
                        grad_rel_err, new_rng, zero_grads)
 from .gconv import FeatureMapG, group_conv, make_gconv_layer
@@ -251,9 +250,7 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
     layer = make_gconv_layer(rng, grp, channels, out_channels, kernel=kernel,
                              lifting=lifting, dtype=dtype, name="probe")
     n_rel = 1 if lifting else grp.order
-    ch = make_channel_attention(rng, n_rel, channels, 2, dtype=dtype, name="probe.ch")
-    sp = make_spatial_attention(rng, n_rel, kernel=att_kernel, dtype=dtype,
-                                name="probe.sp")
+    ch, sp = _attention_for(rng, "full", channels, n_rel, 2, att_kernel, dtype, "probe")
     margin = max(max(abs(dy), abs(dx)) for dy, dx in shifts) if shifts else 0
     margin += kernel // 2 + att_kernel // 2
     np_dtype = np.float64 if dtype == "f64" else np.float32
@@ -520,10 +517,7 @@ def gradcheck_cases(seed=0):
     rng = new_rng(seed + 7)
     att_layer = make_gconv_layer(rng, grp4, 2, 2, kernel=3, dtype="f64",
                                  name="a.conv")
-    att_ch = make_channel_attention(rng, grp4.order, 2, 2, dtype="f64",
-                                    name="a.ch")
-    att_sp = make_spatial_attention(rng, grp4.order, kernel=3, dtype="f64",
-                                    name="a.sp")
+    att_ch, att_sp = _attention_for(rng, "full", 2, grp4.order, 2, 3, "f64", "a")
     xa = _p(rng, (1, 2, 4, 5, 5), "xa")
 
     def loss_attentive():
@@ -535,9 +529,7 @@ def gradcheck_cases(seed=0):
                   loss_attentive))
 
     rng = new_rng(seed + 8)
-    in_ch = make_channel_attention(rng, grp4.order, 2, 2, dtype="f64", name="i.ch")
-    in_sp = make_spatial_attention(rng, grp4.order, kernel=3, dtype="f64",
-                                   name="i.sp")
+    in_ch, in_sp = _attention_for(rng, "input", 2, grp4.order, 2, 3, "f64", "i")
     in_layer = make_gconv_layer(rng, grp4, 2, 2, kernel=3, dtype="f64",
                                 name="i.conv")
     xi = _p(rng, (1, 2, 4, 5, 5), "xi")
