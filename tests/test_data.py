@@ -476,4 +476,7 @@ def test_checkpoint_rejects_corrupt_fields(tmp_path):
     bad = bytearray(raw)
     bad[kind_at] = 1  # the kind byte of the former SGD state
     rejects(bad, "optimizer kind")
+    bad = bytearray(raw)
+    bad[kind_at + 11] = 3  # first Adam moment of "w" claims shape (3, 3)
+    rejects(bad, "optimizer state")
     rejects(raw + b"\x00", "trailing")
