@@ -10,7 +10,8 @@ joint relabeling of (h, t) plus the spatial index map, which is exactly the
 law a group feature map follows.
 
 The gate on the pre-activation z is sigmoid(z), or 1 - sigmoid(z) when the
-residual branch form is enabled (the default); both keep maps in [0, 1].
+residual branch form is enabled (the default); both keep maps strictly
+inside (0, 1), also where the logistic function saturates.
 """
 from __future__ import annotations
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import tensor as T
 from .autodiff import Parameter, he_init
-from .gconv import (FeatureMapG, GConvLayer, check_feature, group_conv,
-                    intermediate_responses)
+from .gconv import (FeatureMapG, GConvLayer, _check_input, check_feature, filter_bank,
+                    group_conv)
 from .groups import make_group, transform_filter
 from .tensor import Tensor
 
@@ -102,167 +103,375 @@ def _rel_index(grp, hin, index_mode):
 
 
 # ---------------------------------------------------------------------------
-# statistics over the per-pair response tensor [N, O, C, |H|, |H_in|, Y, X]
+# the attentive group convolution, one output pose at a time
 
-def channel_stats(ftilde, pool_out=True):
-    """Average and max descriptors per (channel, pose pair).
+ATTENTIVE_VARIANTS = ("full", "channel", "spatial")
 
-    Pools over space and, by default, the out-channel axis as well, giving
-    [N, C, |H|, |H_in|]; with pool_out=False the out-channel axis is kept.
+_F64 = np.float64
+
+
+def _gate_np(z, residual_branch, eps):
+    """The gate on float64 arrays, clipped as T.sigmoid clips the storage dtype."""
+    s = T._logistic(z, eps)
+    return 1.0 - s if residual_branch else s
+
+
+def _gate_slope(alpha, residual_branch):
+    """d alpha / d z, written in terms of the gate's output."""
+    d = alpha * (1.0 - alpha)
+    return -d if residual_branch else d
+
+
+class _PoseKernel:
+    """The attentive block as one tape record, evaluated pose by pose.
+
+    For output pose h every quantity reads only slice h of the per-pair
+    responses, held as R[n, c, t, o, p] (input channel, input pose,
+    out-channel, output pixel): alpha_C pools over (o, p), alpha_X over
+    (o, c) of the channel-gated slice, and the output sums over (c, t).  So
+    one slice is alive at a time.  The backward needs no slice: apart from
+    the two max routes, the gradient reaching a gated slice does not depend
+    on c, so two GEMMs shared by all poses contract it with the im2col
+    columns.  Max ties route to the first index in the flat (o, y, x) order
+    for alpha_C and (o, c) for alpha_X.  All arithmetic runs in float64.
     """
-    if ftilde.ndim != 7:
-        raise ValueError("channel_stats expects the rank-7 per-pair response tensor")
-    axes = (1, 5, 6) if pool_out else (5, 6)
-    s_avg = T.reduce(ftilde, axes=axes, mode="mean")
-    s_max = T.reduce(ftilde, axes=axes, mode="max")
-    return s_avg, s_max
+
+    def __init__(self, flat, bank, w1g, w2g, psis, bias, order, hin, stride, padding,
+                 pool_out, residual_branch):
+        self.cols, self.yo, self.xo, self.fold = T._unfold(flat, bank, padding, stride)
+        n, ct = flat.shape[:2]
+        o, c = bank.shape[0] // order, ct // hin
+        kk = bank.shape[2] * bank.shape[3]
+        self.dims = n, c, hin, o, kk, self.yo * self.xo
+        self.order = order
+        self.g = 1 if pool_out else o       # out-channel groups sharing one map
+        self.pool_out = pool_out
+        self.residual = residual_branch
+        self.eps = np.finfo(flat.data.dtype).epsneg     # the gates' clip, as in T.sigmoid
+        self.inputs = flat, bank, w1g, w2g, psis, bias
+        self.x5 = self.cols.reshape(n, c, hin, kk, -1)
+        self.xs = self.x5.sum(axis=-1)      # [N, C, Hin, K]
+        wb = bank.data.astype(_F64, copy=False).reshape(order, o, c, hin, kk)
+        self.wb = np.ascontiguousarray(wb.transpose(0, 2, 3, 1, 4))    # [H, C, Hin, O, K]
+        self.w1 = self.w2 = self.fpsi = None
+        if w1g is not None:
+            mid = w1g.shape[1]
+            self.w1 = w1g.data.astype(_F64, copy=False).reshape(order, hin, mid, c)
+            self.w2 = w2g.data.astype(_F64, copy=False).reshape(order, hin, c, mid)
+        if psis is not None:
+            # same-padded correlation with psi through zero-padded 2-D FFTs;
+            # lag d of a circular correlation sits at index d mod L
+            ks = psis.shape[-1]
+            self.fshape = tuple(_fft_length(e + ks - 1) for e in (self.yo, self.xo))
+            self.fpsi = np.fft.rfft2(psis.data.astype(_F64, copy=False), s=self.fshape)
+            self.lag_out = np.ix_(*[(np.arange(e) - ks // 2) % ln
+                                    for e, ln in zip((self.yo, self.xo), self.fshape)])
+            self.lag_psi = np.ix_(*[(np.arange(ks) - ks // 2) % ln for ln in self.fshape])
+            # flat index of R[n, c, t, 0, p]: a column over c is col_base + o* p
+            self.col_base = _flat_index((n, c, hin, o, self.yo * self.xo),
+                                        np.arange(n)[:, None, None, None, None],
+                                        np.arange(c)[:, None, None, None],
+                                        np.arange(hin)[:, None, None], 0,
+                                        np.arange(self.yo * self.xo))
+        self.poses = []
+
+    # -- forward --------------------------------------------------------------
+
+    def forward(self, keep):
+        """Output [N, O, H, P] before the bias, alpha_C per pose and alpha_X."""
+        n, c, hin, o, kk, p = self.dims
+        order, g = self.order, self.g
+        gcs = np.empty((n, hin, order, o, p))   # channel sums of the gated slices
+        s_x = np.empty((order, n, g, 2, hin, p)) if self.fpsi is not None else None
+        alpha_c = []
+        r = np.empty((n, c, hin, o, p))         # the one live slice
+        for h in range(order):
+            np.matmul(self.wb[h], self.x5, out=r)                   # [N, C, Hin, O, P]
+            st = {}
+            if self.w1 is not None:
+                alpha_c.append(self._channel_forward(h, r, st))
+            np.sum(r, axis=1, out=gcs[:, :, h])
+            if s_x is not None:
+                self._spatial_stats(r, gcs[:, :, h], st, s_x[h])
+            if keep:
+                self.poses.append(st)
+        del r
+        if s_x is None:
+            return gcs.sum(axis=1).transpose(0, 2, 1, 3), alpha_c, None
+        fs = np.fft.rfft2(s_x.reshape(order, n, g, 2, hin, self.yo, self.xo), s=self.fshape)
+        q = np.fft.irfft2((fs * np.conj(self.fpsi)[:, None, None]).sum(axis=3),
+                          s=self.fshape)
+        ax = _gate_np(q[(...,) + self.lag_out], self.residual, self.eps)  # [H, N, g, Hin, Yo, Xo]
+        axt = ax.reshape(order, n, g, hin, p).transpose(1, 3, 0, 2, 4)  # [N, Hin, H, g, P]
+        if keep:
+            self.gcs, self.axt, self.fs = gcs, axt, fs
+        return (gcs * axt).sum(axis=1).transpose(0, 2, 1, 3), alpha_c, ax
+
+    def _channel_forward(self, h, r, st):
+        n, c, hin, o, kk, p = self.dims
+        g, rep = self.g, o // self.g
+        rv = r.reshape(n, c, hin, g, -1)
+        am = rv.argmax(axis=-1)                                     # [N, C, Hin, g]
+        # the mean of R = W X over (o, p) needs only the column sums of X
+        wsum = self.wb[h].reshape(c, hin, g, rep, kk).sum(axis=3)
+        s = np.stack((np.einsum("ctgk,nctk->nctg", wsum, self.xs) / (rep * p),
+                      np.take_along_axis(rv, am[..., None], axis=-1)[..., 0]))
+        sb = s.transpose(3, 2, 0, 1, 4).reshape(hin, c, 2 * n * g)  # [Hin, C, (2, N, g)]
+        u = np.matmul(self.w1[h], sb)
+        z = np.matmul(self.w2[h], np.maximum(u, 0.0)).reshape(hin, c, 2, n * g).sum(axis=2)
+        ac = _gate_np(z, self.residual, self.eps).reshape(hin, c, n, g).transpose(2, 1, 0, 3)
+        rv *= ac[..., None]                                         # r is gated from here
+        st.update(am=am, sb=sb, u=u, ac=ac, wsum=wsum)
+        return ac                                                   # [N, C, Hin, g]
+
+    def _spatial_stats(self, r, gc, st, out):
+        """Mean and max over (o, c) (over c with pool_out=False) into out [N, g, 2, Hin, P]."""
+        n, c, hin, o, kk, p = self.dims
+        gmc = r.max(axis=1)                                         # [N, Hin, O, P]
+        if self.pool_out:
+            mx = gmc.max(axis=2, keepdims=True)                     # [N, Hin, 1, P]
+            om = _first_true(gmc == mx, axis=2)
+            mean = gc.sum(axis=2, keepdims=True) / (o * c)
+            col = np.take(r, self.col_base + om[:, None] * p)      # [N, C, Hin, 1, P]
+        else:
+            om = np.arange(o)[:, None]
+            mx, mean, col = gmc, gc / c, r
+        cm = _first_true(col == mx[:, None], axis=1)[:, 0]          # [N, Hin, g, P]
+        out[:, :, 0] = mean.transpose(0, 2, 1, 3)
+        out[:, :, 1] = mx.transpose(0, 2, 1, 3)
+        st.update(om=om, cm=cm, mx=mx)
+
+    # -- backward -------------------------------------------------------------
+
+    def backward(self, dout):
+        flat, bank, w1g, w2g, psis, bias = self.inputs
+        n, c, hin, o, kk, p = self.dims
+        order, g = self.order, self.g
+        dout = dout.astype(_F64, copy=False).reshape(n, o, order, p)
+        _accumulate(bias, lambda: dout.sum(axis=(0, 2, 3)))
+        # e[n, t, (h, o), p]: the part of dL/d(gated slice h) that is the same for every c
+        if self.fpsi is None:
+            e = dout.transpose(0, 2, 1, 3).reshape(n, 1, order * o, p)
+            routes = [None] * order
+        else:
+            e, routes = self._spatial_backward(dout.transpose(0, 2, 1, 3))
+        q = np.matmul(e[:, None], self.x5.swapaxes(-1, -2))        # [N, C, Hin, H*O, K]
+        q = q.reshape(n, c, hin, order, o, kk)
+        dwb = np.empty((order, c, hin, o, kk))
+        const = np.zeros((n, c, hin, kk))      # dL/dcols terms constant over p
+        scatter = []                           # (flat index, value) pairs into dL/dcols
+        wt = self.wb.transpose(1, 2, 4, 0, 3)                       # [C, Hin, K, H, O]
+        if self.w1 is not None:
+            acs = np.empty((n, c, hin, 1, order, g))
+            dw1, dw2 = np.empty(self.w1.shape), np.empty(self.w2.shape)
+        for h in range(order):
+            qh = q[:, :, :, h]                                      # [N, C, Hin, O, K]
+            dac = None
+            if self.w1 is not None:
+                ac = self.poses[h]["ac"]
+                acs[:, :, :, 0, h] = ac
+                dwb[h] = np.einsum("ncto,nctok->ctok", ac.repeat(o // g, axis=-1), qh)
+                dac = np.einsum("ctok,nctok->ncto", self.wb[h], qh).reshape(
+                    n, c, hin, g, -1).sum(axis=-1)
+            else:
+                dwb[h] = qh.sum(axis=0)
+            if routes[h] is not None:
+                self._route_max_x(h, routes[h], dwb[h], dac, scatter)
+            if dac is not None:
+                self._channel_backward(h, dac, dwb[h], const, dw1, dw2, scatter)
+        if self.w1 is not None:
+            _accumulate(w1g, lambda: dw1)
+            _accumulate(w2g, lambda: dw2)
+            wt = wt * acs
+        _accumulate(bank, lambda: dwb.transpose(0, 3, 1, 2, 4))
+        if flat.requires_grad:
+            dx5 = np.matmul(wt.reshape(wt.shape[:-2] + (order * o,)), e[:, None])
+            dx5 += const[..., None]
+            if scatter:
+                idx, val = zip(*scatter)
+                _scatter_add(dx5, np.concatenate(idx), np.concatenate(val))
+            self.fold(dx5.reshape(self.cols.shape))
+
+    def _spatial_backward(self, dh):
+        """dL/dpsi, e and the alpha_X max routes, for dout dh [N, H, O, P]."""
+        psis = self.inputs[4]
+        n, c, hin, o, kk, p = self.dims
+        order, g = self.order, self.g
+        prod = self.gcs * dh[:, None]                               # [N, Hin, H, O, P]
+        dax = prod.sum(axis=3, keepdims=True) if self.pool_out else prod
+        e = dh[:, None] * self.axt
+        dq = (dax * _gate_slope(self.axt, self.residual)).transpose(2, 0, 3, 1, 4)
+        fdq = np.fft.rfft2(dq.reshape(order, n, g, hin, self.yo, self.xo), s=self.fshape)
+        r0 = psis.shape[-1] // 2
+        ds = np.fft.irfft2(fdq[:, :, :, None] * self.fpsi[:, None, None], s=self.fshape)[
+            ..., r0:r0 + self.yo, r0:r0 + self.xo]                  # [H, N, g, 2, Hin, Yo, Xo]
+        corr = np.fft.irfft2((np.conj(fdq)[:, :, :, None] * self.fs).sum(axis=(1, 2)),
+                             s=self.fshape)
+        _accumulate(psis, lambda: corr[(...,) + self.lag_psi])
+        dmean, dmax = ds.reshape(order, n, g, 2, hin, p).transpose(3, 1, 4, 0, 2, 5)
+        e += dmean / (o * c if self.pool_out else c)
+        routes = [(st["om"], st["cm"], dmax[:, :, h]) for h, st in enumerate(self.poses)]
+        return e.reshape(n, hin, order * o, p), routes
+
+    def _route_max_x(self, h, route, dwb, dac, scatter):
+        """Gradient of the alpha_X max statistic, which read the gated slice
+        at (o*, c*) for every (n, t, p)."""
+        n, c, hin, o, kk, p = self.dims
+        st = self.poses[h]
+        om, cm, dmax = route
+        ni = np.arange(n)[:, None, None, None]
+        ti = np.arange(hin)[:, None, None]
+        val = dmax                                  # dL/dR at the route
+        if dac is not None:
+            at = _flat_index(dac.shape, ni, cm, ti, np.arange(self.g)[:, None])
+            ac = np.take(st["ac"], at)
+            _scatter_add(dac, at, dmax * st["mx"] / ac)
+            val = dmax * ac
+        # per (n, t, g, k, p): the cell of dL/dcols and of dL/dbank it feeds
+        ki = np.arange(kk)[:, None]
+        xi = _flat_index(self.x5.shape, ni, cm, ti, 0, np.arange(p))[..., None, :] + ki * p
+        wi = _flat_index(dwb.shape, cm, ti, om, 0)[..., None, :] + ki
+        val = val[..., None, :]
+        _scatter_add(dwb, wi, val * np.take(self.x5, xi))
+        scatter.append((xi.ravel(), (val * np.take(self.wb[h], wi)).ravel()))
+
+    def _channel_backward(self, h, dac, dwb, const, dw1, dw2, scatter):
+        """Gate, bottleneck and statistics of alpha_C, given dL/dalpha_C."""
+        n, c, hin, o, kk, p = self.dims
+        g, rep = self.g, o // self.g
+        st = self.poses[h]
+        w = self.wb[h]                                              # [C, Hin, O, K]
+        a = st["ac"].transpose(2, 1, 0, 3).reshape(hin, c, n * g)
+        dz = dac.transpose(2, 1, 0, 3).reshape(hin, c, n * g) * _gate_slope(a, self.residual)
+        dv = np.concatenate((dz, dz), axis=-1)      # both branches add into z
+        u = st["u"]
+        dw2[h] = np.matmul(dv, np.maximum(u, 0.0).swapaxes(-1, -2))
+        du = np.matmul(self.w2[h].swapaxes(-1, -2), dv) * (u > 0)
+        dw1[h] = np.matmul(du, st["sb"].swapaxes(-1, -2))
+        dsa, dsm = np.matmul(self.w1[h].swapaxes(-1, -2), du).reshape(
+            hin, c, 2, n, g).transpose(2, 3, 1, 0, 4)               # [N, C, Hin, g] each
+        # mean statistic: spread evenly over the (o, p) group it pooled
+        span = rep * p
+        dwb += np.einsum("nctg,nctk->ctgk", dsa, self.xs).repeat(rep, axis=2) / span
+        const += np.einsum("nctg,ctgk->nctk", dsa, st["wsum"]) / span
+        # max statistic: routed to the first (o, p) reaching it
+        am = st["am"]
+        ci = np.arange(c)[:, None, None]
+        ti = np.arange(hin)[:, None]
+        ki = np.arange(kk)
+        xi = _flat_index(self.x5.shape, np.arange(n)[:, None, None, None], ci, ti, 0,
+                         am % p)[..., None] + ki * p
+        wi = _flat_index(dwb.shape, ci, ti, am // p + np.arange(g) * rep, 0)[..., None] + ki
+        _scatter_add(dwb, wi, dsm[..., None] * np.take(self.x5, xi))
+        scatter.append((xi.ravel(), (dsm[..., None] * np.take(w, wi)).ravel()))
 
 
-def spatial_stats(ftilde, pool_out=True):
-    """Mean and max over channels, stacked as a 2-channel stat map.
-
-    Returns [N, 2, |H|, |H_in|, Y, X] (or with an out-channel axis kept in
-    front when pool_out=False: [N, O, 2, |H|, |H_in|, Y, X]).
-    """
-    if ftilde.ndim != 7:
-        raise ValueError("spatial_stats expects the rank-7 per-pair response tensor")
-    axes = (1, 2) if pool_out else (2,)
-    mean = T.reduce(ftilde, axes=axes, mode="mean")
-    mx = T.reduce(ftilde, axes=axes, mode="max")
-    return T.stack([mean, mx], axis=1 if pool_out else 2)
+def _fft_length(n):
+    """The smallest 2^a 3^b 5^c >= n, a fast transform length."""
+    while True:
+        m = n
+        for f in (2, 3, 5):
+            while m % f == 0:
+                m //= f
+        if m == 1:
+            return n
+        n += 1
 
 
-# ---------------------------------------------------------------------------
-# attention maps
-
-def channel_attention(s_avg, s_max, params: ChannelAttentionParams, grp,
-                      residual_branch=True, index_mode="relative"):
-    """Shared two-layer bottleneck on the average and max descriptors.
-
-    For each pose pair (h, t) the matrices at relative pose h^-1 t are applied
-    to both descriptors, the two pre-activations are summed and gated.
-    Returns [N, C, |H|, |H_in|] (plus an out-channel axis if the stats kept one).
-    """
-    pooled = s_avg.ndim == 4
-    if not pooled and s_avg.ndim != 5:
-        raise ValueError("channel stats must be rank 4 (pooled) or rank 5")
-    hh = s_avg.shape[-2]
-    hin = s_avg.shape[-1]
-    if hh != grp.order:
-        raise ValueError(f"output pose axis {hh} does not match group order {grp.order}")
-    if hin != params.n_poses:
-        raise ValueError(f"input pose axis {hin} does not match attention matrices "
-                         f"({params.n_poses})")
-    kidx = _rel_index(grp, hin, index_mode).reshape(-1)
-    w1g = T.gather_axis(params.w1, 0, kidx)  # [H*Hin, C/r, C]
-    w2g = T.gather_axis(params.w2, 0, kidx)  # [H*Hin, C, C/r]
-
-    def to_batched(s):
-        if pooled:  # [N, C, H, Hin] -> [H*Hin, C, N]
-            sb = T.transpose(s, (2, 3, 1, 0))
-            return T.reshape(sb, (hh * hin, s.shape[1], s.shape[0]))
-        # [N, O, C, H, Hin] -> [H*Hin, C, N*O]
-        sb = T.transpose(s, (3, 4, 2, 0, 1))
-        return T.reshape(sb, (hh * hin, s.shape[2], s.shape[0] * s.shape[1]))
-
-    def branch(sb):
-        return T.bmm(w2g, T.relu(T.bmm(w1g, sb)))
-
-    z = T.add(branch(to_batched(s_avg)), branch(to_batched(s_max)))
-    alpha = _gate(z, residual_branch)
-    c = params.channels
-    if pooled:
-        n = s_avg.shape[0]
-        alpha = T.reshape(alpha, (hh, hin, c, n))
-        return T.transpose(alpha, (3, 2, 0, 1))  # [N, C, H, Hin]
-    n, o = s_avg.shape[0], s_avg.shape[1]
-    alpha = T.reshape(alpha, (hh, hin, c, n, o))
-    return T.transpose(alpha, (3, 4, 2, 0, 1))  # [N, O, C, H, Hin]
+def _first_true(mask, axis):
+    """Index of the first True along `axis` (kept with extent 1)."""
+    extent = mask.shape[axis]
+    rank = np.arange(extent, 0, -1, dtype=np.min_scalar_type(extent))
+    rank = rank.reshape((-1,) + (1,) * (mask.ndim - axis - 1))
+    first = extent - (mask * rank).max(axis=axis, keepdims=True).astype(np.intp)
+    return np.minimum(first, extent - 1)    # a row without True (NaN input) stays in range
 
 
-def spatial_attention(s_x, params: SpatialAttentionParams, grp, residual_branch=True):
-    """Per-pose-pair spatial gating from the 2-channel stat map.
-
-    For output pose h, each input-pose slice t of the stats is correlated
-    (same padding) with slice t of the h-transformed filter, the two stat
-    channels are summed, and the result gated.  Returns
-    [N, 1, |H|, |H_in|, Y, X] (an extra out-channel axis is folded in front
-    when the stats kept one).
-    """
-    folded = None
-    if s_x.ndim == 7:  # [N, O, 2, H, Hin, Y, X] -> fold O into the batch
-        n, o = s_x.shape[0], s_x.shape[1]
-        folded = (n, o)
-        s_x = T.reshape(s_x, (n * o,) + s_x.shape[2:])
-    if s_x.ndim != 6 or s_x.shape[1] != 2:
-        raise ValueError("spatial stats must be [N, 2, |H|, |H_in|, Y, X]")
-    n, _, hh, hin, y, x = s_x.shape
-    if hh != grp.order:
-        raise ValueError(f"output pose axis {hh} does not match group order {grp.order}")
-    if hin != params.psi.shape[2]:
-        raise ValueError(f"input pose axis {hin} does not match attention filter "
-                         f"({params.psi.shape[2]})")
-    slices = []
-    for h in range(grp.order):
-        fh = T.reshape(transform_filter(grp, h, params.psi), (1, 2 * hin,
-                                                              params.kernel, params.kernel))
-        sh = T.reshape(T.narrow(s_x, 2, h, 1), (n, 2 * hin, y, x))
-        resp = T.conv2d_multi(sh, fh, padding="same", stride=1)  # [N, 1, 2*Hin, Y, X]
-        resp = T.reshape(resp, (n, 1, 2, hin, y, x))
-        slices.append(T.reduce(resp, axes=(2,), mode="sum"))  # [N, 1, Hin, Y, X]
-    alpha = _gate(T.stack(slices, axis=2), residual_branch)  # [N, 1, H, Hin, Y, X]
-    if folded is not None:
-        nn, o = folded
-        alpha = T.reshape(alpha, (nn, o) + alpha.shape[2:])  # [N, O, H, Hin, Y, X]
-    return alpha
+def _flat_index(shape, *idx):
+    """C-order flat index into an array of `shape` from broadcastable per-axis indices."""
+    flat = 0
+    for extent, i in zip(shape, idx):
+        flat = flat * extent + i
+    return flat
 
 
-# ---------------------------------------------------------------------------
-# full layers
+def _scatter_add(target, idx, val):
+    """target.flat[idx] += val, summing repeated indices."""
+    target += np.bincount(np.ravel(idx), np.ravel(val), minlength=target.size).reshape(
+        target.shape)
+
+
+def _accumulate(t, grad_fn):
+    """Add grad_fn() (float64, reshaped to t's shape) into t.grad if t needs it."""
+    if t is not None and t.requires_grad:
+        T._ensure_grad(t)
+        t.grad += grad_fn().reshape(t.shape).astype(t.data.dtype)
+
+
+def _attentive_pass(f, layer, ch_params, sp_params, variant, residual_branch, pool_out,
+                    index_mode):
+    """Run the fused block; returns (output Tensor, alpha_C list, alpha_X list)."""
+    if variant not in ATTENTIVE_VARIANTS:
+        raise ValueError(f"unknown attention variant {variant!r}")
+    _check_input(f, layer)
+    grp = layer.group
+    n, c, hin, y, x = f.shape
+    w1g = w2g = psis = None
+    if variant != "spatial":
+        if ch_params is None:
+            raise ValueError(f"variant {variant!r} needs channel attention parameters")
+        if (ch_params.channels, ch_params.n_poses) != (c, hin):
+            raise ValueError(f"channel attention built for {ch_params.channels} channels "
+                             f"and {ch_params.n_poses} poses, input has {c} and {hin}")
+        kidx = _rel_index(grp, hin, index_mode).reshape(-1)
+        w1g = T.gather_axis(ch_params.w1, 0, kidx)                  # [H*Hin, C/r, C]
+        w2g = T.gather_axis(ch_params.w2, 0, kidx)                  # [H*Hin, C, C/r]
+    if variant != "channel":
+        if sp_params is None:
+            raise ValueError(f"variant {variant!r} needs spatial attention parameters")
+        if sp_params.psi.shape[2] != hin:
+            raise ValueError(f"input pose axis {hin} does not match attention filter "
+                             f"({sp_params.psi.shape[2]})")
+        psis = T.concat([transform_filter(grp, h, sp_params.psi)
+                         for h in range(grp.order)], axis=0)        # [H, 2, Hin, k, k]
+    flat = T.reshape(f.data, (n, c * hin, y, x))
+    bank = filter_bank(layer)
+    bias = layer.bias
+    parents = [t for t in (flat, bank, w1g, w2g, psis, bias) if t is not None]
+    keep = T.active_tape() is not None and any(t.requires_grad for t in parents)
+    kern = _PoseKernel(flat, bank, w1g, w2g, psis, bias, grp.order, hin, layer.stride,
+                       layer.padding, pool_out, residual_branch)
+    out, alpha_c, alpha_x = kern.forward(keep)
+    if bias is not None:
+        out = out + bias.data.astype(_F64, copy=False)[:, None, None]
+    o = bank.shape[0] // grp.order
+    out = Tensor(out.reshape(n, o, grp.order, kern.yo, kern.xo).astype(f.data.data.dtype))
+    T._record(out, parents, lambda: kern.backward(out.grad))
+    return out, alpha_c, alpha_x
+
 
 def attention_maps(f: FeatureMapG, layer, ch_params=None, sp_params=None,
                    variant="full", residual_branch=True, pool_out=True,
                    index_mode="relative"):
-    """Materialize (alpha_C, alpha_X, channel-gated responses) for one layer.
+    """(alpha_C, alpha_X) of one attentive layer, as the fused block computes them.
 
-    The gated responses are the per-pair responses times alpha_C, or the
-    responses themselves when the variant has no channel map.  Serial order:
-    the spatial statistics are taken from the gated responses, so alpha_X
-    depends on alpha_C.  Missing maps (per variant) are returned as None.
+    alpha_C is [N, C, |H|, |H_in|] ([N, O, C, |H|, |H_in|] with
+    pool_out=False); alpha_X is [N, 1, |H|, |H_in|, Yo, Xo] (an out-channel
+    axis in place of the 1 with pool_out=False).  alpha_X is computed from
+    the channel-gated responses, so it depends on alpha_C.  A map the
+    variant lacks is None.  The maps carry no gradient.
     """
-    if variant not in ("full", "channel", "spatial"):
-        raise ValueError(f"unknown attention variant {variant!r}")
-    ftilde = intermediate_responses(f, layer)
-    alpha_c = alpha_x = None
-    gated = ftilde
-    if variant in ("full", "channel"):
-        if ch_params is None:
-            raise ValueError(f"variant {variant!r} needs channel attention parameters")
-        s_avg, s_max = channel_stats(ftilde, pool_out=pool_out)
-        alpha_c = channel_attention(s_avg, s_max, ch_params, layer.group,
-                                    residual_branch=residual_branch, index_mode=index_mode)
-        gated = T.mul(ftilde, _expand_alpha_c(alpha_c))
-    if variant in ("full", "spatial"):
-        if sp_params is None:
-            raise ValueError(f"variant {variant!r} needs spatial attention parameters")
-        s_x = spatial_stats(gated, pool_out=pool_out)
-        alpha_x = spatial_attention(s_x, sp_params, layer.group,
-                                    residual_branch=residual_branch)
-    return alpha_c, alpha_x, gated
-
-
-def _expand_alpha_c(alpha_c):
-    if alpha_c.ndim == 4:  # [N, C, H, Hin] -> [N, 1, C, H, Hin, 1, 1]
-        n, c, hh, hin = alpha_c.shape
-        return T.reshape(alpha_c, (n, 1, c, hh, hin, 1, 1))
-    n, o, c, hh, hin = alpha_c.shape
-    return T.reshape(alpha_c, (n, o, c, hh, hin, 1, 1))
-
-
-def _expand_alpha_x(alpha_x):
-    # [N, 1|O, H, Hin, Y, X] -> insert a singleton channel axis after 1|O
-    n, o, hh, hin, y, x = alpha_x.shape
-    return T.reshape(alpha_x, (n, o, 1, hh, hin, y, x))
+    out, alpha_c, alpha_x = _attentive_pass(f, layer, ch_params, sp_params, variant,
+                                            residual_branch, pool_out, index_mode)
+    dtype = out.data.dtype
+    ac = ax = None
+    if alpha_c:
+        ac = np.stack(alpha_c, axis=3)                              # [N, C, Hin, H, g]
+        ac = ac[..., 0].transpose(0, 1, 3, 2) if pool_out else ac.transpose(0, 4, 1, 3, 2)
+        ac = Tensor(ac.astype(dtype))
+    if alpha_x is not None:
+        ax = Tensor(alpha_x.transpose(1, 2, 0, 3, 4, 5).astype(dtype))  # [N, g, H, Hin, Yo, Xo]
+    return ac, ax
 
 
 def attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_params=None,
@@ -270,18 +479,13 @@ def attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_params=None,
                          index_mode="relative") -> FeatureMapG:
     """Group convolution with its per-pair responses modulated by attention.
 
-    Computes the responses, applies the channel map, then the spatial map
-    (computed from the channel-modulated responses), reduces over input
-    channels and poses, and adds the shared per-channel bias.
+    Each per-pair response (output pose h, input channel c, input pose t) is
+    scaled by alpha_C, then by alpha_X (computed from the channel-gated
+    responses); the result is summed over input channels and poses and the
+    shared per-channel bias added.  The whole block is one tape record.
     """
-    _, alpha_x, mod = attention_maps(
-        f, layer, ch_params, sp_params, variant=variant,
-        residual_branch=residual_branch, pool_out=pool_out, index_mode=index_mode)
-    if alpha_x is not None:
-        mod = T.mul(mod, _expand_alpha_x(alpha_x))
-    out = T.reduce(mod, axes=(2, 4), mode="sum")  # [N, O, H, Y, X]
-    if layer.bias is not None:
-        out = T.add(out, T.reshape(layer.bias, (1, layer.bias.shape[0], 1, 1, 1)))
+    out, _, _ = _attentive_pass(f, layer, ch_params, sp_params, variant,
+                                residual_branch, pool_out, index_mode)
     return FeatureMapG(out, layer.group)
 
 

@@ -20,17 +20,6 @@ from .autodiff import Parameter, he_init
 from .groups import FiniteGroup, transform_filter
 from .tensor import Tensor
 
-# Cap on the materialized per-pair response tensor (bytes).  The full
-# [N, O, C, |H|, |H_in|, Y, X] block grows with |H|^2 * O * C and gets out of
-# hand quickly, so it is estimated up front and refused beyond the cap.
-# Read at call time.
-MEMORY_CAP = 1 << 30
-
-
-class MemoryCapError(RuntimeError):
-    pass
-
-
 @dataclass
 class FeatureMapG:
     """A Tensor tagged with the group its pose axis refers to."""
@@ -144,33 +133,6 @@ def group_conv(f: FeatureMapG, layer) -> FeatureMapG:
     if layer.bias is not None:
         out = T.add(out, T.reshape(layer.bias, (1, o, 1, 1, 1)))
     return FeatureMapG(out, grp)
-
-
-def intermediate_responses(f: FeatureMapG, layer):
-    """Per-pair responses before reduction, [N, O, C, |H|, |H_in|, Yo, Xo].
-
-    Entry [n, o, c, h, t] is the spatial cross-correlation of input slice
-    (c, t) with slice (c, t) of the h-transformed filter; summing over
-    (C, |H_in|) and adding the bias reproduces the layer output.  Refused with
-    MemoryCapError when the tensor would exceed MEMORY_CAP bytes.
-    """
-    _check_input(f, layer)
-    grp = layer.group
-    n, c, hin, y, x = f.shape
-    o, _, _, k, _ = layer.weight.shape
-    _, _, yo = T._pad_amounts(y, k, layer.stride, layer.padding)
-    _, _, xo = T._pad_amounts(x, k, layer.stride, layer.padding)
-    itemsize = f.data.data.dtype.itemsize
-    est = n * o * c * grp.order * hin * yo * xo * itemsize
-    if est > MEMORY_CAP:
-        raise MemoryCapError(
-            f"per-pair response tensor needs {est} bytes "
-            f"(N*O*C*|H|*|H_in|*Y*X*itemsize = {n}*{o}*{c}*{grp.order}*{hin}*{yo}*{xo}*{itemsize}) "
-            f"which exceeds the cap of {MEMORY_CAP}; reduce the batch or channel counts, "
-            f"or use the input-attention variant which avoids this tensor")
-    resp = _bank_conv(f, layer, T.conv2d_multi)
-    resp = T.reshape(resp, (n, grp.order, o, c, hin, yo, xo))
-    return T.transpose(resp, (0, 2, 3, 1, 4, 5, 6))
 
 
 def group_pool(f: FeatureMapG, mode="max") -> Tensor:

@@ -10,7 +10,9 @@ Numerical conventions, fixed for reproducibility:
 
 * conv2d / bmm accumulate in float64 internally regardless of the
   storage dtype, then cast back.  With identical inputs this makes results
-  bit-reproducible across runs and independent of BLAS threading.
+  bit-reproducible across runs at a fixed BLAS thread count.  A threaded
+  GEMM may sum in another order; casting back to float32 storage rounds
+  that away in practice, float64 storage keeps it.
 * reductions use numpy's deterministic reduction kernels; ``max`` ties are
   resolved to the lowest flat index, which also fixes gradient routing.
 * relu'(0) = 0.
@@ -199,10 +201,22 @@ def relu(a):
     return out
 
 
+def _logistic(z, eps=None):
+    """1 / (1 + exp(-z)) via tanh, clipped to [eps, 1 - eps].
+
+    eps defaults to the dtype's epsneg (2^-53 in float64, 2^-24 in float32),
+    the smallest clip at which neither s nor 1 - s rounds to 0 or 1.
+    """
+    half = z.dtype.type(0.5)
+    s = half * (np.tanh(half * z) + z.dtype.type(1.0))
+    if eps is None:
+        eps = np.finfo(z.dtype).epsneg
+    return np.clip(s, eps, 1 - eps)
+
+
 def sigmoid(a):
-    """Logistic function 1 / (1 + exp(-z)), computed via tanh for stability."""
-    half = a.data.dtype.type(0.5)
-    s = half * (np.tanh(half * a.data) + a.data.dtype.type(1.0))
+    """Logistic function, strictly inside (0, 1) even where it saturates."""
+    s = _logistic(a.data)
     out = Tensor(s)
 
     def bwd():

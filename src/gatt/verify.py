@@ -1,6 +1,7 @@
 """Verification routines: equivariance sweeps, map-relabeling laws, a literal
-double-sum convolution oracle, the stride/pool parity measurement, and
-finite-difference gradient checks.
+double-sum convolution oracle, the rank-7 reference of the attentive
+convolution, the stride/pool parity measurement, and finite-difference
+gradient checks.
 
 These functions back both the command-line harness and the acceptance tests,
 so each one returns a plain dict of numbers rather than printing.
@@ -10,14 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import (attention_maps, attentive_group_conv, input_attention,
-                        input_attention_maps)
+from .attention import (ATTENTIVE_VARIANTS, _gate, _rel_index, attention_maps,
+                        attentive_group_conv, input_attention, input_attention_maps)
 from .autodiff import (Parameter, backward, dropout, finite_diff_grad,
                        grad_rel_err, new_rng, zero_grads)
-from .gconv import FeatureMapG, group_conv, make_gconv_layer
+from .gconv import FeatureMapG, _bank_conv, _check_input, group_conv, make_gconv_layer
 from .groups import (AffineElement, compose_affine, feature_perm, invert_affine,
                      make_group, plane_index_map, transform_array,
-                     transform_feature)
+                     transform_feature, transform_filter)
 from .nn import (ForwardCtx, GBatchNorm, GBlock, Network, PoseBias, ReLUG,
                  VARIANTS, _attention_for, build_parity_nets)
 from .tensor import Tape, Tensor
@@ -260,9 +261,9 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
 
     def maps(arr):
         f = FeatureMapG(Tensor(np.ascontiguousarray(arr)), grp)
-        ac, ax, _ = attention_maps(f, layer, ch, sp, variant="full",
-                                   residual_branch=residual_branch,
-                                   pool_out=pool_out, index_mode=index_mode)
+        ac, ax = attention_maps(f, layer, ch, sp, variant="full",
+                                residual_branch=residual_branch,
+                                pool_out=pool_out, index_mode=index_mode)
         return ac.data, ax.data
 
     ac0, ax0 = maps(x)
@@ -335,7 +336,8 @@ def naive_group_conv(x, grp, weight, bias=None, stride=1, padding="same"):
 
 def conv_oracle_report(group_names=("C4", "D4"), sizes=(4, 5, 6), seed=0,
                        tolerance=1e-12):
-    """Compare group_conv (lifting and group-to-group) against the double-sum oracle."""
+    """Compare group_conv (lifting and group-to-group) against the double-sum
+    oracle, and the fused attentive block against its rank-7 reference."""
     worst = 0.0
     cases = 0
     report = {}
@@ -363,11 +365,253 @@ def conv_oracle_report(group_names=("C4", "D4"), sizes=(4, 5, 6), seed=0,
                            f"_{padding}{stride}"] = err
                     worst = max(worst, err)
                     cases += 1
+    for key, err in attentive_oracle_errors("C4", seed=seed).items():
+        report[f"err_attentive_fast_vs_reference_{key}"] = err
+        worst = max(worst, err)
     report["cases"] = cases
     report["max_err"] = worst
     report["tolerance"] = tolerance
     report["pass"] = worst <= tolerance
     return report
+
+
+# ---------------------------------------------------------------------------
+# reference attentive convolution: the per-pair tensor composed from tape ops
+#
+# The product evaluates the attentive block pose by pose as one fused tape
+# record (gatt.attention).  This is the direct composition it replaced, kept
+# as its oracle: materialize every per-pair response, take the statistics,
+# gate, multiply and reduce, each step an ordinary differentiable op.
+
+def intermediate_responses(f: FeatureMapG, layer):
+    """Per-pair responses before reduction, [N, O, C, |H|, |H_in|, Yo, Xo].
+
+    Entry [n, o, c, h, t] is the spatial cross-correlation of input slice
+    (c, t) with slice (c, t) of the h-transformed filter; summing over
+    (C, |H_in|) and adding the bias reproduces the layer output.
+    """
+    _check_input(f, layer)
+    n, c, hin = f.shape[:3]
+    o = layer.weight.shape[0]
+    resp = _bank_conv(f, layer, T.conv2d_multi)
+    yo, xo = resp.shape[3:]
+    resp = T.reshape(resp, (n, layer.group.order, o, c, hin, yo, xo))
+    return T.transpose(resp, (0, 2, 3, 1, 4, 5, 6))
+
+
+def channel_stats(ftilde, pool_out=True):
+    """Average and max descriptors per (channel, pose pair).
+
+    Pools over space and, by default, the out-channel axis as well, giving
+    [N, C, |H|, |H_in|]; with pool_out=False the out-channel axis is kept.
+    """
+    if ftilde.ndim != 7:
+        raise ValueError("channel_stats expects the rank-7 per-pair response tensor")
+    axes = (1, 5, 6) if pool_out else (5, 6)
+    s_avg = T.reduce(ftilde, axes=axes, mode="mean")
+    s_max = T.reduce(ftilde, axes=axes, mode="max")
+    return s_avg, s_max
+
+
+def spatial_stats(ftilde, pool_out=True):
+    """Mean and max over channels, stacked as a 2-channel stat map.
+
+    Returns [N, 2, |H|, |H_in|, Y, X] (or with an out-channel axis kept in
+    front when pool_out=False: [N, O, 2, |H|, |H_in|, Y, X]).
+    """
+    if ftilde.ndim != 7:
+        raise ValueError("spatial_stats expects the rank-7 per-pair response tensor")
+    axes = (1, 2) if pool_out else (2,)
+    mean = T.reduce(ftilde, axes=axes, mode="mean")
+    mx = T.reduce(ftilde, axes=axes, mode="max")
+    return T.stack([mean, mx], axis=1 if pool_out else 2)
+
+
+def channel_attention(s_avg, s_max, params, grp, residual_branch=True,
+                      index_mode="relative"):
+    """Shared two-layer bottleneck on the average and max descriptors.
+
+    For each pose pair (h, t) the matrices at relative pose h^-1 t are applied
+    to both descriptors, the two pre-activations are summed and gated.
+    Returns [N, C, |H|, |H_in|] (plus an out-channel axis if the stats kept one).
+    """
+    pooled = s_avg.ndim == 4
+    if not pooled and s_avg.ndim != 5:
+        raise ValueError("channel stats must be rank 4 (pooled) or rank 5")
+    hh = s_avg.shape[-2]
+    hin = s_avg.shape[-1]
+    if hh != grp.order:
+        raise ValueError(f"output pose axis {hh} does not match group order {grp.order}")
+    if hin != params.n_poses:
+        raise ValueError(f"input pose axis {hin} does not match attention matrices "
+                         f"({params.n_poses})")
+    kidx = _rel_index(grp, hin, index_mode).reshape(-1)
+    w1g = T.gather_axis(params.w1, 0, kidx)  # [H*Hin, C/r, C]
+    w2g = T.gather_axis(params.w2, 0, kidx)  # [H*Hin, C, C/r]
+
+    def to_batched(s):
+        if pooled:  # [N, C, H, Hin] -> [H*Hin, C, N]
+            sb = T.transpose(s, (2, 3, 1, 0))
+            return T.reshape(sb, (hh * hin, s.shape[1], s.shape[0]))
+        # [N, O, C, H, Hin] -> [H*Hin, C, N*O]
+        sb = T.transpose(s, (3, 4, 2, 0, 1))
+        return T.reshape(sb, (hh * hin, s.shape[2], s.shape[0] * s.shape[1]))
+
+    def branch(sb):
+        return T.bmm(w2g, T.relu(T.bmm(w1g, sb)))
+
+    z = T.add(branch(to_batched(s_avg)), branch(to_batched(s_max)))
+    alpha = _gate(z, residual_branch)
+    c = params.channels
+    if pooled:
+        n = s_avg.shape[0]
+        alpha = T.reshape(alpha, (hh, hin, c, n))
+        return T.transpose(alpha, (3, 2, 0, 1))  # [N, C, H, Hin]
+    n, o = s_avg.shape[0], s_avg.shape[1]
+    alpha = T.reshape(alpha, (hh, hin, c, n, o))
+    return T.transpose(alpha, (3, 4, 2, 0, 1))  # [N, O, C, H, Hin]
+
+
+def spatial_attention(s_x, params, grp, residual_branch=True):
+    """Per-pose-pair spatial gating from the 2-channel stat map.
+
+    For output pose h, each input-pose slice t of the stats is correlated
+    (same padding) with slice t of the h-transformed filter, the two stat
+    channels are summed, and the result gated.  Returns
+    [N, 1, |H|, |H_in|, Y, X] (an extra out-channel axis is folded in front
+    when the stats kept one).
+    """
+    folded = None
+    if s_x.ndim == 7:  # [N, O, 2, H, Hin, Y, X] -> fold O into the batch
+        n, o = s_x.shape[0], s_x.shape[1]
+        folded = (n, o)
+        s_x = T.reshape(s_x, (n * o,) + s_x.shape[2:])
+    if s_x.ndim != 6 or s_x.shape[1] != 2:
+        raise ValueError("spatial stats must be [N, 2, |H|, |H_in|, Y, X]")
+    n, _, hh, hin, y, x = s_x.shape
+    if hh != grp.order:
+        raise ValueError(f"output pose axis {hh} does not match group order {grp.order}")
+    if hin != params.psi.shape[2]:
+        raise ValueError(f"input pose axis {hin} does not match attention filter "
+                         f"({params.psi.shape[2]})")
+    slices = []
+    for h in range(grp.order):
+        fh = T.reshape(transform_filter(grp, h, params.psi), (1, 2 * hin,
+                                                              params.kernel, params.kernel))
+        sh = T.reshape(T.narrow(s_x, 2, h, 1), (n, 2 * hin, y, x))
+        resp = T.conv2d_multi(sh, fh, padding="same", stride=1)  # [N, 1, 2*Hin, Y, X]
+        resp = T.reshape(resp, (n, 1, 2, hin, y, x))
+        slices.append(T.reduce(resp, axes=(2,), mode="sum"))  # [N, 1, Hin, Y, X]
+    alpha = _gate(T.stack(slices, axis=2), residual_branch)  # [N, 1, H, Hin, Y, X]
+    if folded is not None:
+        nn, o = folded
+        alpha = T.reshape(alpha, (nn, o) + alpha.shape[2:])  # [N, O, H, Hin, Y, X]
+    return alpha
+
+
+def reference_attention_maps(f: FeatureMapG, layer, ch_params=None, sp_params=None,
+                             variant="full", residual_branch=True, pool_out=True,
+                             index_mode="relative"):
+    """(alpha_C, alpha_X, channel-gated responses) from the rank-7 tensor.
+
+    The gated responses are the per-pair responses times alpha_C, or the
+    responses themselves when the variant has no channel map.  Serial order:
+    the spatial statistics are taken from the gated responses, so alpha_X
+    depends on alpha_C.  Missing maps (per variant) are returned as None.
+    """
+    if variant not in ATTENTIVE_VARIANTS:
+        raise ValueError(f"unknown attention variant {variant!r}")
+    ftilde = intermediate_responses(f, layer)
+    alpha_c = alpha_x = None
+    gated = ftilde
+    if variant in ("full", "channel"):
+        s_avg, s_max = channel_stats(ftilde, pool_out=pool_out)
+        alpha_c = channel_attention(s_avg, s_max, ch_params, layer.group,
+                                    residual_branch=residual_branch, index_mode=index_mode)
+        if alpha_c.ndim == 4:  # [N, C, H, Hin] -> [N, 1, C, H, Hin, 1, 1]
+            n, c, hh, hin = alpha_c.shape
+            expand = T.reshape(alpha_c, (n, 1, c, hh, hin, 1, 1))
+        else:
+            expand = T.reshape(alpha_c, alpha_c.shape + (1, 1))
+        gated = T.mul(ftilde, expand)
+    if variant in ("full", "spatial"):
+        s_x = spatial_stats(gated, pool_out=pool_out)
+        alpha_x = spatial_attention(s_x, sp_params, layer.group,
+                                    residual_branch=residual_branch)
+    return alpha_c, alpha_x, gated
+
+
+def reference_attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_params=None,
+                                   variant="full", residual_branch=True, pool_out=True,
+                                   index_mode="relative"):
+    """Oracle of attention.attentive_group_conv: (output map, alpha_C, alpha_X).
+
+    Gates the per-pair responses by alpha_C and alpha_X, reduces over input
+    channels and poses, and adds the shared per-channel bias.
+    """
+    alpha_c, alpha_x, mod = reference_attention_maps(
+        f, layer, ch_params, sp_params, variant=variant,
+        residual_branch=residual_branch, pool_out=pool_out, index_mode=index_mode)
+    if alpha_x is not None:
+        # [N, 1|O, H, Hin, Y, X] -> a singleton channel axis after 1|O
+        n, o, hh, hin, y, x = alpha_x.shape
+        mod = T.mul(mod, T.reshape(alpha_x, (n, o, 1, hh, hin, y, x)))
+    out = T.reduce(mod, axes=(2, 4), mode="sum")  # [N, O, H, Y, X]
+    if layer.bias is not None:
+        out = T.add(out, T.reshape(layer.bias, (1, layer.bias.shape[0], 1, 1, 1)))
+    return FeatureMapG(out, layer.group), alpha_c, alpha_x
+
+
+def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
+                            residual_branch=True, lifting=False, stride=1, padding="same",
+                            seed=0, ties=False, dtype="f64"):
+    """Fast block against reference_attentive_group_conv on one small layer.
+
+    Returns max|fast - reference| / max(1, max|reference|) for the output,
+    alpha_C, alpha_X and the gradients of the input and of every parameter
+    under a random linear loss.  With `ties` the input and weights are
+    rounded and the input has zero rows, so every max has ties to route.
+    """
+    grp = make_group(group_name)
+    rng = new_rng(seed)
+    hin = 1 if lifting else grp.order
+    layer = make_gconv_layer(rng, grp, 4, 3, kernel=3, lifting=lifting, stride=stride,
+                             padding=padding, dtype=dtype, name="conv")
+    layer.bias.data = layer.bias.data + rng.normal(0.0, 0.3, 3).astype(layer.bias.data.dtype)
+    ch, sp = _attention_for(rng, variant, 4, hin, 2, 3, dtype, "att")
+    x = rng.standard_normal((2, 4, hin, 7, 7))
+    if ties:
+        layer.weight.data = np.round(2 * layer.weight.data) / 2
+        x = np.maximum(np.round(x), 0.0)
+        x[..., :2, :] = 0.0
+    xp = Parameter(x, dtype=dtype, name="x")
+    params = [xp] + layer.params() + (ch.params() if ch else []) + (sp.params() if sp else [])
+    f = FeatureMapG(xp, grp)
+    kwargs = dict(variant=variant, residual_branch=residual_branch, pool_out=pool_out)
+    probe = None
+    results = []
+    for fast in (True, False):
+        with Tape() as tape:
+            if fast:
+                out = attentive_group_conv(f, layer, ch, sp, **kwargs)
+                maps = attention_maps(f, layer, ch, sp, **kwargs)
+            else:
+                out, *maps = reference_attentive_group_conv(f, layer, ch, sp, **kwargs)
+            if probe is None:
+                probe = Tensor(new_rng(seed + 1).standard_normal(out.shape).astype(
+                    out.data.data.dtype))
+            backward(tape, T.reduce(T.mul(out.data, probe)))
+        got = {"out": out.data.data}
+        got.update((name, m.data) for name, m in zip(("alpha_c", "alpha_x"), maps)
+                   if m is not None)
+        got.update((f"grad_{p.name.rsplit('.', 1)[-1]}", p.grad.copy()) for p in params)
+        results.append(got)
+        zero_grads(params)
+    fast, ref = results
+    if fast.keys() != ref.keys():
+        raise AssertionError(f"fast block reports {sorted(fast)}, reference {sorted(ref)}")
+    return {k: max_abs(fast[k], ref[k]) / max(1.0, float(np.max(np.abs(ref[k]))))
+            for k in ref}
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +868,10 @@ def block_alpha_x(net, x, index):
         _, ax = input_attention_maps(f, blk.ch_params, blk.sp_params,
                                      residual_branch=blk.residual_branch)
         return ax.data  # [N, 1, Hf, Y, X]
-    _, ax, _ = attention_maps(f, blk.layer, blk.ch_params, blk.sp_params,
-                              variant=blk.variant,
-                              residual_branch=blk.residual_branch,
-                              pool_out=blk.pool_out, index_mode=blk.index_mode)
+    _, ax = attention_maps(f, blk.layer, blk.ch_params, blk.sp_params,
+                           variant=blk.variant,
+                           residual_branch=blk.residual_branch,
+                           pool_out=blk.pool_out, index_mode=blk.index_mode)
     return ax.data  # [N, 1|O, H, Hin, Y, X]
 
 

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-import gatt.gconv
 import gatt.tensor as T
 from gatt.autodiff import new_rng
-from gatt.gconv import (FeatureMapG, GConvLayer, MemoryCapError, filter_bank,
-                        group_conv, group_pool, intermediate_responses,
+from gatt.gconv import (FeatureMapG, GConvLayer, filter_bank, group_conv, group_pool,
                         make_gconv_layer)
 from gatt.groups import make_group, transform_array
 from gatt.tensor import Tensor
-from gatt.verify import naive_group_conv, relabel, transform_input
+from gatt.verify import (intermediate_responses, naive_group_conv, relabel,
+                         transform_input)
 
 
 def _feature(arr, grp):
@@ -134,20 +133,6 @@ def test_intermediate_responses_lifting():
     assert resp.shape == (1, 3, 2, 4, 1, 5, 5)
     summed = resp.sum(axis=(2, 4)) + layer.bias.data.reshape(1, 3, 1, 1, 1)
     np.testing.assert_allclose(summed, group_conv(f, layer).data.data, atol=1e-13)
-
-
-def test_memory_cap_refuses_large_blocks(monkeypatch):
-    grp = make_group("D4")
-    layer = make_gconv_layer(new_rng(17), grp, 4, 4, kernel=3, dtype="f64")
-    x = _feature(np.zeros((1, 4, 8, 10, 10)), grp)
-    # 1*4*4*8*8*10*10*8 bytes = 819200; a cap below that must refuse
-    monkeypatch.setattr(gatt.gconv, "MEMORY_CAP", 819199)
-    with pytest.raises(MemoryCapError) as err:
-        intermediate_responses(x, layer)
-    assert isinstance(err.value, RuntimeError)
-    assert "819200" in str(err.value)
-    monkeypatch.setattr(gatt.gconv, "MEMORY_CAP", 819200)
-    intermediate_responses(x, layer)  # exactly at the cap fits
 
 
 # ---------------------------------------------------------------------------

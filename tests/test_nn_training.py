@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -182,6 +187,31 @@ def test_digit_net_forward_shape():
     net = build_digit_net("C4", variant="plain", channels=4, dtype="f32", seed=0)
     out = net.forward(np.zeros((2, 1, 28, 28), dtype=np.float32), EVAL)
     assert out.shape == (2, 10)
+
+
+_HASH_FORWARD = """
+import hashlib
+import numpy as np
+from gatt.data import synth_shapes
+from gatt.nn import build_digit_net
+x, _ = synth_shapes(4, seed=3, size=28)
+logits = build_digit_net("C4", variant="full", dtype="f32", seed=0).forward(x)
+print(hashlib.sha256(np.ascontiguousarray(logits.data).tobytes()).hexdigest())
+"""
+
+
+def test_full_digit_forward_is_independent_of_blas_threads():
+    # float32 storage: the float64 accumulations round back to the same bits
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    hashes = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _HASH_FORWARD], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        hashes.append(proc.stdout.strip())
+    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
 
 
 # ---------------------------------------------------------------------------
