@@ -248,7 +248,8 @@ class _PoseKernel:
         n, c, hin, o, kk, p = self.dims
         order, g = self.order, self.g
         dout = dout.astype(_F64, copy=False).reshape(n, o, order, p)
-        _accumulate(bias, lambda: dout.sum(axis=(0, 2, 3)))
+        if bias is not None and bias.requires_grad:
+            T._accumulate(bias, dout.sum(axis=(0, 2, 3)), owned=True)
         # e[n, t, (h, o), p]: the part of dL/d(gated slice h) that is the same for every c
         if self.fpsi is None:
             e = dout.transpose(0, 2, 1, 3).reshape(n, 1, order * o, p)
@@ -280,10 +281,12 @@ class _PoseKernel:
             if dac is not None:
                 self._channel_backward(h, dac, dwb[h], const, dw1, dw2, scatter)
         if self.w1 is not None:
-            _accumulate(w1g, lambda: dw1)
-            _accumulate(w2g, lambda: dw2)
+            for t, dw in ((w1g, dw1), (w2g, dw2)):
+                if t.requires_grad:
+                    T._accumulate(t, dw.reshape(t.shape), owned=True)
             wt = wt * acs
-        _accumulate(bank, lambda: dwb.transpose(0, 3, 1, 2, 4))
+        if bank.requires_grad:
+            T._accumulate(bank, dwb.transpose(0, 3, 1, 2, 4).reshape(bank.shape), owned=True)
         if flat.requires_grad:
             dx5 = np.matmul(wt.reshape(wt.shape[:-2] + (order * o,)), e[:, None])
             dx5 += const[..., None]
@@ -307,7 +310,8 @@ class _PoseKernel:
             ..., r0:r0 + self.yo, r0:r0 + self.xo]                  # [H, N, g, 2, Hin, Yo, Xo]
         corr = np.fft.irfft2((np.conj(fdq)[:, :, :, None] * self.fs).sum(axis=(1, 2)),
                              s=self.fshape)
-        _accumulate(psis, lambda: corr[(...,) + self.lag_psi])
+        if psis.requires_grad:
+            T._accumulate(psis, corr[(...,) + self.lag_psi].reshape(psis.shape), owned=True)
         dmean, dmax = ds.reshape(order, n, g, 2, hin, p).transpose(3, 1, 4, 0, 2, 5)
         e += dmean / (o * c if self.pool_out else c)
         routes = [(st["om"], st["cm"], dmax[:, :, h]) for h, st in enumerate(self.poses)]
@@ -396,16 +400,8 @@ def _flat_index(shape, *idx):
 
 
 def _scatter_add(target, idx, val):
-    """target.flat[idx] += val, summing repeated indices."""
-    target += np.bincount(np.ravel(idx), np.ravel(val), minlength=target.size).reshape(
-        target.shape)
-
-
-def _accumulate(t, grad_fn):
-    """Add grad_fn() (float64, reshaped to t's shape) into t.grad if t needs it."""
-    if t is not None and t.requires_grad:
-        T._ensure_grad(t)
-        t.grad += grad_fn().reshape(t.shape).astype(t.data.dtype)
+    """target.flat[idx] += val for a C-contiguous target, summing repeated indices."""
+    np.add.at(target.reshape(-1), np.ravel(idx), np.ravel(val))
 
 
 def _attentive_pass(f, layer, ch_params, sp_params, variant, residual_branch, pool_out,

@@ -132,8 +132,7 @@ def dropout(t, rate, rng, training=True):
 
     def bwd():
         if t.requires_grad:
-            T._ensure_grad(t)
-            t.grad += out.grad * mask
+            T._accumulate(t, out.grad * mask, owned=True)
 
     T._record(out, (t,), bwd)
     return out

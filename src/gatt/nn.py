@@ -134,25 +134,13 @@ class GBatchNorm:
         def norm(t):
             c = t.shape[1]
             stat_axes = (0, 2, 3, 4) if t.ndim == 5 else (0, 2, 3)
-            bshape = (1, c) + (1,) * (t.ndim - 2)
+            stats = None if ctx.training else (self.running_mean, self.running_var)
+            out, mu, var = T.batch_norm(t, self.gamma, self.beta, stat_axes, self.eps,
+                                        stats)
             if ctx.training:
-                mu = T.reduce(t, axes=stat_axes, mode="mean", keepdims=True)
-                diff = T.sub(t, mu)
-                var = T.reduce(T.mul(diff, diff), axes=stat_axes, mode="mean",
-                               keepdims=True)
                 m = self.momentum
-                self.running_mean = ((1 - m) * self.running_mean
-                                     + m * mu.data.reshape(c))
-                self.running_var = ((1 - m) * self.running_var
-                                    + m * var.data.reshape(c))
-            else:
-                mu = Tensor(self.running_mean.reshape(bshape))
-                var = Tensor(self.running_var.reshape(bshape))
-                diff = T.sub(t, mu)
-            eps = Tensor(np.full((), self.eps, dtype=t.data.dtype))
-            xhat = T.div(diff, T.sqrt(T.add(var, eps)))
-            out = T.add(T.mul(xhat, T.reshape(self.gamma, bshape)),
-                        T.reshape(self.beta, bshape))
+                self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
+                self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
             return out
         return _map_data(f, norm)
 

@@ -6,13 +6,21 @@ currently active ``Tape``; because records are appended in execution order,
 the record list is already a topological order of the data-flow graph and
 ``gatt.autodiff.backward`` simply replays it once, in reverse.
 
+conv2d works on chunked im2col columns, so no k*k-inflated copy of the
+batch is allocated or kept on the tape; its input gradient is a transposed
+convolution.  batch_norm is one record with a closed-form backward.
+
 Numerical conventions, fixed for reproducibility:
 
 * conv2d / bmm accumulate in float64 internally regardless of the
   storage dtype, then cast back.  With identical inputs this makes results
   bit-reproducible across runs at a fixed BLAS thread count.  A threaded
   GEMM may sum in another order; casting back to float32 storage rounds
-  that away in practice, float64 storage keeps it.
+  that away in practice, float64 storage keeps it.  conv2d's input
+  gradient sums in another order than a col2im scatter would, so it is not
+  bit-identical to one (about 1e-14 apart in float64).
+* batch_norm's forward repeats the composed elementwise ops in the storage
+  dtype, op for op, so its output is bit-identical to the composition.
 * reductions use numpy's deterministic reduction kernels; ``max`` ties are
   resolved to the lowest flat index, which also fixes gradient routing.
 * relu'(0) = 0.
@@ -85,10 +93,21 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
-def _ensure_grad(t):
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    return t.grad
+def _accumulate(t, g, owned=False):
+    """Add the gradient g (t's shape, any float dtype) into t.grad.
+
+    The first gradient is assigned, not added to zeros.  It becomes t.grad
+    itself only if the caller `owned` g: computed it just now, and nothing
+    else refers to it.  Otherwise it is copied, so no .grad ever shares
+    memory with an out.grad or with another tensor's .grad.
+    """
+    dtype = t.data.dtype
+    if t.grad is not None:
+        t.grad += np.asarray(g, dtype=dtype)
+    elif owned:
+        t.grad = np.asarray(g, dtype=dtype, order="C")
+    else:
+        t.grad = np.array(g, dtype=dtype, order="C")
 
 
 def _record(out, parents, backward_fn):
@@ -126,11 +145,9 @@ def add(a, b):
     def bwd():
         g = out.grad
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += _unbroadcast(g, a.shape).astype(a.data.dtype, copy=False)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _ensure_grad(b)
-            b.grad += _unbroadcast(g, b.shape).astype(b.data.dtype, copy=False)
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     _record(out, (a, b), bwd)
     return out
@@ -143,11 +160,9 @@ def sub(a, b):
     def bwd():
         g = out.grad
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += _unbroadcast(g, a.shape).astype(a.data.dtype, copy=False)
+            _accumulate(a, _unbroadcast(g, a.shape))
         if b.requires_grad:
-            _ensure_grad(b)
-            b.grad -= _unbroadcast(g, b.shape).astype(b.data.dtype, copy=False)
+            _accumulate(b, -_unbroadcast(g, b.shape), owned=True)
 
     _record(out, (a, b), bwd)
     return out
@@ -160,11 +175,9 @@ def mul(a, b):
     def bwd():
         g = out.grad
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += _unbroadcast(g * b.data, a.shape).astype(a.data.dtype, copy=False)
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), owned=True)
         if b.requires_grad:
-            _ensure_grad(b)
-            b.grad += _unbroadcast(g * a.data, b.shape).astype(b.data.dtype, copy=False)
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), owned=True)
 
     _record(out, (a, b), bwd)
     return out
@@ -177,12 +190,10 @@ def div(a, b):
     def bwd():
         g = out.grad
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += _unbroadcast(g / b.data, a.shape).astype(a.data.dtype, copy=False)
+            _accumulate(a, _unbroadcast(g / b.data, a.shape), owned=True)
         if b.requires_grad:
-            _ensure_grad(b)
-            b.grad += _unbroadcast(-g * a.data / (b.data * b.data), b.shape).astype(
-                b.data.dtype, copy=False)
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+                        owned=True)
 
     _record(out, (a, b), bwd)
     return out
@@ -194,8 +205,7 @@ def relu(a):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += out.grad * mask
+            _accumulate(a, out.grad * mask, owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -221,8 +231,7 @@ def sigmoid(a):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += out.grad * s * (1.0 - s)
+            _accumulate(a, out.grad * s * (1.0 - s), owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -234,8 +243,7 @@ def sqrt(a):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += out.grad / (2.0 * r)
+            _accumulate(a, out.grad / (2.0 * r), owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -266,11 +274,10 @@ def reduce(a, axes=None, mode="sum", keepdims=False):
 
         def bwd():
             if a.requires_grad:
-                _ensure_grad(a)
                 g = out.grad
                 if not keepdims:
                     g = np.expand_dims(g, axes)
-                a.grad += np.broadcast_to(g, a.shape)
+                _accumulate(a, np.broadcast_to(g, a.shape))
 
         _record(out, (a,), bwd)
         return out
@@ -281,11 +288,11 @@ def reduce(a, axes=None, mode="sum", keepdims=False):
 
         def bwd():
             if a.requires_grad:
-                _ensure_grad(a)
                 g = out.grad
                 if not keepdims:
                     g = np.expand_dims(g, axes)
-                a.grad += np.broadcast_to(g, a.shape) / a.data.dtype.type(count)
+                _accumulate(a, np.broadcast_to(g, a.shape) / a.data.dtype.type(count),
+                            owned=True)
 
         _record(out, (a,), bwd)
         return out
@@ -303,7 +310,6 @@ def reduce(a, axes=None, mode="sum", keepdims=False):
 
     def bwd_max():
         if a.requires_grad:
-            _ensure_grad(a)
             g = out.grad
             if keepdims:
                 g = g.reshape(vals.shape)
@@ -311,10 +317,58 @@ def reduce(a, axes=None, mode="sum", keepdims=False):
             np.put_along_axis(gflat, idx[..., None], g[..., None], axis=-1)
             gmoved = gflat.reshape(moved.shape)
             inv = np.argsort(perm)
-            a.grad += gmoved.transpose(inv)
+            _accumulate(a, gmoved.transpose(inv), owned=True)
 
     _record(out, (a,), bwd_max)
     return out
+
+
+# ---------------------------------------------------------------------------
+# normalization
+
+def batch_norm(t, gamma, beta, axes, eps, stats=None):
+    """(t - mean) / sqrt(var + eps) * gamma + beta as one tape record.
+
+    mean and the biased variance run over `axes`: the batch's own with
+    stats=None (training), else the constants stats = (mean, var) (eval).
+    gamma, beta and the stats hold one value per position of the kept axes.
+    Returns (out, mean, var), the moments as arrays of t's rank.  The forward
+    repeats the composed ops in t's dtype, op for op (the oracle is
+    gatt.verify.reference_batch_norm); the backward is closed-form.
+    """
+    axes = _norm_axes(axes, t.ndim)
+    kshape = tuple(1 if i in axes else s for i, s in enumerate(t.shape))
+    dtype = t.data.dtype
+    if stats is None:
+        mean = t.data.mean(axis=axes, keepdims=True)
+        diff = t.data - mean
+        var = (diff * diff).mean(axis=axes, keepdims=True)
+    else:
+        mean, var = (np.asarray(s, dtype=dtype).reshape(kshape) for s in stats)
+        diff = t.data - mean
+    std = np.sqrt(var + dtype.type(eps))
+    xhat = diff / std
+    del diff
+    g_k = gamma.data.reshape(kshape)
+    out = Tensor(xhat * g_k + beta.data.reshape(kshape))
+
+    def bwd():
+        g = out.grad
+        if beta.requires_grad:
+            _accumulate(beta, g.sum(axis=axes).reshape(beta.shape), owned=True)
+        if gamma.requires_grad:
+            _accumulate(gamma, (g * xhat).sum(axis=axes).reshape(gamma.shape), owned=True)
+        if t.requires_grad:
+            dxhat = g * g_k
+            if stats is None:   # mean and var depend on t too
+                proj = (dxhat * xhat).mean(axis=axes, keepdims=True)
+                dxhat -= dxhat.mean(axis=axes, keepdims=True)
+                dxhat -= xhat * proj
+            dxhat /= std
+            _accumulate(t, dxhat, owned=True)
+
+    _record(out, (t, gamma, beta), bwd)
+    return out, mean, var
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +379,7 @@ def reshape(a, shape):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += out.grad.reshape(a.shape)
+            _accumulate(a, out.grad.reshape(a.shape))
 
     _record(out, (a,), bwd)
     return out
@@ -339,8 +392,7 @@ def transpose(a, axes):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += out.grad.transpose(inv)
+            _accumulate(a, out.grad.transpose(inv))
 
     _record(out, (a,), bwd)
     return out
@@ -358,8 +410,9 @@ def narrow(a, axis, start, length):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad[sl] += out.grad
+            g = np.zeros_like(a.data)
+            g[sl] = out.grad
+            _accumulate(a, g, owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -376,10 +429,9 @@ def concat(parts, axis):
         g = out.grad
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
-                _ensure_grad(p)
                 sl = tuple(slice(None) if i != axis else slice(lo, hi)
                            for i in range(p.ndim))
-                p.grad += g[sl]
+                _accumulate(p, g[sl])
 
     _record(out, tuple(parts), bwd)
     return out
@@ -393,8 +445,7 @@ def stack(parts, axis=0):
         g = np.moveaxis(out.grad, axis, 0)
         for i, p in enumerate(parts):
             if p.requires_grad:
-                _ensure_grad(p)
-                p.grad += g[i]
+                _accumulate(p, g[i])
 
     _record(out, tuple(parts), bwd)
     return out
@@ -407,8 +458,7 @@ def permute_axis(a, axis, perm, inv_perm):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
-            a.grad += np.take(out.grad, inv_perm, axis=axis)
+            _accumulate(a, np.take(out.grad, inv_perm, axis=axis), owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -422,10 +472,9 @@ def gather_axis(a, axis, idx):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
-            g = np.moveaxis(out.grad, axis, 0)
-            dst = np.moveaxis(a.grad, axis, 0)
-            np.add.at(dst, idx, g)
+            ga = np.zeros_like(a.data)
+            np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(out.grad, axis, 0))
+            _accumulate(a, ga, owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -442,9 +491,8 @@ def gather_plane(a, src_ij, inv_ij):
 
     def bwd():
         if a.requires_grad:
-            _ensure_grad(a)
             Ii, Ji = inv_ij
-            a.grad += out.grad[..., Ii, Ji]
+            _accumulate(a, out.grad[..., Ii, Ji], owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -463,13 +511,11 @@ def bmm(a, b):
     def bwd():
         g = out.grad.astype(np.float64)
         if a.requires_grad:
-            _ensure_grad(a)
             ga = np.matmul(g, np.swapaxes(b64, -1, -2))
-            a.grad += _unbroadcast(ga, a.shape).astype(a.data.dtype)
+            _accumulate(a, _unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
-            _ensure_grad(b)
             gb = np.matmul(np.swapaxes(a64, -1, -2), g)
-            b.grad += _unbroadcast(gb, b.shape).astype(b.data.dtype)
+            _accumulate(b, _unbroadcast(gb, b.shape), owned=True)
 
     _record(out, (a, b), bwd)
     return out
@@ -490,6 +536,31 @@ def _pad_amounts(extent, k, stride, padding):
     raise ValueError(f"unknown padding {padding!r}")
 
 
+def _conv_geometry(f, w, padding, stride):
+    """Check conv operands; return k and the (before, after, out) pad triples of Y and X."""
+    _check_same_dtype(f, w)
+    if f.ndim != 4 or w.ndim != 4:
+        raise ValueError("conv2d expects f [N,C,Y,X] and w [O,C,k,k]")
+    if f.shape[1] != w.shape[1]:
+        raise ValueError(f"channel mismatch: input {f.shape[1]} vs filter {w.shape[1]}")
+    if w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0:
+        raise ValueError(f"kernel must be odd and square, got {w.shape[2]}x{w.shape[3]}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
+    k = w.shape[2]
+    return (k, _pad_amounts(f.shape[2], k, stride, padding),
+            _pad_amounts(f.shape[3], k, stride, padding))
+
+
+def _pad64(a, pads_y, pads_x):
+    """a [N, C, Y, X] zero-padded by (before, after) pairs, as a new float64 array."""
+    n, c, y, x = a.shape
+    (pt, pb), (pl, pr) = pads_y, pads_x
+    out = np.zeros((n, c, pt + y + pb, pl + x + pr))
+    out[:, :, pt:pt + y, pl:pl + x] = a
+    return out
+
+
 def _im2col(fp, k, stride, yo, xo):
     win = sliding_window_view(fp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     n, c = win.shape[:2]
@@ -507,58 +578,98 @@ def _col2im(gcols, pad_shape, k, stride, yo, xo):
 
 
 def _unfold(f, w, padding, stride):
-    """Shared conv prologue and epilogue.
+    """Whole-batch conv prologue and epilogue, for the per-channel products.
 
     Checks the operands, zero-pads f in float64 and unfolds it into columns
     [N, C*k*k, Yo*Xo].  Returns the columns, the output extents, and `fold`,
     which adds a column gradient back into f.grad (col2im, then crop).
     """
-    _check_same_dtype(f, w)
-    if f.ndim != 4 or w.ndim != 4:
-        raise ValueError("conv2d expects f [N,C,Y,X] and w [O,C,k,k]")
-    if f.shape[1] != w.shape[1]:
-        raise ValueError(f"channel mismatch: input {f.shape[1]} vs filter {w.shape[1]}")
-    if w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0:
-        raise ValueError(f"kernel must be odd and square, got {w.shape[2]}x{w.shape[3]}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
+    k, (pt, pb, yo), (pl, pr, xo) = _conv_geometry(f, w, padding, stride)
     y, x = f.shape[2:]
-    k = w.shape[2]
-    pt, pb, yo = _pad_amounts(y, k, stride, padding)
-    pl, pr, xo = _pad_amounts(x, k, stride, padding)
-    fp = np.pad(f.data.astype(np.float64), ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    fp = _pad64(f.data, (pt, pb), (pl, pr))
     cols = _im2col(fp, k, stride, yo, xo)
     pad_shape = fp.shape
 
     def fold(gcols):
-        _ensure_grad(f)
         gp = _col2im(gcols, pad_shape, k, stride, yo, xo)
-        f.grad += gp[:, :, pt:pt + y, pl:pl + x].astype(f.data.dtype)
+        _accumulate(f, gp[:, :, pt:pt + y, pl:pl + x])
 
     return cols, yo, xo, fold
+
+
+# float64 bytes of the column buffer conv2d fills per chunk of whole samples
+CONV_CHUNK_BYTES = 2 << 20
+
+
+def _correlate(xp, wm, k, stride, yo, xo, out):
+    """out[n] = wm @ im2col(xp[n]): a float64 cross-correlation in chunks.
+
+    xp is the padded float64 input [N, C, Yp, Xp] and wm the filter matrix
+    [O, C*k*k]; out [N, O, Yo, Xo] receives the result in its own dtype.
+    Each chunk of whole samples is unfolded into one reused buffer of at
+    most CONV_CHUNK_BYTES (one sample if a sample is larger) as a
+    [C*k*k, nb*Yo*Xo] matrix and takes a single GEMM.
+    """
+    o = wm.shape[0]
+    for lo, hi, cols in _column_chunks(xp, k, stride, yo, xo):
+        res = np.matmul(wm, cols).reshape(o, hi - lo, yo, xo)
+        out[lo:hi] = res.transpose(1, 0, 2, 3)
+
+
+def _column_chunks(xp, k, stride, yo, xo):
+    """Yield (lo, hi, cols): samples [lo, hi) of xp unfolded to [C*k*k, (hi-lo)*Yo*Xo]."""
+    n, c = xp.shape[:2]
+    ckk, p = c * k * k, yo * xo
+    nb = max(1, min(n, CONV_CHUNK_BYTES // (8 * ckk * p)))
+    buf = np.empty(ckk * nb * p)
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    win = win.transpose(1, 4, 5, 0, 2, 3)                          # [C, k, k, N, Yo, Xo]
+    for lo in range(0, n, nb):
+        hi = min(n, lo + nb)
+        cols = buf[:ckk * (hi - lo) * p].reshape(c, k, k, hi - lo, yo, xo)
+        np.copyto(cols, win[:, :, :, lo:hi])
+        yield lo, hi, cols.reshape(ckk, (hi - lo) * p)
 
 
 def conv2d(f, w, padding="same", stride=1):
     """Channel-summing cross-correlation: out(y) = sum_c sum_x f_c(x) w_c(x - y).
 
     `same` zero-pads to ceil(extent / stride) outputs; `valid` takes only fully
-    covered positions.  Accumulation runs in float64.
+    covered positions.  Accumulation runs in float64 over chunked columns
+    (see `_correlate`); the tape keeps only the padded float64 input.  The
+    weight gradient recomputes each chunk's columns; the input gradient is a
+    transposed convolution: the output gradient, dilated by the stride and
+    padded so that the result lands on the input's extent, is correlated
+    with the flipped, channel-transposed filter.
     """
-    cols, yo, xo, fold = _unfold(f, w, padding, stride)
-    n, c = f.shape[:2]
-    o, _, k, _ = w.shape
-    wm = w.data.astype(np.float64).reshape(o, c * k * k)
-    out_flat = np.matmul(wm[None], cols)  # [N, O, P]
-    out = Tensor(out_flat.reshape(n, o, yo, xo).astype(f.data.dtype))
+    k, (pt, pb, yo), (pl, pr, xo) = _conv_geometry(f, w, padding, stride)
+    n, c, y, x = f.shape
+    o = w.shape[0]
+    fp = _pad64(f.data, (pt, pb), (pl, pr))
+    out = Tensor(np.empty((n, o, yo, xo), dtype=f.data.dtype))
+    _correlate(fp, w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo,
+               out.data)
 
     def bwd():
-        g = out.grad.astype(np.float64).reshape(n, o, yo * xo)
+        g = out.grad
         if w.requires_grad:
-            _ensure_grad(w)
-            gw = np.matmul(g, cols.transpose(0, 2, 1)).sum(axis=0)
-            w.grad += gw.reshape(w.shape).astype(w.data.dtype)
+            gw = np.zeros((o, c * k * k))
+            for lo, hi, cols in _column_chunks(fp, k, stride, yo, xo):
+                gc = np.ascontiguousarray(g[lo:hi].transpose(1, 0, 2, 3), dtype=np.float64)
+                gw += gc.reshape(o, -1) @ cols.T
+            _accumulate(w, gw.reshape(w.shape), owned=True)
         if f.requires_grad:
-            fold(np.matmul(wm.T[None], g))
+            # output row i feeds padded input rows i*stride .. i*stride+k-1; the
+            # input's row r sits at padded row r+pt, so k-1-pt leading zeros put
+            # the taps of input row r at rows r .. r+k-1 of the dilated gradient
+            ty, tx = k - 1 - pt, k - 1 - pl
+            gd = np.zeros((n, o, y + k - 1, x + k - 1))
+            gd[:, :, ty:ty + (yo - 1) * stride + 1:stride,
+               tx:tx + (xo - 1) * stride + 1:stride] = g
+            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(np.float64)
+            gf = np.empty(f.shape, dtype=f.data.dtype)
+            _correlate(gd, wt.reshape(c, o * k * k), k, 1, y, x, gf)
+            _accumulate(f, gf, owned=True)
 
     _record(out, (f, w), bwd)
     return out
@@ -584,9 +695,8 @@ def conv2d_multi(f, w, padding="same", stride=1):
         g = out.grad.astype(np.float64).reshape(n, o, c, yo * xo)
         gc = g.transpose(2, 1, 0, 3).reshape(c, o, n * yo * xo)
         if w.requires_grad:
-            _ensure_grad(w)
             gw = np.matmul(gc, colsc.transpose(0, 2, 1))  # [C, O, k2]
-            w.grad += gw.transpose(1, 0, 2).reshape(w.shape).astype(w.data.dtype)
+            _accumulate(w, gw.transpose(1, 0, 2).reshape(w.shape), owned=True)
         if f.requires_grad:
             gcolsc = np.matmul(wb.transpose(0, 2, 1), gc)  # [C, k2, N*P]
             fold(gcolsc.reshape(c, k * k, n, yo * xo).transpose(2, 0, 1, 3).reshape(
@@ -612,11 +722,12 @@ def max_pool2d(f, window=2, stride=2):
 
     def bwd():
         if f.requires_grad:
-            _ensure_grad(f)
             ni, ci, yi, xi = np.indices((n, c, yo, xo))
             rows = yi * stride + idx // window
             colsx = xi * stride + idx % window
-            np.add.at(f.grad, (ni, ci, rows, colsx), out.grad)
+            gf = np.zeros_like(f.data)
+            np.add.at(gf, (ni, ci, rows, colsx), out.grad)
+            _accumulate(f, gf, owned=True)
 
     _record(out, (f,), bwd)
     return out
@@ -640,10 +751,9 @@ def softmax_cross_entropy(logits, labels):
 
     def bwd():
         if logits.requires_grad:
-            _ensure_grad(logits)
             g = p.copy()
             g[np.arange(n), labels] -= 1.0
-            logits.grad += (float(out.grad) * g / n).astype(logits.data.dtype)
+            _accumulate(logits, float(out.grad) * g / n, owned=True)
 
     _record(out, (logits,), bwd)
     return out

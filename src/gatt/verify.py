@@ -615,6 +615,30 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
 
 
 # ---------------------------------------------------------------------------
+# reference batch norm: the composition T.batch_norm fuses
+
+def reference_batch_norm(t, gamma, beta, axes, eps, stats=None):
+    """T.batch_norm composed from elementwise, reduce and reshape tape ops.
+
+    Same arguments and returns; the oracle of the fused op.
+    """
+    axes = T._norm_axes(axes, t.ndim)
+    kshape = tuple(1 if i in axes else s for i, s in enumerate(t.shape))
+    if stats is None:
+        mu = T.reduce(t, axes=axes, mode="mean", keepdims=True)
+        diff = T.sub(t, mu)
+        var = T.reduce(T.mul(diff, diff), axes=axes, mode="mean", keepdims=True)
+    else:
+        mu, var = (Tensor(np.asarray(s, dtype=t.data.dtype).reshape(kshape))
+                   for s in stats)
+        diff = T.sub(t, mu)
+    eps = Tensor(np.full((), eps, dtype=t.data.dtype))
+    xhat = T.div(diff, T.sqrt(T.add(var, eps)))
+    out = T.add(T.mul(xhat, T.reshape(gamma, kshape)), T.reshape(beta, kshape))
+    return out, mu.data, var.data
+
+
+# ---------------------------------------------------------------------------
 # stride / pooling parity measurement
 
 def parity_report(size=32, seed=0, dtype="f32", return_maps=False):
@@ -790,11 +814,14 @@ def gradcheck_cases(seed=0):
     rng = new_rng(seed + 9)
     bn = GBatchNorm(3, dtype="f64", name="bn")
     xb = _p(rng, (2, 3, 4, 4), "xb")
+    bn_stats = (rng.standard_normal(3) * 0.3, 0.5 + rng.random(3))
 
     def loss_bn():
-        ctx = ForwardCtx(training=True)
-        y = bn.forward(xb, ctx)
-        return T.reduce(T.mul(y, y))
+        # eval first, at fixed running stats: training updates them every call
+        bn.running_mean, bn.running_var = bn_stats
+        ye = bn.forward(xb, ForwardCtx(training=False))
+        y = bn.forward(xb, ForwardCtx(training=True))
+        return T.add(T.reduce(T.mul(y, y)), T.reduce(T.mul(ye, ye)))
     cases.append(("batchnorm", [xb, bn.gamma, bn.beta], loss_bn))
 
     rng = new_rng(seed + 10)

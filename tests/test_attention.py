@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gatt.tensor as T
 from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
-                            _rel_index, attention_maps, attentive_group_conv,
+                            _rel_index, _scatter_add, attention_maps, attentive_group_conv,
                             input_attention, input_attention_maps,
                             make_channel_attention, make_spatial_attention,
                             residual_gate)
@@ -372,6 +372,12 @@ def test_fast_block_matches_reference_oracle(group_name, variant):
                     assert max(errs.values()) <= 1e-10, errs
                     cases += 1
     assert cases == 24
+
+
+def test_scatter_add_sums_repeated_indices():
+    target = np.arange(6.0).reshape(2, 3)
+    _scatter_add(target, np.array([[4, 1], [4, 4]]), np.array([[1.0, 2.0], [3.0, 0.5]]))
+    np.testing.assert_array_equal(target, [[0.0, 3.0, 2.0], [3.0, 8.5, 5.0]])
 
 
 def test_fast_block_matches_reference_in_f32():

@@ -48,8 +48,7 @@ def test_gradcheck_catches_a_wrong_gradient():
 
         def bwd():
             if a.requires_grad:
-                T._ensure_grad(a)
-                a.grad += out.grad * a.data  # missing the factor 2
+                T._accumulate(a, out.grad * a.data, owned=True)  # missing the factor 2
 
         T._record(out, (a,), bwd)
         return out
@@ -196,3 +195,31 @@ def test_he_init_properties():
 def test_parameter_defaults():
     p = Parameter(np.zeros(2), dtype="f64")
     assert p.requires_grad and p.weight_decay and p.name == ""
+
+
+# ---------------------------------------------------------------------------
+# first-gradient assignment
+
+def test_first_gradient_is_assigned_without_aliasing():
+    a = Parameter(np.array([[1.0, -2.0, 3.0]]), dtype="f64")
+    b = Parameter(np.array([0.5, 4.0, -1.0]), dtype="f64")
+    x = Parameter(np.array([2.0, -3.0, 0.5]), dtype="f64")
+    u = Parameter(np.array([1.5, 0.25, -2.0]), dtype="f64")
+    with Tape() as tape:
+        s1 = T.add(a, b)                          # b broadcast, a passed through
+        s2 = T.add(x, x)
+        s3 = T.mul(x, x)
+        r = T.reshape(u, (3, 1))
+        v1 = T.relu(u)                            # u is used by two ops
+        loss = T.add(T.add(T.reduce(s1), T.reduce(s2)),
+                     T.add(T.reduce(T.add(s3, Tensor(np.zeros(3)))),
+                           T.add(T.reduce(T.mul(r, r)), T.reduce(v1))))
+        backward(tape, loss)
+    np.testing.assert_array_equal(a.grad, np.ones((1, 3)))
+    np.testing.assert_array_equal(b.grad, np.ones(3))
+    np.testing.assert_array_equal(x.grad, 2.0 + 2.0 * x.data)
+    np.testing.assert_array_equal(u.grad, 2.0 * u.data + (u.data > 0))
+    grads = [t.grad for t in (a, b, x, u)] + [out.grad for _, out in tape.records]
+    for i, gi in enumerate(grads):
+        for gj in grads[i + 1:]:
+            assert not np.shares_memory(gi, gj)

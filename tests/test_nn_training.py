@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 import gatt.tensor as T
-from gatt.autodiff import new_rng
+from gatt.autodiff import Parameter, backward, new_rng, zero_grads
 from gatt.data import synth_shapes
 from gatt.gconv import FeatureMapG, make_gconv_layer
 from gatt.groups import make_group, transform_array
 from gatt.nn import (ForwardCtx, GBatchNorm, GBlock, GDropout, GroupPoolL,
                      MaxPoolG, Network, PoseBias, ReLUG, SpatialMeanL,
                      build_digit_net, build_parity_nets, build_tiny_net)
-from gatt.tensor import Tensor
+from gatt.tensor import Tape, Tensor
 from gatt.training import accuracy, fit, minibatch_order, predict
-from gatt.verify import relabel, transform_input
+from gatt.verify import reference_batch_norm, relabel, transform_input
 
 GRP = make_group("C4")
 EVAL = ForwardCtx(training=False)
@@ -84,6 +84,41 @@ def test_batchnorm_planar_input():
     mu = x.mean(axis=(0, 2, 3), keepdims=True)
     var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
     np.testing.assert_allclose(out, (x - mu) / np.sqrt(var + 2e-5), atol=1e-12)
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape,axes", [((4, 3, 2, 5, 5), (0, 2, 3, 4)),
+                                        ((3, 3, 4, 4), (0, 2, 3))])
+def test_fused_batch_norm_matches_reference_oracle(training, shape, axes):
+    rng = new_rng(5)
+    gamma = Parameter(rng.normal(1.0, 0.3, 3), dtype="f64")
+    beta = Parameter(rng.normal(0.0, 0.3, 3), dtype="f64")
+    x = Parameter(rng.standard_normal(shape), dtype="f64")
+    probe = Tensor(rng.standard_normal(shape))
+    stats = None if training else (rng.normal(0.0, 0.5, 3), rng.uniform(0.5, 2.0, 3))
+    results = []
+    for norm in (T.batch_norm, reference_batch_norm):
+        with Tape() as tape:
+            out, mean, var = norm(x, gamma, beta, axes, 2e-5, stats)
+            backward(tape, T.reduce(T.mul(out, probe)))
+        results.append((out.data, mean, var, x.grad, gamma.grad, beta.grad))
+        zero_grads([x, gamma, beta])
+    (out, mean, var, *grads), (ref_out, ref_mean, ref_var, *ref_grads) = results
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(mean, ref_mean)
+    np.testing.assert_array_equal(var, ref_var)
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_batchnorm_running_stats_follow_the_reference_moments():
+    bn = GBatchNorm(3, dtype="f64", name="bn")
+    x = new_rng(6).standard_normal((4, 3, 2, 5, 5))
+    _, mean, var = reference_batch_norm(Tensor(x), bn.gamma, bn.beta, (0, 2, 3, 4), bn.eps)
+    bn.forward(_feature(x), ForwardCtx(training=True))
+    np.testing.assert_array_equal(bn.running_mean, 0.9 * np.zeros(3) + 0.1 * mean.reshape(3))
+    np.testing.assert_array_equal(bn.running_var, 0.9 * np.ones(3) + 0.1 * var.reshape(3))
 
 
 # ---------------------------------------------------------------------------

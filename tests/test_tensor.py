@@ -100,6 +100,120 @@ def test_conv2d_rejects_bad_inputs():
         T.conv2d(f, Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32)))  # dtype mix
 
 
+def loop_conv2d_grads(f, w, g, padding="same", stride=1):
+    """dL/df and dL/dw of loop_conv2d for an output gradient g, as plain loops."""
+    n, c, y, x = f.shape
+    o, _, k, _ = w.shape
+    yo, xo = g.shape[2:]
+    if padding == "same":
+        pt = max((yo - 1) * stride + k - y, 0) // 2
+        pl = max((xo - 1) * stride + k - x, 0) // 2
+    else:
+        pt = pl = 0
+    df = np.zeros(f.shape)
+    dw = np.zeros(w.shape)
+    for ni in range(n):
+        for oi in range(o):
+            for yi in range(yo):
+                for xi in range(xo):
+                    gv = float(g[ni, oi, yi, xi])
+                    for ci in range(c):
+                        for ky in range(k):
+                            for kx in range(k):
+                                sy = yi * stride - pt + ky
+                                sx = xi * stride - pl + kx
+                                if 0 <= sy < y and 0 <= sx < x:
+                                    df[ni, ci, sy, sx] += gv * float(w[oi, ci, ky, kx])
+                                    dw[oi, ci, ky, kx] += gv * float(f[ni, ci, sy, sx])
+    return df, dw
+
+
+def _conv_with_grads(f, w, g, padding, stride):
+    fp = Parameter(f, dtype=f.dtype)
+    wp = Parameter(w, dtype=w.dtype)
+    with Tape() as tape:
+        out = T.conv2d(fp, wp, padding=padding, stride=stride)
+        backward(tape, T.reduce(T.mul(out, Tensor(g.astype(f.dtype)))))
+    return out.data, fp.grad, wp.grad
+
+
+def _check_conv_against_loops(f, w, padding, stride, atol):
+    rng = np.random.default_rng(17)
+    want = loop_conv2d(f, w, padding=padding, stride=stride)
+    g = rng.standard_normal(want.shape)
+    out, df, dw = _conv_with_grads(f, w, g, padding, stride)
+    want_df, want_dw = loop_conv2d_grads(f, w, g.astype(f.dtype), padding, stride)
+    assert out.shape == want.shape and df.shape == f.shape and dw.shape == w.shape
+    np.testing.assert_allclose(out, want, rtol=0, atol=atol)
+    np.testing.assert_allclose(df, want_df, rtol=0, atol=atol)
+    np.testing.assert_allclose(dw, want_dw, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("size", [5, 6])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("c", [1, 5])
+def test_conv2d_output_and_gradients_match_loops(padding, stride, size, k, c):
+    rng = np.random.default_rng(31)
+    f = rng.standard_normal((2, c, size, size + 1))
+    w = rng.standard_normal((3, c, k, k))
+    _check_conv_against_loops(f, w, padding, stride, atol=1e-12)
+
+
+@pytest.mark.parametrize("padding,stride", [("same", 1), ("valid", 2)])
+def test_conv2d_chunks_span_the_batch_with_a_ragged_last_one(monkeypatch, padding, stride):
+    rng = np.random.default_rng(32)
+    f = rng.standard_normal((5, 2, 7, 6))
+    w = rng.standard_normal((3, 2, 3, 3))
+    # columns of two samples per forward chunk: chunks of 2, 2 and 1 samples
+    yo, xo = T.conv2d(Tensor(f), Tensor(w), padding, stride).shape[2:]
+    monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 8 * 2 * 9 * yo * xo)
+    chunks = []
+    column_chunks = T._column_chunks
+
+    def spy(*args):
+        for lo, hi, cols in column_chunks(*args):
+            chunks.append(hi - lo)
+            yield lo, hi, cols
+    monkeypatch.setattr(T, "_column_chunks", spy)
+    _check_conv_against_loops(f, w, padding, stride, atol=1e-12)
+    assert chunks[:6] == [2, 2, 1] * 2     # forward, then the weight gradient
+    assert max(chunks) < 5
+
+
+def test_conv2d_float32_matches_loops():
+    rng = np.random.default_rng(33)
+    f = rng.standard_normal((3, 4, 7, 7)).astype(np.float32)
+    w = rng.standard_normal((2, 4, 3, 3)).astype(np.float32)
+    _check_conv_against_loops(f, w, "same", 1, atol=1e-5)
+    out, df, dw = _conv_with_grads(f, w, np.ones((3, 2, 7, 7)), "same", 1)
+    assert out.dtype == df.dtype == dw.dtype == np.float32
+
+
+def test_conv2d_never_folds_columns(monkeypatch):
+    # the input gradient is a transposed convolution, not a col2im scatter
+    def forbidden(*args):
+        raise AssertionError("conv2d called _col2im")
+    monkeypatch.setattr(T, "_col2im", forbidden)
+    rng = np.random.default_rng(34)
+    _conv_with_grads(rng.standard_normal((2, 3, 6, 6)), rng.standard_normal((4, 3, 3, 3)),
+                     np.ones((2, 4, 3, 3)), "same", 2)
+
+
+def test_conv2d_tape_keeps_no_columns():
+    # the backward closure holds the padded input, not k*k-inflated columns
+    rng = np.random.default_rng(35)
+    f = Parameter(rng.standard_normal((4, 3, 10, 10)), dtype="f64")
+    w = Parameter(rng.standard_normal((5, 3, 3, 3)), dtype="f64")
+    with Tape() as tape:
+        T.conv2d(f, w)
+    (bwd, _), = tape.records
+    held = [cell.cell_contents for cell in bwd.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)]
+    assert max(a.nbytes for a in held) <= 4 * 3 * 12 * 12 * 8
+
+
 def test_conv2d_multi_sums_to_conv2d():
     rng = np.random.default_rng(9)
     f = Tensor(rng.standard_normal((2, 3, 6, 6)))
