@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .autodiff import Parameter, he_init
@@ -122,6 +123,24 @@ def _gate_slope(alpha, residual_branch):
     return -d if residual_branch else d
 
 
+def _im2col(fp, k, stride, yo, xo):
+    """The padded batch fp [N, C, Yp, Xp] unfolded whole to columns [N, C*k*k, Yo*Xo]."""
+    win = sliding_window_view(fp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c = win.shape[:2]
+    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, yo * xo)
+
+
+def _col2im(gcols, pad_shape, k, stride, yo, xo):
+    """Adjoint of _im2col: sum column gradients back onto the padded batch."""
+    n, c, yp, xp = pad_shape
+    g = np.zeros(pad_shape, dtype=gcols.dtype)
+    gw = gcols.reshape(n, c, k, k, yo, xo)
+    for ki in range(k):
+        for kj in range(k):
+            g[:, :, ki:ki + stride * yo:stride, kj:kj + stride * xo:stride] += gw[:, :, ki, kj]
+    return g
+
+
 class _PoseKernel:
     """The attentive block as one tape record, evaluated pose by pose.
 
@@ -134,11 +153,18 @@ class _PoseKernel:
     on c, so two GEMMs shared by all poses contract it with the im2col
     columns.  Max ties route to the first index in the flat (o, y, x) order
     for alpha_C and (o, c) for alpha_X.  All arithmetic runs in float64.
+
+    The kernel owns whole-batch im2col columns: the padded input is unfolded
+    once per block (`_im2col`), every pose and both backward GEMMs read
+    those columns, and the input gradient is folded back once (`_col2im`).
     """
 
     def __init__(self, flat, bank, w1g, w2g, psis, bias, order, hin, stride, padding,
                  pool_out, residual_branch):
-        self.cols, self.yo, self.xo, self.fold = T._unfold(flat, bank, padding, stride)
+        k, (pt, pb, self.yo), (pl, pr, self.xo) = T._conv_geometry(flat, bank, padding, stride)
+        fp = T._pad64(flat.data, (pt, pb), (pl, pr))
+        self.cols = _im2col(fp, k, stride, self.yo, self.xo)
+        self.unpad = fp.shape, k, stride, pt, pl
         n, ct = flat.shape[:2]
         o, c = bank.shape[0] // order, ct // hin
         kk = bank.shape[2] * bank.shape[3]
@@ -293,7 +319,15 @@ class _PoseKernel:
             if scatter:
                 idx, val = zip(*scatter)
                 _scatter_add(dx5, np.concatenate(idx), np.concatenate(val))
-            self.fold(dx5.reshape(self.cols.shape))
+            self._fold(dx5.reshape(self.cols.shape))
+
+    def _fold(self, gcols):
+        """Add the column gradient into the input's gradient: col2im, then crop."""
+        flat = self.inputs[0]
+        pad_shape, k, stride, pt, pl = self.unpad
+        gp = _col2im(gcols, pad_shape, k, stride, self.yo, self.xo)
+        y, x = flat.shape[2:]
+        T._accumulate(flat, gp[:, :, pt:pt + y, pl:pl + x])
 
     def _spatial_backward(self, dh):
         """dL/dpsi, e and the alpha_X max routes, for dout dh [N, H, O, P]."""

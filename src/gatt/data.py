@@ -140,12 +140,17 @@ def make_rotmnist(src_dir, splits=(10000, 2000, 50000), seed=0):
 
     Pools train and test images, shuffles them with the seed, rotates each
     kept image by an independent uniform angle in [0, 360), and cuts the
-    given train/validation/test splits.
+    given train/validation/test splits.  Raises ValueError when the pooled
+    image and label counts differ or a label is not a digit.
     """
     xs = np.concatenate([load_idx_images(_find_idx(src_dir, MNIST_FILES[0])),
                          load_idx_images(_find_idx(src_dir, MNIST_FILES[2]))])
     ys = np.concatenate([load_idx_labels(_find_idx(src_dir, MNIST_FILES[1])),
                          load_idx_labels(_find_idx(src_dir, MNIST_FILES[3]))])
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError(f"digit sources hold {xs.shape[0]} images but {ys.shape[0]} labels")
+    if ys.size and ys.max() > 9:
+        raise ValueError(f"digit label {ys.max()} is not in 0..9")
     total = sum(splits)
     if total > xs.shape[0]:
         raise ValueError(f"splits need {total} images, source has {xs.shape[0]}")

@@ -106,15 +106,6 @@ def _check_input(f: FeatureMapG, layer):
         raise ValueError(f"pose mismatch: input {f.poses} vs filter {layer.weight.shape[2]}")
 
 
-def _bank_conv(f: FeatureMapG, layer, conv):
-    """Correlate the flattened input with the filter bank via `conv`
-    (T.conv2d or T.conv2d_multi)."""
-    n, c, hin, y, x = f.shape
-    bank = filter_bank(layer)  # [(H*O), C*Hin, k, k]
-    flat = T.reshape(f.data, (n, c * hin, y, x))
-    return conv(flat, bank, padding=layer.padding, stride=layer.stride)
-
-
 def group_conv(f: FeatureMapG, layer) -> FeatureMapG:
     """Lifting or group-to-group convolution, summing over input channels and
     poses.
@@ -124,9 +115,10 @@ def group_conv(f: FeatureMapG, layer) -> FeatureMapG:
     """
     _check_input(f, layer)
     grp = layer.group
-    n = f.shape[0]
+    n, c, hin, y, x = f.shape
     o = layer.weight.shape[0]
-    out = _bank_conv(f, layer, T.conv2d)
+    flat = T.reshape(f.data, (n, c * hin, y, x))
+    out = T.conv2d(flat, filter_bank(layer), padding=layer.padding, stride=layer.stride)
     yo, xo = out.shape[2], out.shape[3]
     out = T.reshape(out, (n, grp.order, o, yo, xo))
     out = T.transpose(out, (0, 2, 1, 3, 4))

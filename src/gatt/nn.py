@@ -80,20 +80,16 @@ class ReLUG:
 
 
 class MaxPoolG:
-    """Spatial max pooling applied to every pose slice."""
-
-    def __init__(self, window=2, stride=2):
-        self.window = window
-        self.stride = stride
+    """2x2 spatial max pooling at stride 2, applied to every pose slice."""
 
     def forward(self, f, ctx):
         def pool(t):
             if t.ndim == 5:
                 n, c, hh, y, x = t.shape
                 flat = T.reshape(t, (n, c * hh, y, x))
-                p = T.max_pool2d(flat, self.window, self.stride)
+                p = T.max_pool2d(flat)
                 return T.reshape(p, (n, c, hh, p.shape[2], p.shape[3]))
-            return T.max_pool2d(t, self.window, self.stride)
+            return T.max_pool2d(t)
         return _map_data(f, pool)
 
     def params(self):
@@ -246,7 +242,7 @@ def build_tiny_net(group_name="C4", variant="input", channels=8, n_classes=4,
                                 dtype=dtype, name="conv1")),
         GBatchNorm(channels, dtype=dtype, name="bn1"),
         ReLUG(),
-        MaxPoolG(2, 2),
+        MaxPoolG(),
     ]
     ch, sp = _attention_for(rng, variant, channels, grp.order, reduction_ratio,
                             att_kernel, dtype, "block2")
@@ -291,7 +287,7 @@ def build_parity_nets(channels=4, dtype="f32", seed=0):
         ReLUG(),
         GBlock(make_gconv_layer(rng_b, grp, channels, channels, 3, stride=1,
                                 dtype=dtype, name="b2")),
-        MaxPoolG(2, 2),
+        MaxPoolG(),
     ])
     return net_a, net_b
 
@@ -317,7 +313,7 @@ def build_digit_net(group_name="C4", variant="plain", channels=10, n_classes=10,
                              residual_branch=residual_branch, pool_out=pool_out))
         layers += [GBatchNorm(channels, dtype=dtype, name=f"bn{i}"), ReLUG()]
         if i == 2:
-            layers.append(MaxPoolG(2, 2))
+            layers.append(MaxPoolG())
         if dropout_rate and i < 7:
             layers.append(GDropout(dropout_rate))
     layers += [

@@ -6,9 +6,11 @@ currently active ``Tape``; because records are appended in execution order,
 the record list is already a topological order of the data-flow graph and
 ``gatt.autodiff.backward`` simply replays it once, in reverse.
 
-conv2d works on chunked im2col columns, so no k*k-inflated copy of the
-batch is allocated or kept on the tape; its input gradient is a transposed
-convolution.  batch_norm is one record with a closed-form backward.
+conv2d is the one planar convolution.  It works on chunked im2col
+columns, so no k*k-inflated copy of the batch is allocated or kept on the
+tape; its input gradient is a transposed convolution.  max_pool2d pools
+fixed 2x2 windows at stride 2.  batch_norm is one record with a
+closed-form backward.
 
 Numerical conventions, fixed for reproducibility:
 
@@ -398,26 +400,6 @@ def transpose(a, axes):
     return out
 
 
-def narrow(a, axis, start, length):
-    """Slice `length` entries from `start` along `axis`."""
-    axis = axis % a.ndim
-    if start < 0 or start + length > a.shape[axis]:
-        raise ValueError(f"narrow out of range: axis {axis} extent {a.shape[axis]}, "
-                         f"requested [{start}, {start + length})")
-    sl = tuple(slice(None) if i != axis else slice(start, start + length)
-               for i in range(a.ndim))
-    out = Tensor(a.data[sl].copy())
-
-    def bwd():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[sl] = out.grad
-            _accumulate(a, g, owned=True)
-
-    _record(out, (a,), bwd)
-    return out
-
-
 def concat(parts, axis):
     parts = list(parts)
     axis = axis % parts[0].ndim
@@ -561,42 +543,6 @@ def _pad64(a, pads_y, pads_x):
     return out
 
 
-def _im2col(fp, k, stride, yo, xo):
-    win = sliding_window_view(fp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c = win.shape[:2]
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, yo * xo)
-
-
-def _col2im(gcols, pad_shape, k, stride, yo, xo):
-    n, c, yp, xp = pad_shape
-    g = np.zeros(pad_shape, dtype=gcols.dtype)
-    gw = gcols.reshape(n, c, k, k, yo, xo)
-    for ki in range(k):
-        for kj in range(k):
-            g[:, :, ki:ki + stride * yo:stride, kj:kj + stride * xo:stride] += gw[:, :, ki, kj]
-    return g
-
-
-def _unfold(f, w, padding, stride):
-    """Whole-batch conv prologue and epilogue, for the per-channel products.
-
-    Checks the operands, zero-pads f in float64 and unfolds it into columns
-    [N, C*k*k, Yo*Xo].  Returns the columns, the output extents, and `fold`,
-    which adds a column gradient back into f.grad (col2im, then crop).
-    """
-    k, (pt, pb, yo), (pl, pr, xo) = _conv_geometry(f, w, padding, stride)
-    y, x = f.shape[2:]
-    fp = _pad64(f.data, (pt, pb), (pl, pr))
-    cols = _im2col(fp, k, stride, yo, xo)
-    pad_shape = fp.shape
-
-    def fold(gcols):
-        gp = _col2im(gcols, pad_shape, k, stride, yo, xo)
-        _accumulate(f, gp[:, :, pt:pt + y, pl:pl + x])
-
-    return cols, yo, xo, fold
-
-
 # float64 bytes of the column buffer conv2d fills per chunk of whole samples
 CONV_CHUNK_BYTES = 2 << 20
 
@@ -675,58 +621,31 @@ def conv2d(f, w, padding="same", stride=1):
     return out
 
 
-def conv2d_multi(f, w, padding="same", stride=1):
-    """Like conv2d but keeps per-input-channel responses: out [N, O, C, Yo, Xo].
+def max_pool2d(f):
+    """2x2 max pooling at stride 2; an odd last row or column is dropped.
 
-    out[n, o, c] is the single-channel cross-correlation of f[n, c] with
-    w[o, c]; summing over c reproduces conv2d up to accumulation order.
+    Ties go to the first index of the window in (wy, wx) order.
     """
-    cols, yo, xo, fold = _unfold(f, w, padding, stride)
-    n, c = f.shape[:2]
-    o, _, k, _ = w.shape
-    # per-channel batched product: [C, O, k2] @ [C, k2, P] done per sample
-    colsc = cols.reshape(n, c, k * k, yo * xo).transpose(1, 2, 0, 3).reshape(c, k * k, n * yo * xo)
-    wb = w.data.astype(np.float64).transpose(1, 0, 2, 3).reshape(c, o, k * k)
-    prod = np.matmul(wb, colsc)  # [C, O, N*P]
-    out_data = prod.reshape(c, o, n, yo * xo).transpose(2, 1, 0, 3).reshape(n, o, c, yo, xo)
-    out = Tensor(out_data.astype(f.data.dtype))
-
-    def bwd():
-        g = out.grad.astype(np.float64).reshape(n, o, c, yo * xo)
-        gc = g.transpose(2, 1, 0, 3).reshape(c, o, n * yo * xo)
-        if w.requires_grad:
-            gw = np.matmul(gc, colsc.transpose(0, 2, 1))  # [C, O, k2]
-            _accumulate(w, gw.transpose(1, 0, 2).reshape(w.shape), owned=True)
-        if f.requires_grad:
-            gcolsc = np.matmul(wb.transpose(0, 2, 1), gc)  # [C, k2, N*P]
-            fold(gcolsc.reshape(c, k * k, n, yo * xo).transpose(2, 0, 1, 3).reshape(
-                n, c * k * k, yo * xo))
-
-    _record(out, (f, w), bwd)
-    return out
-
-
-def max_pool2d(f, window=2, stride=2):
-    """Non-overlapping spatial max pooling; ties go to the lowest index."""
     if f.ndim != 4:
         raise ValueError("max_pool2d expects [N,C,Y,X]")
     n, c, y, x = f.shape
-    if window > y or window > x:
-        raise ValueError(f"pool window {window} exceeds extent {(y, x)}")
-    yo = (y - window) // stride + 1
-    xo = (x - window) // stride + 1
-    win = sliding_window_view(f.data, (window, window), axis=(2, 3))[:, :, ::stride, ::stride]
-    flat = win.reshape(n, c, yo, xo, window * window)
-    idx = flat.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(flat, idx[..., None], axis=-1)[..., 0].copy())
+    yo, xo = y // 2, x // 2
+    if yo == 0 or xo == 0:
+        raise ValueError(f"2x2 pooling needs extents >= 2, got {(y, x)}")
+
+    def windows(a):     # [N, C, Yo, Xo, 2, 2] view of the covered part of a
+        return a[:, :, :2 * yo, :2 * xo].reshape(n, c, yo, 2, xo, 2).transpose(0, 1, 2, 4, 3, 5)
+
+    flat = windows(f.data).reshape(n, c, yo, xo, 4)
+    idx = flat.argmax(axis=-1)[..., None]
+    out = Tensor(np.take_along_axis(flat, idx, axis=-1)[..., 0])
 
     def bwd():
         if f.requires_grad:
-            ni, ci, yi, xi = np.indices((n, c, yo, xo))
-            rows = yi * stride + idx // window
-            colsx = xi * stride + idx % window
+            g = np.zeros((n, c, yo, xo, 4), dtype=f.data.dtype)
+            np.put_along_axis(g, idx, out.grad[..., None], axis=-1)
             gf = np.zeros_like(f.data)
-            np.add.at(gf, (ni, ci, rows, colsx), out.grad)
+            windows(gf)[...] = g.reshape(n, c, yo, xo, 2, 2)
             _accumulate(f, gf, owned=True)
 
     _record(out, (f,), bwd)

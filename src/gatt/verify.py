@@ -15,7 +15,7 @@ from .attention import (ATTENTIVE_VARIANTS, _gate, _rel_index, attention_maps,
                         attentive_group_conv, input_attention, input_attention_maps)
 from .autodiff import (Parameter, backward, dropout, finite_diff_grad,
                        grad_rel_err, new_rng, zero_grads)
-from .gconv import FeatureMapG, _bank_conv, _check_input, group_conv, make_gconv_layer
+from .gconv import FeatureMapG, _check_input, filter_bank, group_conv, make_gconv_layer
 from .groups import (AffineElement, compose_affine, feature_perm, invert_affine,
                      make_group, plane_index_map, transform_array,
                      transform_feature, transform_filter)
@@ -388,14 +388,20 @@ def intermediate_responses(f: FeatureMapG, layer):
 
     Entry [n, o, c, h, t] is the spatial cross-correlation of input slice
     (c, t) with slice (c, t) of the h-transformed filter; summing over
-    (C, |H_in|) and adding the bias reproduces the layer output.
+    (C, |H_in|) and adding the bias reproduces the layer output.  It is one
+    conv2d whose filter is block-diagonal over the input channels (c, t):
+    output channel (h, o, c, t) sees only input channel (c, t).
     """
     _check_input(f, layer)
-    n, c, hin = f.shape[:3]
-    o = layer.weight.shape[0]
-    resp = _bank_conv(f, layer, T.conv2d_multi)
-    yo, xo = resp.shape[3:]
-    resp = T.reshape(resp, (n, layer.group.order, o, c, hin, yo, xo))
+    n, c, hin, y, x = f.shape
+    o, k = layer.weight.shape[0], layer.weight.shape[-1]
+    ho, ct = layer.group.order * o, c * hin
+    bank = T.reshape(filter_bank(layer), (ho, 1, ct, k, k))
+    eye = Tensor(np.eye(ct, dtype=bank.data.dtype)[None, :, :, None, None])
+    diag = T.reshape(T.mul(bank, eye), (ho * ct, ct, k, k))
+    resp = T.conv2d(T.reshape(f.data, (n, ct, y, x)), diag, padding=layer.padding,
+                    stride=layer.stride)
+    resp = T.reshape(resp, (n, layer.group.order, o, c, hin) + resp.shape[2:])
     return T.transpose(resp, (0, 2, 3, 1, 4, 5, 6))
 
 
@@ -477,7 +483,9 @@ def spatial_attention(s_x, params, grp, residual_branch=True):
 
     For output pose h, each input-pose slice t of the stats is correlated
     (same padding) with slice t of the h-transformed filter, the two stat
-    channels are summed, and the result gated.  Returns
+    channels are summed, and the result gated.  All pose pairs take one
+    conv2d whose filter is block-diagonal over (h, t): output channel
+    (h, t) sums the stat channels (s, h, t).  Returns
     [N, 1, |H|, |H_in|, Y, X] (an extra out-channel axis is folded in front
     when the stats kept one).
     """
@@ -494,15 +502,15 @@ def spatial_attention(s_x, params, grp, residual_branch=True):
     if hin != params.psi.shape[2]:
         raise ValueError(f"input pose axis {hin} does not match attention filter "
                          f"({params.psi.shape[2]})")
-    slices = []
-    for h in range(grp.order):
-        fh = T.reshape(transform_filter(grp, h, params.psi), (1, 2 * hin,
-                                                              params.kernel, params.kernel))
-        sh = T.reshape(T.narrow(s_x, 2, h, 1), (n, 2 * hin, y, x))
-        resp = T.conv2d_multi(sh, fh, padding="same", stride=1)  # [N, 1, 2*Hin, Y, X]
-        resp = T.reshape(resp, (n, 1, 2, hin, y, x))
-        slices.append(T.reduce(resp, axes=(2,), mode="sum"))  # [N, 1, Hin, Y, X]
-    alpha = _gate(T.stack(slices, axis=2), residual_branch)  # [N, 1, H, Hin, Y, X]
+    k = params.kernel
+    psis = T.concat([transform_filter(grp, h, params.psi) for h in range(hh)], axis=0)
+    psis = T.reshape(psis, (hh, 1, 2, 1, hin, k, k))           # [h, -, s, -, t', k, k]
+    mask = (np.eye(hh)[:, None, None, :, None, None, None]
+            * np.eye(hin)[None, :, None, None, :, None, None])  # [h, t, -, h', t', -, -]
+    diag = T.mul(psis, Tensor(mask.astype(psis.data.dtype)))    # [h, t, s, h', t', k, k]
+    diag = T.reshape(diag, (hh * hin, 2 * hh * hin, k, k))
+    resp = T.conv2d(T.reshape(s_x, (n, 2 * hh * hin, y, x)), diag, padding="same")
+    alpha = _gate(T.reshape(resp, (n, 1, hh, hin, y, x)), residual_branch)
     if folded is not None:
         nn, o = folded
         alpha = T.reshape(alpha, (nn, o) + alpha.shape[2:])  # [N, O, H, Hin, Y, X]
@@ -714,8 +722,7 @@ def gradcheck_cases(seed=0):
         mn = T.reduce(x1, axes=(0, 2), mode="mean")
         t = T.transpose(x1, (2, 0, 1))
         rs = T.reshape(t, (4, 6))
-        nw = T.narrow(rs, 1, 1, 4)
-        cat = T.concat([nw, nw], axis=0)
+        cat = T.concat([rs, rs], axis=0)
         st = T.stack([mn, mn], axis=1)
         return T.add(T.add(T.reduce(m), T.reduce(mn)),
                      T.add(T.reduce(cat), T.reduce(st)))
@@ -759,11 +766,9 @@ def gradcheck_cases(seed=0):
     wm = _p(rng, (2, 2, 3, 3), "wm", 0.5)
 
     def loss_pool():
-        y = T.conv2d_multi(xm, wm, padding="same", stride=1)
-        ys = T.reduce(y, axes=(2,), mode="sum")
-        p = T.max_pool2d(ys, window=2, stride=2)
+        p = T.max_pool2d(T.conv2d(xm, wm, padding="same", stride=1))
         return T.add(T.reduce(p), T.reduce(T.mul(p, p)))
-    cases.append(("conv_multi_pool", [xm, wm], loss_pool))
+    cases.append(("conv_pool", [xm, wm], loss_pool))
 
     rng = new_rng(seed + 6)
     lift_layer = make_gconv_layer(rng, grp4, 2, 2, kernel=3, lifting=True,

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gatt.tensor as T
+import gatt.verify as V
 from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
                             _rel_index, _scatter_add, attention_maps, attentive_group_conv,
                             input_attention, input_attention_maps,
@@ -159,6 +160,24 @@ def test_spatial_attention_matches_manual():
                 resp += T.conv2d(Tensor(plane), Tensor(kern)).data[:, 0]
             want[:, 0, h, t] = 1.0 / (1.0 + np.exp(resp))
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("pool_out", [True, False])
+def test_spatial_response_is_a_two_channel_conv_per_pose_pair(monkeypatch, pool_out):
+    # with the gate replaced by the identity, plane (h, t) of the response is
+    # the (h, t) stats correlated with the h-transformed psi[:, :, t] alone
+    grp = make_group("D4")
+    layer, ch, sp, x = _setup(seed=4, channels=2, out_channels=2, group=grp)
+    s_x = spatial_stats(intermediate_responses(_feature(x, grp), layer), pool_out=pool_out)
+    monkeypatch.setattr(V, "_gate", lambda z, residual_branch: z)
+    got = spatial_attention(s_x, sp, grp).data
+    stats = s_x.data if pool_out else s_x.data.reshape((-1,) + s_x.shape[2:])
+    got = got.reshape((stats.shape[0], 1) + got.shape[-4:])
+    for h in range(grp.order):
+        psi_h = transform_filter(grp, h, sp.psi).data             # [1, 2, Hin, k, k]
+        for t in range(grp.order):
+            want = T.conv2d(Tensor(stats[:, :, h, t]), Tensor(psi_h[:, :, t])).data
+            np.testing.assert_allclose(got[:, :, h, t], want, rtol=0, atol=1e-12)
 
 
 def test_attention_maps_in_open_unit_interval():

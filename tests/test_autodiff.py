@@ -40,6 +40,17 @@ def test_gradcheck_spot_cases(case):
     assert run_gradcheck_case(params, fn) <= 1e-4
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: central differences at h=1e-5 straddle a max-route kink of "
+    "the fused attentive block (alpha_C's argmax over (o, y, x) or alpha_X's "
+    "over (o, c)), unconfirmed; a fix must make this pass at the same tolerance"))
+@pytest.mark.parametrize("seed", [18, 987654321])
+def test_gradcheck_attentive_full_at_kink_seeds(seed):
+    by_name = {name: (params, fn) for name, params, fn in gradcheck_cases(seed=seed)}
+    params, fn = by_name["attentive_full"]
+    assert run_gradcheck_case(params, fn, h=1e-5) <= 1e-4
+
+
 def test_gradcheck_catches_a_wrong_gradient():
     p = Parameter(np.array([0.3, -0.7]), dtype="f64")
 

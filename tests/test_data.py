@@ -212,6 +212,30 @@ def test_make_rotmnist_errors(tmp_path):
         make_rotmnist(tmp_path, splits=(100, 10, 10))
 
 
+def _write_zero_sources(root, n_train_labels, label):
+    # gzipped all-zero digit files: 12 + 4 images, the train labels all `label`
+    files = {
+        "train-images-idx3-ubyte": idx_images_bytes(np.zeros((12, 28, 28), np.uint8)),
+        "train-labels-idx1-ubyte": idx_labels_bytes(np.full(n_train_labels, label, np.uint8)),
+        "t10k-images-idx3-ubyte": idx_images_bytes(np.zeros((4, 28, 28), np.uint8)),
+        "t10k-labels-idx1-ubyte": idx_labels_bytes(np.zeros(4, np.uint8)),
+    }
+    for name, payload in files.items():
+        (root / (name + ".gz")).write_bytes(gzip.compress(payload))
+
+
+def test_make_rotmnist_rejects_mismatched_sources(tmp_path):
+    _write_zero_sources(tmp_path, 11, 0)
+    with pytest.raises(ValueError, match="16 images but 15 labels"):
+        make_rotmnist(tmp_path, splits=(4, 2, 2))
+    _write_zero_sources(tmp_path, 12, 200)
+    with pytest.raises(ValueError, match="label 200"):
+        make_rotmnist(tmp_path, splits=(4, 2, 2))
+    _write_zero_sources(tmp_path, 12, 9)
+    (x, y), _, _ = make_rotmnist(tmp_path, splits=(4, 2, 2))
+    assert x.shape == (4, 1, 28, 28) and not x.any() and y.max() <= 9
+
+
 # ---------------------------------------------------------------------------
 # PGM
 

@@ -135,6 +135,32 @@ def test_intermediate_responses_lifting():
     np.testing.assert_allclose(summed, group_conv(f, layer).data.data, atol=1e-13)
 
 
+@pytest.mark.parametrize("lifting", [True, False])
+@pytest.mark.parametrize("stride", [1, 2])
+def test_intermediate_responses_are_single_channel_convs(lifting, stride):
+    # slice [n, o, c, h, t] correlates input slice (c, t) with bank row (h, o),
+    # column (c, t): the block-diagonal filter mixes no other input channel
+    grp = make_group("D4")
+    layer = make_gconv_layer(new_rng(17), grp, 2, 3, kernel=3, lifting=lifting,
+                             stride=stride, dtype="f64")
+    hin = 1 if lifting else grp.order
+    x = new_rng(18).standard_normal((2, 2, hin, 7, 7))
+    resp = intermediate_responses(_feature(x, grp), layer).data
+    bank = filter_bank(layer).data                 # [(H, O), (C, Hin), k, k]
+    o = 3
+    assert resp.shape == (2, o, 2, grp.order, hin, 4 if stride == 2 else 7,
+                          4 if stride == 2 else 7)
+    for c in range(2):
+        for t in range(hin):
+            plane = Tensor(x[:, c:c + 1, t])
+            for h in range(grp.order):
+                for oi in range(o):
+                    w = Tensor(bank[h * o + oi, c * hin + t][None, None])
+                    want = T.conv2d(plane, w, stride=stride).data[:, 0]
+                    np.testing.assert_allclose(resp[:, oi, c, h, t], want, rtol=0,
+                                               atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # pooling heads
 

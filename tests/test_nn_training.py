@@ -127,7 +127,7 @@ def test_batchnorm_running_stats_follow_the_reference_moments():
 def test_maxpool_equivariant_on_even_extent():
     x = new_rng(4).standard_normal((1, 2, 8, 8, 8))
     d4 = make_group("D4")
-    pool = MaxPoolG(2, 2)
+    pool = MaxPoolG()
     base = pool.forward(_feature(x, d4), EVAL).data.data
     for h in range(d4.order):
         got = pool.forward(_feature(transform_input(d4, h, x), d4), EVAL).data.data

@@ -191,16 +191,6 @@ def test_conv2d_float32_matches_loops():
     assert out.dtype == df.dtype == dw.dtype == np.float32
 
 
-def test_conv2d_never_folds_columns(monkeypatch):
-    # the input gradient is a transposed convolution, not a col2im scatter
-    def forbidden(*args):
-        raise AssertionError("conv2d called _col2im")
-    monkeypatch.setattr(T, "_col2im", forbidden)
-    rng = np.random.default_rng(34)
-    _conv_with_grads(rng.standard_normal((2, 3, 6, 6)), rng.standard_normal((4, 3, 3, 3)),
-                     np.ones((2, 4, 3, 3)), "same", 2)
-
-
 def test_conv2d_tape_keeps_no_columns():
     # the backward closure holds the padded input, not k*k-inflated columns
     rng = np.random.default_rng(35)
@@ -212,27 +202,6 @@ def test_conv2d_tape_keeps_no_columns():
     held = [cell.cell_contents for cell in bwd.__closure__
             if isinstance(cell.cell_contents, np.ndarray)]
     assert max(a.nbytes for a in held) <= 4 * 3 * 12 * 12 * 8
-
-
-def test_conv2d_multi_sums_to_conv2d():
-    rng = np.random.default_rng(9)
-    f = Tensor(rng.standard_normal((2, 3, 6, 6)))
-    w = Tensor(rng.standard_normal((4, 3, 3, 3)))
-    for padding, stride in (("same", 1), ("same", 2), ("valid", 1)):
-        multi = T.conv2d_multi(f, w, padding=padding, stride=stride).data
-        full = T.conv2d(f, w, padding=padding, stride=stride).data
-        np.testing.assert_allclose(multi.sum(axis=2), full, atol=1e-12)
-
-
-def test_conv2d_multi_per_channel_slices():
-    # each [o, c] slice equals a single-channel conv of that channel pair
-    rng = np.random.default_rng(10)
-    f = rng.standard_normal((1, 2, 5, 5))
-    w = rng.standard_normal((3, 2, 3, 3))
-    multi = T.conv2d_multi(Tensor(f), Tensor(w)).data
-    for c in range(2):
-        single = T.conv2d(Tensor(f[:, c:c + 1]), Tensor(w[:, c:c + 1])).data
-        np.testing.assert_allclose(multi[:, :, c], single, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +245,7 @@ def test_max_pool_tie_routes_to_lowest_index():
     pool_in[0, 0] = [[5.0, 5.0], [5.0, 5.0]]
     p = Parameter(pool_in, dtype="f64")
     with Tape() as tape:
-        out = T.max_pool2d(p, 2, 2)
+        out = T.max_pool2d(p)
         backward(tape, T.reduce(out))
     np.testing.assert_array_equal(p.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
@@ -294,14 +263,51 @@ def test_mean_gradient_is_uniform():
 def test_max_pool2d_matches_blocks():
     rng = np.random.default_rng(12)
     a = rng.standard_normal((2, 3, 6, 8))
-    got = T.max_pool2d(Tensor(a), 2, 2).data
+    got = T.max_pool2d(Tensor(a)).data
     want = a.reshape(2, 3, 3, 2, 4, 2).max(axis=(3, 5))
     np.testing.assert_array_equal(got, want)
 
 
+def loop_max_pool2d(a, g):
+    """2x2 / stride-2 max pool and its input gradient as plain loops; ties to
+    the first window cell in (wy, wx) order."""
+    n, c, y, x = a.shape
+    out = np.zeros((n, c, y // 2, x // 2), dtype=a.dtype)
+    ga = np.zeros_like(a)
+    for ni in range(n):
+        for ci in range(c):
+            for i in range(y // 2):
+                for j in range(x // 2):
+                    cells = [(2 * i + wy, 2 * j + wx) for wy in range(2) for wx in range(2)]
+                    best = cells[0]
+                    for cell in cells[1:]:
+                        if a[ni, ci][cell] > a[ni, ci][best]:
+                            best = cell
+                    out[ni, ci, i, j] = a[ni, ci][best]
+                    ga[ni, ci][best] += g[ni, ci, i, j]
+    return out, ga
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("shape", [(2, 3, 6, 8), (2, 3, 7, 9), (1, 2, 2, 3)])
+def test_max_pool2d_matches_loops_with_ties_and_odd_extents(shape, dtype):
+    rng = np.random.default_rng(13)
+    a = Parameter(rng.integers(0, 3, shape).astype(float), dtype=dtype)   # many ties
+    g = rng.standard_normal((shape[0], shape[1], shape[2] // 2, shape[3] // 2))
+    with Tape() as tape:
+        out = T.max_pool2d(a)
+        backward(tape, T.reduce(T.mul(out, Tensor(g, dtype=dtype))))
+    want, want_grad = loop_max_pool2d(a.data, g.astype(a.data.dtype))
+    assert out.data.dtype == a.grad.dtype == a.data.dtype
+    np.testing.assert_array_equal(out.data, want)
+    np.testing.assert_array_equal(a.grad, want_grad)
+
+
 def test_max_pool2d_window_too_large():
-    with pytest.raises(ValueError):
-        T.max_pool2d(Tensor(np.zeros((1, 1, 3, 3))), window=4, stride=4)
+    # a 2x2 window needs two rows and two columns
+    for shape in ((1, 1, 1, 4), (1, 1, 4, 1)):
+        with pytest.raises(ValueError, match="extents >= 2"):
+            T.max_pool2d(Tensor(np.zeros(shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,13 +389,6 @@ def test_sigmoid_values():
     a = Tensor(np.array([0.0, 100.0, -100.0]))
     s = T.sigmoid(a).data
     assert s[0] == 0.5 and s[1] == pytest.approx(1.0) and s[2] == pytest.approx(0.0)
-
-
-def test_narrow_out_of_range():
-    a = Tensor(np.zeros((2, 5)))
-    with pytest.raises(ValueError):
-        T.narrow(a, 1, 3, 4)
-    np.testing.assert_array_equal(T.narrow(a, 1, 3, 2).data, np.zeros((2, 2)))
 
 
 def test_permute_axis_round_trip():
