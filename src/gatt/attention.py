@@ -124,14 +124,14 @@ def _gate_slope(alpha, residual_branch):
 
 
 def _im2col(fp, k, stride, yo, xo):
-    """The padded batch fp [N, C, Yp, Xp] unfolded whole to columns [N, C*k*k, Yo*Xo]."""
+    """The padded samples fp [n, C, Yp, Xp] unfolded to columns [n, C*k*k, Yo*Xo]."""
     win = sliding_window_view(fp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     n, c = win.shape[:2]
     return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, yo * xo)
 
 
 def _col2im(gcols, pad_shape, k, stride, yo, xo):
-    """Adjoint of _im2col: sum column gradients back onto the padded batch."""
+    """Adjoint of _im2col: sum column gradients back onto the padded samples."""
     n, c, yp, xp = pad_shape
     g = np.zeros(pad_shape, dtype=gcols.dtype)
     gw = gcols.reshape(n, c, k, k, yo, xo)
@@ -139,6 +139,16 @@ def _col2im(gcols, pad_shape, k, stride, yo, xo):
         for kj in range(k):
             g[:, :, ki:ki + stride * yo:stride, kj:kj + stride * xo:stride] += gw[:, :, ki, kj]
     return g
+
+
+class _Chunk:
+    """Samples [lo, hi) of a block: their columns and the per-pose state the
+    backward reads."""
+    __slots__ = ("lo", "hi", "x5", "xs", "poses", "gcs", "axt", "fs")
+
+    def __init__(self, lo, hi):
+        self.lo, self.hi = lo, hi
+        self.poses = []
 
 
 class _PoseKernel:
@@ -154,29 +164,35 @@ class _PoseKernel:
     columns.  Max ties route to the first index in the flat (o, y, x) order
     for alpha_C and (o, c) for alpha_X.  All arithmetic runs in float64.
 
-    The kernel owns whole-batch im2col columns: the padded input is unfolded
-    once per block (`_im2col`), every pose and both backward GEMMs read
-    those columns, and the input gradient is folded back once (`_col2im`).
+    Every per-pose quantity is per sample, so forward and backward run over
+    chunks of whole samples, each as large as fits a slice [nb, C, Hin, O, P]
+    in T.POSE_CHUNK_BYTES (at least one sample); only the parameter
+    gradients sum over the chunks.  The sample-independent state (the
+    float64 bank and its sums, the bottleneck matrices, the filter spectra)
+    is built once per block.  The record keeps no columns, and no padded
+    copy of the input: a chunk pads and unfolds its samples (`_im2col`) in
+    the forward and again in the backward, which folds the chunk's input
+    gradient (`_col2im`) into one whole-input array and then frees the
+    chunk's state.
     """
 
     def __init__(self, flat, bank, w1g, w2g, psis, bias, order, hin, stride, padding,
                  pool_out, residual_branch):
         k, (pt, pb, self.yo), (pl, pr, self.xo) = T._conv_geometry(flat, bank, padding, stride)
-        fp = T._pad64(flat.data, (pt, pb), (pl, pr))
-        self.cols = _im2col(fp, k, stride, self.yo, self.xo)
-        self.unpad = fp.shape, k, stride, pt, pl
+        self.geom = k, stride, (pt, pb), (pl, pr)
         n, ct = flat.shape[:2]
         o, c = bank.shape[0] // order, ct // hin
         kk = bank.shape[2] * bank.shape[3]
-        self.dims = n, c, hin, o, kk, self.yo * self.xo
+        p = self.yo * self.xo
+        self.dims = n, c, hin, o, kk, p
+        nb = max(1, min(n, T.POSE_CHUNK_BYTES // (8 * c * hin * o * p)))
+        self.spans = [(lo, min(n, lo + nb)) for lo in range(0, n, nb)]
         self.order = order
         self.g = 1 if pool_out else o       # out-channel groups sharing one map
         self.pool_out = pool_out
         self.residual = residual_branch
         self.eps = np.finfo(flat.data.dtype).epsneg     # the gates' clip, as in T.sigmoid
         self.inputs = flat, bank, w1g, w2g, psis, bias
-        self.x5 = self.cols.reshape(n, c, hin, kk, -1)
-        self.xs = self.x5.sum(axis=-1)      # [N, C, Hin, K]
         wb = bank.data.astype(_F64, copy=False).reshape(order, o, c, hin, kk)
         self.wb = np.ascontiguousarray(wb.transpose(0, 2, 3, 1, 4))    # [H, C, Hin, O, K]
         self.w1 = self.w2 = self.fpsi = None
@@ -184,6 +200,8 @@ class _PoseKernel:
             mid = w1g.shape[1]
             self.w1 = w1g.data.astype(_F64, copy=False).reshape(order, hin, mid, c)
             self.w2 = w2g.data.astype(_F64, copy=False).reshape(order, hin, c, mid)
+            # the mean of R = W X over (o, p) needs only the column sums of X
+            self.wsum = self.wb.reshape(order, c, hin, self.g, o // self.g, kk).sum(axis=4)
         if psis is not None:
             # same-padded correlation with psi through zero-padded 2-D FFTs;
             # lag d of a circular correlation sits at index d mod L
@@ -193,13 +211,20 @@ class _PoseKernel:
             self.lag_out = np.ix_(*[(np.arange(e) - ks // 2) % ln
                                     for e, ln in zip((self.yo, self.xo), self.fshape)])
             self.lag_psi = np.ix_(*[(np.arange(ks) - ks // 2) % ln for ln in self.fshape])
-            # flat index of R[n, c, t, 0, p]: a column over c is col_base + o* p
-            self.col_base = _flat_index((n, c, hin, o, self.yo * self.xo),
-                                        np.arange(n)[:, None, None, None, None],
+            # flat index of R[n, c, t, 0, p] in a chunk: a column over c is col_base + o* p
+            self.col_base = _flat_index((nb, c, hin, o, p),
+                                        np.arange(nb)[:, None, None, None, None],
                                         np.arange(c)[:, None, None, None],
-                                        np.arange(hin)[:, None, None], 0,
-                                        np.arange(self.yo * self.xo))
-        self.poses = []
+                                        np.arange(hin)[:, None, None], 0, np.arange(p))
+        self.chunks = []
+
+    def _unfold(self, ck):
+        """Give chunk ck its columns x5 [n, C, Hin, K, P] and their sums over p."""
+        _, c, hin, o, kk, p = self.dims
+        k, stride, pads_y, pads_x = self.geom
+        fp = T._pad64(self.inputs[0].data[ck.lo:ck.hi], pads_y, pads_x)
+        ck.x5 = _im2col(fp, k, stride, self.yo, self.xo).reshape(ck.hi - ck.lo, c, hin, kk, p)
+        ck.xs = ck.x5.sum(axis=-1)          # [n, C, Hin, K]
 
     # -- forward --------------------------------------------------------------
 
@@ -207,62 +232,81 @@ class _PoseKernel:
         """Output [N, O, H, P] before the bias, alpha_C per pose and alpha_X."""
         n, c, hin, o, kk, p = self.dims
         order, g = self.order, self.g
+        res = np.empty((n, order, o, p))    # the output, laid out as [N, H, O, P]
+        alpha_c = [np.empty((n, c, hin, g)) for _ in range(order)] if self.w1 is not None else []
+        alpha_x = (np.empty((order, n, g, hin, self.yo, self.xo))
+                   if self.fpsi is not None else None)
+        for lo, hi in self.spans:
+            ck = _Chunk(lo, hi)
+            self._unfold(ck)
+            self._forward_chunk(ck, keep, res[lo:hi], [a[lo:hi] for a in alpha_c],
+                                None if alpha_x is None else alpha_x[:, lo:hi])
+            if keep:
+                self.chunks.append(ck)
+        return res.transpose(0, 2, 1, 3), alpha_c, alpha_x
+
+    def _forward_chunk(self, ck, keep, res, alpha_c, alpha_x):
+        """Fill one chunk's share of the output res [n, H, O, P], alpha_C and alpha_X."""
+        n = ck.hi - ck.lo
+        _, c, hin, o, kk, p = self.dims
+        order, g = self.order, self.g
         gcs = np.empty((n, hin, order, o, p))   # channel sums of the gated slices
-        s_x = np.empty((order, n, g, 2, hin, p)) if self.fpsi is not None else None
-        alpha_c = []
+        s_x = np.empty((order, n, g, 2, hin, p)) if alpha_x is not None else None
         r = np.empty((n, c, hin, o, p))         # the one live slice
         for h in range(order):
-            np.matmul(self.wb[h], self.x5, out=r)                   # [N, C, Hin, O, P]
+            np.matmul(self.wb[h], ck.x5, out=r)                     # [n, C, Hin, O, P]
             st = {}
-            if self.w1 is not None:
-                alpha_c.append(self._channel_forward(h, r, st))
+            if alpha_c:
+                alpha_c[h][...] = self._channel_forward(ck, h, r, st)
             np.sum(r, axis=1, out=gcs[:, :, h])
             if s_x is not None:
                 self._spatial_stats(r, gcs[:, :, h], st, s_x[h])
             if keep:
-                self.poses.append(st)
+                ck.poses.append(st)
         del r
+        ck.x5 = ck.xs = None                    # the backward unfolds them again
         if s_x is None:
-            return gcs.sum(axis=1).transpose(0, 2, 1, 3), alpha_c, None
+            np.sum(gcs, axis=1, out=res)
+            return
         fs = np.fft.rfft2(s_x.reshape(order, n, g, 2, hin, self.yo, self.xo), s=self.fshape)
         q = np.fft.irfft2((fs * np.conj(self.fpsi)[:, None, None]).sum(axis=3),
                           s=self.fshape)
-        ax = _gate_np(q[(...,) + self.lag_out], self.residual, self.eps)  # [H, N, g, Hin, Yo, Xo]
-        axt = ax.reshape(order, n, g, hin, p).transpose(1, 3, 0, 2, 4)  # [N, Hin, H, g, P]
+        alpha_x[...] = _gate_np(q[(...,) + self.lag_out], self.residual, self.eps)
+        axt = alpha_x.reshape(order, n, g, hin, p).transpose(1, 3, 0, 2, 4)  # [n, Hin, H, g, P]
         if keep:
-            self.gcs, self.axt, self.fs = gcs, axt, fs
-        return (gcs * axt).sum(axis=1).transpose(0, 2, 1, 3), alpha_c, ax
+            ck.gcs, ck.axt, ck.fs = gcs, axt, fs
+        np.sum(gcs * axt, axis=1, out=res)
 
-    def _channel_forward(self, h, r, st):
-        n, c, hin, o, kk, p = self.dims
+    def _channel_forward(self, ck, h, r, st):
+        n = ck.hi - ck.lo
+        _, c, hin, o, kk, p = self.dims
         g, rep = self.g, o // self.g
         rv = r.reshape(n, c, hin, g, -1)
-        am = rv.argmax(axis=-1)                                     # [N, C, Hin, g]
-        # the mean of R = W X over (o, p) needs only the column sums of X
-        wsum = self.wb[h].reshape(c, hin, g, rep, kk).sum(axis=3)
-        s = np.stack((np.einsum("ctgk,nctk->nctg", wsum, self.xs) / (rep * p),
+        am = rv.argmax(axis=-1)                                     # [n, C, Hin, g]
+        s = np.stack((np.einsum("ctgk,nctk->nctg", self.wsum[h], ck.xs) / (rep * p),
                       np.take_along_axis(rv, am[..., None], axis=-1)[..., 0]))
-        sb = s.transpose(3, 2, 0, 1, 4).reshape(hin, c, 2 * n * g)  # [Hin, C, (2, N, g)]
+        sb = s.transpose(3, 2, 0, 1, 4).reshape(hin, c, 2 * n * g)  # [Hin, C, (2, n, g)]
         u = np.matmul(self.w1[h], sb)
         z = np.matmul(self.w2[h], np.maximum(u, 0.0)).reshape(hin, c, 2, n * g).sum(axis=2)
         ac = _gate_np(z, self.residual, self.eps).reshape(hin, c, n, g).transpose(2, 1, 0, 3)
         rv *= ac[..., None]                                         # r is gated from here
-        st.update(am=am, sb=sb, u=u, ac=ac, wsum=wsum)
-        return ac                                                   # [N, C, Hin, g]
+        st.update(am=am, sb=sb, u=u, ac=ac)
+        return ac                                                   # [n, C, Hin, g]
 
     def _spatial_stats(self, r, gc, st, out):
-        """Mean and max over (o, c) (over c with pool_out=False) into out [N, g, 2, Hin, P]."""
-        n, c, hin, o, kk, p = self.dims
-        gmc = r.max(axis=1)                                         # [N, Hin, O, P]
+        """Mean and max over (o, c) (over c with pool_out=False) into out [n, g, 2, Hin, P]."""
+        n = r.shape[0]
+        _, c, hin, o, kk, p = self.dims
+        gmc = r.max(axis=1)                                         # [n, Hin, O, P]
         if self.pool_out:
-            mx = gmc.max(axis=2, keepdims=True)                     # [N, Hin, 1, P]
+            mx = gmc.max(axis=2, keepdims=True)                     # [n, Hin, 1, P]
             om = _first_true(gmc == mx, axis=2)
             mean = gc.sum(axis=2, keepdims=True) / (o * c)
-            col = np.take(r, self.col_base + om[:, None] * p)      # [N, C, Hin, 1, P]
+            col = np.take(r, self.col_base[:n] + om[:, None] * p)  # [n, C, Hin, 1, P]
         else:
             om = np.arange(o)[:, None]
             mx, mean, col = gmc, gc / c, r
-        cm = _first_true(col == mx[:, None], axis=1)[:, 0]          # [N, Hin, g, P]
+        cm = _first_true(col == mx[:, None], axis=1)[:, 0]          # [n, Hin, g, P]
         out[:, :, 0] = mean.transpose(0, 2, 1, 3)
         out[:, :, 1] = mx.transpose(0, 2, 1, 3)
         st.update(om=om, cm=cm, mx=mx)
@@ -272,90 +316,113 @@ class _PoseKernel:
     def backward(self, dout):
         flat, bank, w1g, w2g, psis, bias = self.inputs
         n, c, hin, o, kk, p = self.dims
-        order, g = self.order, self.g
-        dout = dout.astype(_F64, copy=False).reshape(n, o, order, p)
+        dout = dout.astype(_F64, copy=False).reshape(n, o, self.order, p)
         if bias is not None and bias.requires_grad:
             T._accumulate(bias, dout.sum(axis=(0, 2, 3)), owned=True)
+        gx = np.empty(flat.shape) if flat.requires_grad else None
+        sums = {}                               # parameter gradients, summed over chunks
+        for i, ck in enumerate(self.chunks):
+            self.chunks[i] = None
+            self._unfold(ck)
+            part = self._backward_chunk(ck, dout[ck.lo:ck.hi],
+                                        None if gx is None else gx[ck.lo:ck.hi])
+            for key, val in part.items():
+                if key in sums:
+                    sums[key] += val
+                else:
+                    sums[key] = val
+        if self.w1 is not None:
+            for t, key in ((w1g, "w1"), (w2g, "w2")):
+                if t.requires_grad:
+                    T._accumulate(t, sums[key].reshape(t.shape), owned=True)
+        if bank.requires_grad:
+            T._accumulate(bank, sums["bank"].transpose(0, 3, 1, 2, 4).reshape(bank.shape),
+                          owned=True)
+        if self.fpsi is not None and psis.requires_grad:
+            corr = np.fft.irfft2(sums["psi"], s=self.fshape)
+            T._accumulate(psis, corr[(...,) + self.lag_psi].reshape(psis.shape), owned=True)
+        if gx is not None:
+            T._accumulate(flat, gx, owned=True)
+
+    def _backward_chunk(self, ck, dout, gx):
+        """Write chunk ck's input gradient into gx (if not None); return its
+        shares of the parameter gradients (psi's as a cross-spectrum)."""
+        n = ck.hi - ck.lo
+        _, c, hin, o, kk, p = self.dims
+        order, g = self.order, self.g
+        part = {}
         # e[n, t, (h, o), p]: the part of dL/d(gated slice h) that is the same for every c
         if self.fpsi is None:
             e = dout.transpose(0, 2, 1, 3).reshape(n, 1, order * o, p)
             routes = [None] * order
         else:
-            e, routes = self._spatial_backward(dout.transpose(0, 2, 1, 3))
-        q = np.matmul(e[:, None], self.x5.swapaxes(-1, -2))        # [N, C, Hin, H*O, K]
+            e, routes, part["psi"] = self._spatial_backward(ck, dout.transpose(0, 2, 1, 3))
+        q = np.matmul(e[:, None], ck.x5.swapaxes(-1, -2))          # [n, C, Hin, H*O, K]
         q = q.reshape(n, c, hin, order, o, kk)
-        dwb = np.empty((order, c, hin, o, kk))
-        const = np.zeros((n, c, hin, kk))      # dL/dcols terms constant over p
-        scatter = []                           # (flat index, value) pairs into dL/dcols
-        wt = self.wb.transpose(1, 2, 4, 0, 3)                       # [C, Hin, K, H, O]
+        dwb = part["bank"] = np.empty((order, c, hin, o, kk))
         if self.w1 is not None:
-            acs = np.empty((n, c, hin, 1, order, g))
-            dw1, dw2 = np.empty(self.w1.shape), np.empty(self.w2.shape)
+            dw1 = part["w1"] = np.empty(self.w1.shape)
+            dw2 = part["w2"] = np.empty(self.w2.shape)
+        dx5 = None                             # dL/dcols [n, C, Hin, K, P]
+        if gx is not None:
+            wt = self.wb.transpose(1, 2, 4, 0, 3)                   # [C, Hin, K, H, O]
+            if self.w1 is not None:
+                acs = np.stack([st["ac"] for st in ck.poses], axis=-2)  # [n, C, Hin, H, g]
+                wt = wt * acs[:, :, :, None]
+            dx5 = np.matmul(wt.reshape(wt.shape[:-2] + (order * o,)), e[:, None],
+                            out=np.empty((n, c, hin, kk, p)))   # C order, for the scatters
+            del wt
+        const = np.zeros((n, c, hin, kk))      # dL/dcols terms constant over p
         for h in range(order):
-            qh = q[:, :, :, h]                                      # [N, C, Hin, O, K]
+            qh = q[:, :, :, h]                                      # [n, C, Hin, O, K]
             dac = None
             if self.w1 is not None:
-                ac = self.poses[h]["ac"]
-                acs[:, :, :, 0, h] = ac
+                ac = ck.poses[h]["ac"]
                 dwb[h] = np.einsum("ncto,nctok->ctok", ac.repeat(o // g, axis=-1), qh)
                 dac = np.einsum("ctok,nctok->ncto", self.wb[h], qh).reshape(
                     n, c, hin, g, -1).sum(axis=-1)
             else:
                 dwb[h] = qh.sum(axis=0)
             if routes[h] is not None:
-                self._route_max_x(h, routes[h], dwb[h], dac, scatter)
+                self._route_max_x(ck, h, routes[h], dwb[h], dac, dx5)
             if dac is not None:
-                self._channel_backward(h, dac, dwb[h], const, dw1, dw2, scatter)
-        if self.w1 is not None:
-            for t, dw in ((w1g, dw1), (w2g, dw2)):
-                if t.requires_grad:
-                    T._accumulate(t, dw.reshape(t.shape), owned=True)
-            wt = wt * acs
-        if bank.requires_grad:
-            T._accumulate(bank, dwb.transpose(0, 3, 1, 2, 4).reshape(bank.shape), owned=True)
-        if flat.requires_grad:
-            dx5 = np.matmul(wt.reshape(wt.shape[:-2] + (order * o,)), e[:, None])
+                self._channel_backward(ck, h, dac, dwb[h], const, dw1, dw2, dx5)
+        ck.x5 = ck.xs = None
+        if dx5 is not None:
             dx5 += const[..., None]
-            if scatter:
-                idx, val = zip(*scatter)
-                _scatter_add(dx5, np.concatenate(idx), np.concatenate(val))
-            self._fold(dx5.reshape(self.cols.shape))
+            k, stride, (pt, pb), (pl, pr) = self.geom
+            y, x = gx.shape[2:]
+            gp = _col2im(dx5, (n, gx.shape[1], pt + y + pb, pl + x + pr), k, stride,
+                         self.yo, self.xo)
+            gx[...] = gp[:, :, pt:pt + y, pl:pl + x]
+        return part
 
-    def _fold(self, gcols):
-        """Add the column gradient into the input's gradient: col2im, then crop."""
-        flat = self.inputs[0]
-        pad_shape, k, stride, pt, pl = self.unpad
-        gp = _col2im(gcols, pad_shape, k, stride, self.yo, self.xo)
-        y, x = flat.shape[2:]
-        T._accumulate(flat, gp[:, :, pt:pt + y, pl:pl + x])
-
-    def _spatial_backward(self, dh):
-        """dL/dpsi, e and the alpha_X max routes, for dout dh [N, H, O, P]."""
+    def _spatial_backward(self, ck, dh):
+        """e, the alpha_X max routes and psi's cross-spectrum for dout dh [n, H, O, P]."""
         psis = self.inputs[4]
-        n, c, hin, o, kk, p = self.dims
+        n = ck.hi - ck.lo
+        _, c, hin, o, kk, p = self.dims
         order, g = self.order, self.g
-        prod = self.gcs * dh[:, None]                               # [N, Hin, H, O, P]
+        prod = ck.gcs * dh[:, None]                                 # [n, Hin, H, O, P]
         dax = prod.sum(axis=3, keepdims=True) if self.pool_out else prod
-        e = dh[:, None] * self.axt
-        dq = (dax * _gate_slope(self.axt, self.residual)).transpose(2, 0, 3, 1, 4)
+        e = dh[:, None] * ck.axt
+        dq = (dax * _gate_slope(ck.axt, self.residual)).transpose(2, 0, 3, 1, 4)
         fdq = np.fft.rfft2(dq.reshape(order, n, g, hin, self.yo, self.xo), s=self.fshape)
         r0 = psis.shape[-1] // 2
         ds = np.fft.irfft2(fdq[:, :, :, None] * self.fpsi[:, None, None], s=self.fshape)[
-            ..., r0:r0 + self.yo, r0:r0 + self.xo]                  # [H, N, g, 2, Hin, Yo, Xo]
-        corr = np.fft.irfft2((np.conj(fdq)[:, :, :, None] * self.fs).sum(axis=(1, 2)),
-                             s=self.fshape)
-        if psis.requires_grad:
-            T._accumulate(psis, corr[(...,) + self.lag_psi].reshape(psis.shape), owned=True)
+            ..., r0:r0 + self.yo, r0:r0 + self.xo]                  # [H, n, g, 2, Hin, Yo, Xo]
+        fcorr = (np.conj(fdq)[:, :, :, None] * ck.fs).sum(axis=(1, 2))
         dmean, dmax = ds.reshape(order, n, g, 2, hin, p).transpose(3, 1, 4, 0, 2, 5)
         e += dmean / (o * c if self.pool_out else c)
-        routes = [(st["om"], st["cm"], dmax[:, :, h]) for h, st in enumerate(self.poses)]
-        return e.reshape(n, hin, order * o, p), routes
+        routes = [(st["om"], st["cm"], dmax[:, :, h]) for h, st in enumerate(ck.poses)]
+        return e.reshape(n, hin, order * o, p), routes, fcorr
 
-    def _route_max_x(self, h, route, dwb, dac, scatter):
+    def _route_max_x(self, ck, h, route, dwb, dac, dx5):
         """Gradient of the alpha_X max statistic, which read the gated slice
         at (o*, c*) for every (n, t, p)."""
-        n, c, hin, o, kk, p = self.dims
-        st = self.poses[h]
+        n = ck.hi - ck.lo
+        _, c, hin, o, kk, p = self.dims
+        st = ck.poses[h]
         om, cm, dmax = route
         ni = np.arange(n)[:, None, None, None]
         ti = np.arange(hin)[:, None, None]
@@ -367,17 +434,19 @@ class _PoseKernel:
             val = dmax * ac
         # per (n, t, g, k, p): the cell of dL/dcols and of dL/dbank it feeds
         ki = np.arange(kk)[:, None]
-        xi = _flat_index(self.x5.shape, ni, cm, ti, 0, np.arange(p))[..., None, :] + ki * p
+        xi = _flat_index(ck.x5.shape, ni, cm, ti, 0, np.arange(p))[..., None, :] + ki * p
         wi = _flat_index(dwb.shape, cm, ti, om, 0)[..., None, :] + ki
         val = val[..., None, :]
-        _scatter_add(dwb, wi, val * np.take(self.x5, xi))
-        scatter.append((xi.ravel(), (val * np.take(self.wb[h], wi)).ravel()))
+        _scatter_add(dwb, wi, val * np.take(ck.x5, xi))
+        if dx5 is not None:
+            _scatter_add(dx5, xi, val * np.take(self.wb[h], wi))
 
-    def _channel_backward(self, h, dac, dwb, const, dw1, dw2, scatter):
+    def _channel_backward(self, ck, h, dac, dwb, const, dw1, dw2, dx5):
         """Gate, bottleneck and statistics of alpha_C, given dL/dalpha_C."""
-        n, c, hin, o, kk, p = self.dims
+        n = ck.hi - ck.lo
+        _, c, hin, o, kk, p = self.dims
         g, rep = self.g, o // self.g
-        st = self.poses[h]
+        st = ck.poses[h]
         w = self.wb[h]                                              # [C, Hin, O, K]
         a = st["ac"].transpose(2, 1, 0, 3).reshape(hin, c, n * g)
         dz = dac.transpose(2, 1, 0, 3).reshape(hin, c, n * g) * _gate_slope(a, self.residual)
@@ -387,21 +456,22 @@ class _PoseKernel:
         du = np.matmul(self.w2[h].swapaxes(-1, -2), dv) * (u > 0)
         dw1[h] = np.matmul(du, st["sb"].swapaxes(-1, -2))
         dsa, dsm = np.matmul(self.w1[h].swapaxes(-1, -2), du).reshape(
-            hin, c, 2, n, g).transpose(2, 3, 1, 0, 4)               # [N, C, Hin, g] each
+            hin, c, 2, n, g).transpose(2, 3, 1, 0, 4)               # [n, C, Hin, g] each
         # mean statistic: spread evenly over the (o, p) group it pooled
         span = rep * p
-        dwb += np.einsum("nctg,nctk->ctgk", dsa, self.xs).repeat(rep, axis=2) / span
-        const += np.einsum("nctg,ctgk->nctk", dsa, st["wsum"]) / span
+        dwb += np.einsum("nctg,nctk->ctgk", dsa, ck.xs).repeat(rep, axis=2) / span
+        const += np.einsum("nctg,ctgk->nctk", dsa, self.wsum[h]) / span
         # max statistic: routed to the first (o, p) reaching it
         am = st["am"]
         ci = np.arange(c)[:, None, None]
         ti = np.arange(hin)[:, None]
         ki = np.arange(kk)
-        xi = _flat_index(self.x5.shape, np.arange(n)[:, None, None, None], ci, ti, 0,
+        xi = _flat_index(ck.x5.shape, np.arange(n)[:, None, None, None], ci, ti, 0,
                          am % p)[..., None] + ki * p
         wi = _flat_index(dwb.shape, ci, ti, am // p + np.arange(g) * rep, 0)[..., None] + ki
-        _scatter_add(dwb, wi, dsm[..., None] * np.take(self.x5, xi))
-        scatter.append((xi.ravel(), (dsm[..., None] * np.take(w, wi)).ravel()))
+        _scatter_add(dwb, wi, dsm[..., None] * np.take(ck.x5, xi))
+        if dx5 is not None:
+            _scatter_add(dx5, xi, dsm[..., None] * np.take(w, wi))
 
 
 def _fft_length(n):
@@ -435,6 +505,9 @@ def _flat_index(shape, *idx):
 
 def _scatter_add(target, idx, val):
     """target.flat[idx] += val for a C-contiguous target, summing repeated indices."""
+    if not target.flags.c_contiguous:
+        raise ValueError("_scatter_add needs a C-contiguous target; a reshape would "
+                         "copy it and drop the adds")
     np.add.at(target.reshape(-1), np.ravel(idx), np.ravel(val))
 
 
@@ -473,7 +546,7 @@ def _attentive_pass(f, layer, ch_params, sp_params, variant, residual_branch, po
                        layer.padding, pool_out, residual_branch)
     out, alpha_c, alpha_x = kern.forward(keep)
     if bias is not None:
-        out = out + bias.data.astype(_F64, copy=False)[:, None, None]
+        out += bias.data.astype(_F64, copy=False)[:, None, None]
     o = bank.shape[0] // grp.order
     out = Tensor(out.reshape(n, o, grp.order, kern.yo, kern.xo).astype(f.data.data.dtype))
     T._record(out, parents, lambda: kern.backward(out.grad))

@@ -1,7 +1,8 @@
 """Backward pass driver, gradient checking, the Adam optimizer and dropout.
 
 The tape (see gatt.tensor) stores op records in execution order, which is a
-topological order of the graph; ``backward`` walks it once in strict reverse.
+topological order of the graph; ``backward`` consumes it once in strict
+reverse, freeing each record as it goes.
 All randomness goes through numpy's Philox engine, a counter-based generator
 with a stable cross-platform stream for a given seed.
 """
@@ -34,18 +35,30 @@ def he_init(rng, shape, fan_in, dtype="f32", name="", weight_decay=True):
 
 
 def backward(tape, loss):
-    """Seed d(loss)/d(loss) = 1 and replay the tape records in reverse.
+    """Seed d(loss)/d(loss) = 1 and consume the tape records in reverse.
 
-    Each record is visited exactly once; records whose output never received
-    a gradient are skipped (they do not influence the loss).
+    Each record is popped off the tape and run exactly once; records whose
+    output never received a gradient are skipped (they do not influence the
+    loss).  Once a record has run, its output's .grad is dropped unless the
+    output is a Parameter, so the record, what its closure holds and the
+    intermediate gradient are freed as the backward walks the tape.  Only
+    leaf gradients are left afterwards.  A tape can be consumed once; a
+    second call raises ValueError.
     """
     if loss.size != 1:
         raise ValueError("backward expects a scalar loss")
+    if tape.consumed:
+        raise ValueError("backward already consumed this tape; record a new one")
+    tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for fn, out in reversed(tape.records):
+    records = tape.records
+    while records:
+        fn, out = records.pop()
         if out.grad is None:
             continue
         fn()
+        if not isinstance(out, Parameter):
+            out.grad = None
 
 
 def zero_grads(params):
@@ -125,7 +138,7 @@ def dropout(t, rate, rng, training=True):
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return t
-    keep = (rng.random(t.shape) >= rate)
+    keep = rng.random(t.shape, dtype=t.data.dtype) >= rate
     scale = t.data.dtype.type(1.0 / (1.0 - rate))
     mask = keep.astype(t.data.dtype) * scale
     out = Tensor(t.data * mask)

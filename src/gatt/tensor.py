@@ -4,7 +4,9 @@ A ``Tensor`` wraps a numpy array (float32 or float64) together with an
 optional gradient buffer.  Differentiable operations append a record to the
 currently active ``Tape``; because records are appended in execution order,
 the record list is already a topological order of the data-flow graph and
-``gatt.autodiff.backward`` simply replays it once, in reverse.
+``gatt.autodiff.backward`` simply pops it, in reverse.  Each record and its
+output's intermediate gradient are freed as soon as the record has run, so
+a tape is consumed by one backward.
 
 conv2d is the one planar convolution.  It works on chunked im2col
 columns, so no k*k-inflated copy of the batch is allocated or kept on the
@@ -37,14 +39,17 @@ DTYPE_TAGS = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
 class Tape:
-    """Append-only record of executed differentiable ops.
+    """Record of executed differentiable ops, consumed by one backward.
 
     Usable as a context manager; while active, ops on tensors with
     ``requires_grad`` append ``(backward_fn, out)`` pairs.
+    ``gatt.autodiff.backward`` pops the pairs as it runs them and then marks
+    the tape ``consumed``.
     """
 
     def __init__(self):
         self.records = []
+        self.consumed = False
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -545,6 +550,9 @@ def _pad64(a, pads_y, pads_x):
 
 # float64 bytes of the column buffer conv2d fills per chunk of whole samples
 CONV_CHUNK_BYTES = 2 << 20
+# float64 bytes of the per-pose response slice [nb, C, |H_in|, O, Y*X] the
+# attentive block (gatt.attention) holds per chunk of whole samples
+POSE_CHUNK_BYTES = 8 << 20
 
 
 def _correlate(xp, wm, k, stride, yo, xo, out):

@@ -572,13 +572,14 @@ def reference_attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_par
 
 def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
                             residual_branch=True, lifting=False, stride=1, padding="same",
-                            seed=0, ties=False, dtype="f64"):
+                            seed=0, ties=False, dtype="f64", batch=2):
     """Fast block against reference_attentive_group_conv on one small layer.
 
     Returns max|fast - reference| / max(1, max|reference|) for the output,
     alpha_C, alpha_X and the gradients of the input and of every parameter
-    under a random linear loss.  With `ties` the input and weights are
-    rounded and the input has zero rows, so every max has ties to route.
+    under a random linear loss, on `batch` samples.  With `ties` the input
+    and weights are rounded and the input has zero rows, so every max has
+    ties to route.
     """
     grp = make_group(group_name)
     rng = new_rng(seed)
@@ -587,7 +588,7 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
                              padding=padding, dtype=dtype, name="conv")
     layer.bias.data = layer.bias.data + rng.normal(0.0, 0.3, 3).astype(layer.bias.data.dtype)
     ch, sp = _attention_for(rng, variant, 4, hin, 2, 3, dtype, "att")
-    x = rng.standard_normal((2, 4, hin, 7, 7))
+    x = rng.standard_normal((batch, 4, hin, 7, 7))
     if ties:
         layer.weight.data = np.round(2 * layer.weight.data) / 2
         x = np.maximum(np.round(x), 0.0)

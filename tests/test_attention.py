@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 import gatt.tensor as T
 import gatt.verify as V
 from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
-                            _rel_index, _scatter_add, attention_maps, attentive_group_conv,
+                            _PoseKernel, _rel_index, _scatter_add, attention_maps,
+                            attentive_group_conv,
                             input_attention, input_attention_maps,
                             make_channel_attention, make_spatial_attention,
                             residual_gate)
-from gatt.autodiff import Parameter, new_rng
+from gatt.autodiff import Parameter, backward, new_rng
 from gatt.gconv import FeatureMapG, group_conv, make_gconv_layer
 from gatt.groups import make_group, transform_array, transform_filter
-from gatt.tensor import Tensor
+from gatt.tensor import Tape, Tensor
 from gatt.verify import (attentive_oracle_errors, channel_attention, channel_stats,
                          intermediate_responses, reference_attention_maps, relabel,
                          spatial_attention, spatial_stats, transform_input)
@@ -393,10 +394,41 @@ def test_fast_block_matches_reference_oracle(group_name, variant):
     assert cases == 24
 
 
+@pytest.mark.parametrize("group_name", ["C4", "D4"])
+@pytest.mark.parametrize("variant", ["full", "channel", "spatial"])
+def test_fast_block_matches_reference_oracle_over_ragged_chunks(monkeypatch, group_name,
+                                                                variant):
+    # the chunk budget is cut to the per-pose slice of two samples, so a batch
+    # of five runs as chunks of 2, 2 and 1 on tie-heavy inputs
+    hin = make_group(group_name).order
+    monkeypatch.setattr(T, "POSE_CHUNK_BYTES", 2 * 4 * hin * 3 * 7 * 7 * 8)
+    spans = []
+    forward = _PoseKernel.forward
+
+    def spy(self, keep):
+        spans.append(self.spans)
+        return forward(self, keep)
+
+    monkeypatch.setattr(_PoseKernel, "forward", spy)
+    for pool_out in (True, False):
+        errs = attentive_oracle_errors(group_name, variant, pool_out, seed=7, ties=True,
+                                       batch=5)
+        assert max(errs.values()) <= 1e-10, errs
+    assert spans and all(s == [(0, 2), (2, 4), (4, 5)] for s in spans)
+
+
 def test_scatter_add_sums_repeated_indices():
     target = np.arange(6.0).reshape(2, 3)
     _scatter_add(target, np.array([[4, 1], [4, 4]]), np.array([[1.0, 2.0], [3.0, 0.5]]))
     np.testing.assert_array_equal(target, [[0.0, 3.0, 2.0], [3.0, 8.5, 5.0]])
+
+
+def test_scatter_add_rejects_a_target_that_is_not_c_contiguous():
+    # reshaping a transposed target copies it, so the adds would be lost
+    target = np.zeros((3, 4)).T
+    with pytest.raises(ValueError, match="C-contiguous"):
+        _scatter_add(target, np.array([0, 5]), np.array([1.0, 2.0]))
+    assert not target.any()
 
 
 def test_fast_block_matches_reference_in_f32():
@@ -423,3 +455,26 @@ def test_attentive_forward_peaks_below_half_the_pair_tensor():
         tracemalloc.stop()
     assert out.data.shape == (n, c, GRP.order, size, size)
     assert peak < pair_bytes / 2
+
+
+def test_attentive_forward_and_backward_peak_below_the_whole_batch_slice():
+    # chunked over samples, a wide block at N=8 never holds its whole-batch
+    # per-pose slice [N, C, Hin, O, Y*X] (37.7 MB here), forward or backward
+    rng = new_rng(62)
+    n, c, size = 8, 24, 16
+    layer = make_gconv_layer(rng, GRP, c, c, kernel=3, dtype="f64", name="wide")
+    ch = make_channel_attention(rng, GRP.order, c, 2, dtype="f64", name="c")
+    sp = make_spatial_attention(rng, GRP.order, kernel=7, dtype="f64", name="s")
+    x = Parameter(new_rng(63).standard_normal((n, c, GRP.order, size, size)), dtype="f64")
+    probe = Tensor(new_rng(64).standard_normal((n, c, GRP.order, size, size)))
+    slice_bytes = n * c * GRP.order * c * size * size * 8
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            out = attentive_group_conv(FeatureMapG(x, GRP), layer, ch, sp, variant="full")
+            backward(tape, T.reduce(T.mul(out.data, probe)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.grad.shape == x.shape and layer.weight.grad is not None
+    assert peak < slice_bytes

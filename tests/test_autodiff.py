@@ -225,12 +225,47 @@ def test_first_gradient_is_assigned_without_aliasing():
         loss = T.add(T.add(T.reduce(s1), T.reduce(s2)),
                      T.add(T.reduce(T.add(s3, Tensor(np.zeros(3)))),
                            T.add(T.reduce(T.mul(r, r)), T.reduce(v1))))
+        # the backward drops each intermediate gradient once its record has
+        # run, so catch every one as it is handed to its record
+        seen = []
+
+        def spy(fn, out):
+            def run():
+                seen.append(out.grad)
+                fn()
+            return run
+
+        n_records = len(tape.records)
+        tape.records = [(spy(fn, out), out) for fn, out in tape.records]
         backward(tape, loss)
     np.testing.assert_array_equal(a.grad, np.ones((1, 3)))
     np.testing.assert_array_equal(b.grad, np.ones(3))
     np.testing.assert_array_equal(x.grad, 2.0 + 2.0 * x.data)
     np.testing.assert_array_equal(u.grad, 2.0 * u.data + (u.data > 0))
-    grads = [t.grad for t in (a, b, x, u)] + [out.grad for _, out in tape.records]
+    assert len(seen) == n_records and all(g is not None for g in seen)
+    grads = [t.grad for t in (a, b, x, u)] + seen
     for i, gi in enumerate(grads):
         for gj in grads[i + 1:]:
             assert not np.shares_memory(gi, gj)
+
+
+def test_backward_frees_the_tape_as_it_runs():
+    p = Parameter(np.array([1.0, 2.0]), dtype="f64")
+    with Tape() as tape:
+        sq = T.mul(p, p)
+        loss = T.reduce(sq)
+        backward(tape, loss)
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
+    assert sq.grad is None and loss.grad is None
+    assert tape.records == [] and tape.consumed
+
+
+def test_second_backward_on_a_tape_raises():
+    # a replay would add every gradient again: [8, 16] instead of [2, 4]
+    p = Parameter(np.array([1.0, 2.0]), dtype="f64")
+    with Tape() as tape:
+        loss = T.reduce(T.mul(p, p))
+        backward(tape, loss)
+        with pytest.raises(ValueError, match="already consumed"):
+            backward(tape, loss)
+    np.testing.assert_array_equal(p.grad, [2.0, 4.0])
