@@ -24,7 +24,7 @@ from . import tensor as T
 from .autodiff import Parameter, he_init
 from .gconv import (FeatureMapG, GConvLayer, _check_input, check_feature, filter_bank,
                     group_conv)
-from .groups import make_group, transform_filter
+from .groups import make_group, orbit
 from .tensor import Tensor
 
 
@@ -207,7 +207,8 @@ class _PoseKernel:
             # lag d of a circular correlation sits at index d mod L
             ks = psis.shape[-1]
             self.fshape = tuple(_fft_length(e + ks - 1) for e in (self.yo, self.xo))
-            self.fpsi = np.fft.rfft2(psis.data.astype(_F64, copy=False), s=self.fshape)
+            psi = psis.data.astype(_F64, copy=False).reshape(order, 2, hin, ks, ks)
+            self.fpsi = np.fft.rfft2(psi, s=self.fshape)
             self.lag_out = np.ix_(*[(np.arange(e) - ks // 2) % ln
                                     for e, ln in zip((self.yo, self.xo), self.fshape)])
             self.lag_psi = np.ix_(*[(np.arange(ks) - ks // 2) % ln for ln in self.fshape])
@@ -535,8 +536,7 @@ def _attentive_pass(f, layer, ch_params, sp_params, variant, residual_branch, po
         if sp_params.psi.shape[2] != hin:
             raise ValueError(f"input pose axis {hin} does not match attention filter "
                              f"({sp_params.psi.shape[2]})")
-        psis = T.concat([transform_filter(grp, h, sp_params.psi)
-                         for h in range(grp.order)], axis=0)        # [H, 2, Hin, k, k]
+        psis = orbit(grp, sp_params.psi)                            # [H, 1, 2, Hin, k, k]
     flat = T.reshape(f.data, (n, c * hin, y, x))
     bank = filter_bank(layer)
     bias = layer.bias

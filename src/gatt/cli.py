@@ -239,6 +239,17 @@ def cmd_attend(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _int_from(minimum):
+    """argparse type: an int no smaller than `minimum` (else a usage error)."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value run configuration file")
@@ -256,8 +267,8 @@ def build_parser():
 
     p = sub.add_parser("check-equivariance", parents=[common],
                        help="transform-vs-compute sweep over random stacks")
-    p.add_argument("--depth", type=int, default=3, help="maximum stack depth")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--depth", type=_int_from(1), default=3, help="maximum stack depth")
+    p.add_argument("--trials", type=_int_from(1), default=5)
     p.add_argument("--negative-control",
                    choices=("per-h-bias", "broken-w-indexing"))
     p.set_defaults(func=cmd_check_equivariance)
@@ -273,7 +284,7 @@ def build_parser():
 
     p = sub.add_parser("parity-demo", parents=[common],
                        help="stride-2 vs pool downsampling equivariance error")
-    p.add_argument("--size", type=int, default=32)
+    p.add_argument("--size", type=_int_from(1), default=32)
     p.set_defaults(func=cmd_parity_demo)
 
     p = sub.add_parser("gradcheck", parents=[common],
@@ -304,7 +315,7 @@ def build_parser():
     p.add_argument("--arch", choices=("tiny", "digit"))
     p.add_argument("--channels", type=int)
     p.add_argument("--image", help="PGM input; default is a generated sample")
-    p.add_argument("--sample-index", type=int, default=0)
+    p.add_argument("--sample-index", type=_int_from(0), default=0)
     p.add_argument("--layer", type=int, help="network layer index to inspect")
     p.set_defaults(func=cmd_attend)
 

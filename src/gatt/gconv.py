@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .autodiff import Parameter, he_init
-from .groups import FiniteGroup, transform_filter
+from .groups import FiniteGroup, orbit
 from .tensor import Tensor
 
 @dataclass
@@ -54,9 +54,11 @@ class GConvLayer:
     def __init__(self, group, weight, bias=None, stride=1, padding="same"):
         if weight.ndim != 5:
             raise ValueError("gconv weight must be [O, C, |H_in|, k, k]")
-        hin = weight.shape[2]
+        hin, k, k2 = weight.shape[2:]
         if hin not in (1, group.order):
             raise ValueError(f"filter pose axis {hin} not in {{1, {group.order}}}")
+        if k != k2 or k % 2 == 0:
+            raise ValueError(f"filter must be odd and square, got {(k, k2)}")
         if bias is not None and bias.shape != (weight.shape[0],):
             raise ValueError("bias must be one value per output channel")
         self.group = group
@@ -89,13 +91,9 @@ def filter_bank(layer):
     Row block h holds the filter transformed by group element h, flattened
     over (C, |H_in|); differentiable with respect to layer.weight.
     """
-    grp = layer.group
     o, c, hin, k, _ = layer.weight.shape
-    banks = []
-    for h in range(grp.order):
-        th = transform_filter(grp, h, layer.weight)
-        banks.append(T.reshape(th, (o, c * hin, k, k)))
-    return T.concat(banks, axis=0)
+    bank = orbit(layer.group, layer.weight)
+    return T.reshape(bank, (layer.group.order * o, c * hin, k, k))
 
 
 def _check_input(f: FeatureMapG, layer):

@@ -12,6 +12,10 @@ mirror followed by each rotation.  The identity is always index 0.
 Plane transforms are pure index permutations, so they are exact in floating
 point and compose exactly; rotation is about the geometric center of the
 plane, which stays an integer index map even for even extents.
+
+`transform_array` is the one definition of the action, on numpy arrays.
+`orbit` gives a Tensor transformed by every element at once, as a single
+gather whose index table is transform_array applied to an arange.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ class FiniteGroup:
     inverse: np.ndarray      # [n] int
     action: np.ndarray       # [n, 2, 2] int matrices on (row, col) offsets
     _plane_maps: dict = field(default_factory=dict, repr=False)
+    _orbits: dict = field(default_factory=dict, repr=False)
 
 
 class AffineElement(NamedTuple):
@@ -140,14 +145,10 @@ def feature_perm(grp, h):
     return grp.cayley[hinv].copy()
 
 
-def _check_square(arr_shape, h, what):
-    if arr_shape[-1] != arr_shape[-2] and h != 0:
-        raise ValueError(f"{what} spatial dims must be square to transform, got {arr_shape[-2:]}")
-
-
 def transform_array(grp, h, arr, group_axis=None):
     """Numpy-level transform: spatial index map plus optional group-axis permutation."""
-    _check_square(arr.shape, h, "plane")
+    if arr.shape[-1] != arr.shape[-2] and h != 0:
+        raise ValueError(f"plane spatial dims must be square to transform, got {arr.shape[-2:]}")
     out = arr
     if group_axis is not None and arr.shape[group_axis] != 1:
         if arr.shape[group_axis] != grp.order:
@@ -158,35 +159,30 @@ def transform_array(grp, h, arr, group_axis=None):
     return out[..., I, J]
 
 
-def transform_feature(grp, h, f):
-    """Left regular action on a stacked map: out(x, t) = f(h^-1 x, h^-1 t).
+def orbit(grp, t):
+    """Every group element's transform of t, as one gather.
 
-    `f` is a Tensor with axes [..., |H|, Y, X]; a group-axis extent of 1 marks
-    a planar map and skips the slice permutation.  Differentiable: the
-    backward pass applies the inverse element.
+    `t` is a Tensor [..., P, S, S] with P in {1, |H|}; the result is
+    [|H|, ..., P, S, S] whose entry h is the left regular action
+    out(x, s) = t(h^-1 x, h^-1 s), as transform_array computes it (P = 1
+    marks a planar map and skips the slice permutation).  Two tape records:
+    the flattening reshape and the gather.  The gather's backward
+    scatter-adds the |H| copies back in h order, which sums each copy's
+    gradient transformed by the inverse element.
     """
-    if f.ndim < 3:
-        raise ValueError("transform_feature expects axes [..., |H|, Y, X]")
-    _check_square(f.shape, h, "feature")
-    size = f.shape[-1]
-    out = f
-    if f.shape[-3] != 1:
-        if f.shape[-3] != grp.order:
-            raise ValueError(f"group axis extent {f.shape[-3]} does not match "
-                             f"{grp.name} order {grp.order}")
-        perm = feature_perm(grp, h)
-        out = T.permute_axis(out, -3, perm, feature_perm(grp, int(grp.inverse[h])))
-    src = plane_index_map(grp, h, size)
-    inv = plane_index_map(grp, int(grp.inverse[h]), size)
-    return T.gather_plane(out, src, inv)
+    if t.ndim < 3 or t.shape[-1] != t.shape[-2]:
+        raise ValueError(f"orbit expects axes [..., |H|, S, S], got {t.shape}")
+    idx = _orbit_index(grp, t.shape)
+    return T.gather_axis(T.reshape(t, (-1,)), 0, idx)
 
 
-def transform_filter(grp, h, psi):
-    """Same action as transform_feature, for filter banks [..., |H_in|, k, k].
-
-    Filters must have odd square spatial extent so the center pixel is fixed.
-    """
-    shape = psi.shape
-    if shape[-1] != shape[-2] or shape[-1] % 2 == 0:
-        raise ValueError(f"filter must be odd and square, got {shape[-2:]}")
-    return transform_feature(grp, h, psi)
+def _orbit_index(grp, shape):
+    """Flat source index per entry of orbit(grp, t) for t of this shape."""
+    idx = grp._orbits.get(shape)
+    if idx is None:
+        src = np.arange(int(np.prod(shape))).reshape(shape)
+        idx = np.stack([transform_array(grp, h, src, group_axis=-3)
+                        for h in range(grp.order)])
+        idx.setflags(write=False)
+        grp._orbits[shape] = idx
+    return idx

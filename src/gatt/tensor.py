@@ -405,25 +405,6 @@ def transpose(a, axes):
     return out
 
 
-def concat(parts, axis):
-    parts = list(parts)
-    axis = axis % parts[0].ndim
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd():
-        g = out.grad
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = tuple(slice(None) if i != axis else slice(lo, hi)
-                           for i in range(p.ndim))
-                _accumulate(p, g[sl])
-
-    _record(out, tuple(parts), bwd)
-    return out
-
-
 def stack(parts, axis=0):
     parts = list(parts)
     out = Tensor(np.stack([p.data for p in parts], axis=axis))
@@ -438,48 +419,25 @@ def stack(parts, axis=0):
     return out
 
 
-def permute_axis(a, axis, perm, inv_perm):
-    """Bijective reindex along `axis`: out[..., t, ...] = a[..., perm[t], ...]."""
-    axis = axis % a.ndim
-    out = Tensor(np.take(a.data, perm, axis=axis))
-
-    def bwd():
-        if a.requires_grad:
-            _accumulate(a, np.take(out.grad, inv_perm, axis=axis), owned=True)
-
-    _record(out, (a,), bwd)
-    return out
-
-
 def gather_axis(a, axis, idx):
-    """General (possibly repeating) gather along `axis`; backward scatter-adds."""
+    """General (possibly repeating) gather along `axis`; backward scatter-adds.
+
+    As in np.take, the axes of `idx` replace `axis` in the output.  Repeated
+    indices receive their gradients in the C order of `idx`.
+    """
     axis = axis % a.ndim
     idx = np.asarray(idx, dtype=np.intp)
     out = Tensor(np.take(a.data, idx, axis=axis))
+    idx_axes = list(range(idx.ndim))
 
     def bwd():
         if a.requires_grad:
             ga = np.zeros_like(a.data)
-            np.add.at(np.moveaxis(ga, axis, 0), idx, np.moveaxis(out.grad, axis, 0))
+            g = np.moveaxis(out.grad, [axis + i for i in idx_axes], idx_axes)
+            # np.add.at is many times faster with a 1-D index than with an n-D one
+            np.add.at(np.moveaxis(ga, axis, 0), idx.reshape(-1),
+                      g.reshape((idx.size,) + g.shape[idx.ndim:]))
             _accumulate(a, ga, owned=True)
-
-    _record(out, (a,), bwd)
-    return out
-
-
-def gather_plane(a, src_ij, inv_ij):
-    """Bijective reindex of the last two axes.
-
-    out[..., i, j] = a[..., I[i, j], J[i, j]] with (I, J) = src_ij; inv_ij is
-    the index map of the inverse bijection, used for the backward pass.
-    """
-    I, J = src_ij
-    out = Tensor(a.data[..., I, J])
-
-    def bwd():
-        if a.requires_grad:
-            Ii, Ji = inv_ij
-            _accumulate(a, out.grad[..., Ii, Ji], owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -491,12 +449,12 @@ def gather_plane(a, src_ij, inv_ij):
 def bmm(a, b):
     """Batched matmul [..., M, K] @ [..., K, N]; batch axes broadcast."""
     _check_same_dtype(a, b)
-    a64 = a.data.astype(np.float64)
-    b64 = b.data.astype(np.float64)
+    a64 = a.data.astype(np.float64, copy=False)
+    b64 = b.data.astype(np.float64, copy=False)
     out = Tensor(np.matmul(a64, b64).astype(a.data.dtype))
 
     def bwd():
-        g = out.grad.astype(np.float64)
+        g = out.grad.astype(np.float64, copy=False)
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b64, -1, -2))
             _accumulate(a, _unbroadcast(ga, a.shape), owned=True)

@@ -17,8 +17,7 @@ from .autodiff import (Parameter, backward, dropout, finite_diff_grad,
                        grad_rel_err, new_rng, zero_grads)
 from .gconv import FeatureMapG, _check_input, filter_bank, group_conv, make_gconv_layer
 from .groups import (AffineElement, compose_affine, feature_perm, invert_affine,
-                     make_group, plane_index_map, transform_array,
-                     transform_feature, transform_filter)
+                     make_group, orbit, plane_index_map, transform_array)
 from .nn import (ForwardCtx, GBatchNorm, GBlock, Network, PoseBias, ReLUG,
                  VARIANTS, _attention_for, build_parity_nets)
 from .tensor import Tape, Tensor
@@ -503,8 +502,7 @@ def spatial_attention(s_x, params, grp, residual_branch=True):
         raise ValueError(f"input pose axis {hin} does not match attention filter "
                          f"({params.psi.shape[2]})")
     k = params.kernel
-    psis = T.concat([transform_filter(grp, h, params.psi) for h in range(hh)], axis=0)
-    psis = T.reshape(psis, (hh, 1, 2, 1, hin, k, k))           # [h, -, s, -, t', k, k]
+    psis = T.reshape(orbit(grp, params.psi), (hh, 1, 2, 1, hin, k, k))  # [h, -, s, -, t', k, k]
     mask = (np.eye(hh)[:, None, None, :, None, None, None]
             * np.eye(hin)[None, :, None, None, :, None, None])  # [h, t, -, h', t', -, -]
     diag = T.mul(psis, Tensor(mask.astype(psis.data.dtype)))    # [h, t, s, h', t', k, k]
@@ -696,7 +694,7 @@ def _p(rng, shape, name, scale=1.0):
 
 
 def gradcheck_cases(seed=0):
-    """(name, params, loss_fn) triples jointly covering every primitive op."""
+    """(name, params, loss_fn) triples that jointly call every taped op of gatt.tensor."""
     cases = []
     grp4 = make_group("C4")
 
@@ -723,10 +721,9 @@ def gradcheck_cases(seed=0):
         mn = T.reduce(x1, axes=(0, 2), mode="mean")
         t = T.transpose(x1, (2, 0, 1))
         rs = T.reshape(t, (4, 6))
-        cat = T.concat([rs, rs], axis=0)
         st = T.stack([mn, mn], axis=1)
         return T.add(T.add(T.reduce(m), T.reduce(mn)),
-                     T.add(T.reduce(cat), T.reduce(st)))
+                     T.add(T.reduce(rs), T.reduce(st)))
     cases.append(("shapes_reduce", [x1], loss_shapes))
 
     rng = new_rng(seed + 2)
@@ -840,13 +837,12 @@ def gradcheck_cases(seed=0):
 
     rng = new_rng(seed + 11)
     xt = _p(rng, (1, 2, 4, 4, 4), "xt")
+    # a fixed weight per copy, so that copies swapped by a wrong index change the loss
+    wt = Tensor(rng.standard_normal((grp4.order,) + xt.shape))
 
     def loss_transform():
-        pieces = [transform_feature(grp4, h, xt) for h in range(4)]
-        s = pieces[0]
-        for piece in pieces[1:]:
-            s = T.add(s, T.mul(piece, piece))
-        return T.reduce(s)
+        o = orbit(grp4, xt)
+        return T.reduce(T.mul(T.mul(o, o), wt))
     cases.append(("pose_transforms", [xt], loss_transform))
 
     return cases
@@ -893,6 +889,8 @@ def attentive_block_indices(net):
 
 def block_alpha_x(net, x, index):
     """The spatial attention map produced inside layer `index` for input x."""
+    if not 0 <= index < len(net.layers):
+        raise ValueError(f"layer {index} out of range: the network has {len(net.layers)} layers")
     blk = net.layers[index]
     if not isinstance(blk, GBlock) or blk.variant in ("plain", "channel"):
         raise ValueError(f"layer {index} has no spatial attention")

@@ -15,7 +15,7 @@ from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
                             residual_gate)
 from gatt.autodiff import Parameter, backward, new_rng
 from gatt.gconv import FeatureMapG, group_conv, make_gconv_layer
-from gatt.groups import make_group, transform_array, transform_filter
+from gatt.groups import make_group, transform_array
 from gatt.tensor import Tape, Tensor
 from gatt.verify import (attentive_oracle_errors, channel_attention, channel_stats,
                          intermediate_responses, reference_attention_maps, relabel,
@@ -152,7 +152,7 @@ def test_spatial_attention_matches_manual():
     n, _, hh, hin, y, xs = s_x.shape
     want = np.zeros((n, 1, hh, hin, y, xs))
     for h in range(hh):
-        psi_h = transform_filter(GRP, h, sp.psi).data  # [1, 2, Hin, k, k]
+        psi_h = transform_array(GRP, h, sp.psi.data, group_axis=2)  # [1, 2, Hin, k, k]
         for t in range(hin):
             resp = np.zeros((n, y, xs))
             for s in range(2):
@@ -175,7 +175,7 @@ def test_spatial_response_is_a_two_channel_conv_per_pose_pair(monkeypatch, pool_
     stats = s_x.data if pool_out else s_x.data.reshape((-1,) + s_x.shape[2:])
     got = got.reshape((stats.shape[0], 1) + got.shape[-4:])
     for h in range(grp.order):
-        psi_h = transform_filter(grp, h, sp.psi).data             # [1, 2, Hin, k, k]
+        psi_h = transform_array(grp, h, sp.psi.data, group_axis=2)  # [1, 2, Hin, k, k]
         for t in range(grp.order):
             want = T.conv2d(Tensor(stats[:, :, h, t]), Tensor(psi_h[:, :, t])).data
             np.testing.assert_allclose(got[:, :, h, t], want, rtol=0, atol=1e-12)

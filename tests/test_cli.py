@@ -131,6 +131,33 @@ def test_missing_subcommand_rejected():
     assert exc.value.code == 2
 
 
+@pytest.fixture(scope="module")
+def input_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    assert main(_train_args(out, "--variant", "input")) == 0
+    return str(out / "model.ckpt")
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-equivariance", "--depth", "0"],
+    ["check-equivariance", "--depth", "-1"],
+    ["check-equivariance", "--trials", "0"],
+    ["parity-demo", "--size", "0"],
+    ["attend", "--layer", "99"],
+    ["attend", "--sample-index", "-1"],
+], ids=lambda argv: " ".join(argv))
+def test_out_of_range_arguments_exit_2(capsys, input_checkpoint, argv):
+    if argv[0] == "attend":
+        argv = argv + ["--checkpoint", input_checkpoint, "--variant", "input",
+                       "--channels", "4", "--seed", "5"]
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse rejects the value itself
+        code = exc.code
+    assert code == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_rotmnist_without_data_dir_exits_2(capsys, monkeypatch):
     monkeypatch.delenv("GATT_DATA_DIR", raising=False)
     code = main(["train", "--data", "rotmnist", "--epochs", "1"])

@@ -111,6 +111,19 @@ def test_filter_bank_shape_and_identity_block():
     np.testing.assert_array_equal(bank[:2], layer.weight.data.reshape(2, 12, 3, 3))
 
 
+def test_filter_bank_is_a_fixed_number_of_records():
+    # the whole orbit of the filter is gathered at once, whatever the group
+    counts = set()
+    for name in ("C1", "C4", "D4"):
+        for lifting in (True, False):
+            layer = make_gconv_layer(new_rng(13), make_group(name), 2, 3, lifting=lifting,
+                                     dtype="f64")
+            with T.Tape() as tape:
+                filter_bank(layer)
+            counts.add(len(tape.records))
+    assert len(counts) == 1 and counts.pop() <= 3
+
+
 def test_intermediate_responses_sum_reproduces_layer():
     grp = make_group("D4")
     layer = make_gconv_layer(new_rng(13), grp, 3, 2, kernel=3, dtype="f64")
@@ -196,6 +209,17 @@ def test_layer_shape_validation():
     with pytest.raises(ValueError):
         GConvLayer(grp, Tensor(np.zeros((2, 2, 4, 3, 3))),
                    bias=Tensor(np.zeros(3)))  # bias extent != out channels
+
+
+def test_gconv_layer_requires_odd_square_filter():
+    grp = make_group("C4")
+    with pytest.raises(ValueError):
+        GConvLayer(grp, Tensor(np.zeros((1, 1, 1, 2, 2))))
+    with pytest.raises(ValueError):
+        GConvLayer(grp, Tensor(np.zeros((1, 1, 1, 4, 4))))
+    with pytest.raises(ValueError):
+        GConvLayer(grp, Tensor(np.zeros((1, 1, 1, 3, 5))))
+    GConvLayer(grp, Tensor(np.zeros((1, 1, 1, 3, 3))))
 
 
 def test_forward_input_validation():

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatt.autodiff import Parameter, backward
 from gatt.groups import (AffineElement, GROUP_NAMES, compose_affine, feature_perm,
-                         invert_affine, make_group, plane_index_map,
-                         transform_array, transform_feature, transform_filter)
-from gatt.tensor import Tensor
+                         invert_affine, make_group, orbit, plane_index_map,
+                         transform_array)
+from gatt.tensor import Tape, Tensor, mul, reduce
 
 ALL_GROUPS = [make_group(n) for n in GROUP_NAMES]
 
@@ -156,36 +157,42 @@ def test_feature_perm_identity():
 
 
 def test_tensor_transform_matches_array_path():
-    grp = make_group("D4")
-    x = np.random.default_rng(2).random((1, 2, 8, 6, 6))
-    for h in range(grp.order):
-        got = transform_feature(grp, h, Tensor(x)).data
-        want = transform_array(grp, h, x, group_axis=2)
-        np.testing.assert_array_equal(got, want)
+    # orbit's entry h is transform_array's action of h, for P = 1 and P = |H|,
+    # at odd and even plane extents
+    rng = np.random.default_rng(2)
+    for grp in ALL_GROUPS:
+        for poses in (1, grp.order):
+            for size in (3, 4):
+                x = rng.random((2, 3, poses, size, size))
+                got = orbit(grp, Tensor(x)).data
+                assert got.shape == (grp.order,) + x.shape
+                for h in range(grp.order):
+                    want = transform_array(grp, h, x, group_axis=-3)
+                    np.testing.assert_array_equal(got[h], want)
 
 
 def test_tensor_transform_gradient_is_inverse_transform():
-    from gatt.tensor import Tape, reduce as treduce, mul
-    from gatt.autodiff import backward, Parameter
-    grp = make_group("C4")
-    x = Parameter(np.random.default_rng(3).random((1, 1, 4, 4, 4)), dtype="f64")
-    w = np.random.default_rng(4).random((1, 1, 4, 4, 4))
-    with Tape() as tape:
-        y = transform_feature(grp, 1, x)
-        loss = treduce(mul(y, Tensor(w)))
-        backward(tape, loss)
-    # d loss / d x = w transformed by the inverse element
-    want = transform_array(grp, int(grp.inverse[1]), w, group_axis=2)
-    np.testing.assert_array_equal(x.grad, want)
+    for grp in ALL_GROUPS:
+        x = Parameter(np.random.default_rng(3).random((2, grp.order, 4, 4)), dtype="f64")
+        w = np.random.default_rng(4).random((grp.order,) + x.shape)
+        with Tape() as tape:
+            backward(tape, reduce(mul(orbit(grp, x), Tensor(w))))
+        # d loss / d x: each copy's weight transformed back by the inverse
+        # element, summed in h order
+        want = np.zeros(x.shape)
+        for h in range(grp.order):
+            want = want + transform_array(grp, int(grp.inverse[h]), w[h], group_axis=-3)
+        np.testing.assert_array_equal(x.grad, want)
 
 
-def test_transform_filter_requires_odd_square():
+def test_orbit_rejects_a_bad_shape():
     grp = make_group("C4")
     with pytest.raises(ValueError):
-        transform_filter(grp, 1, Tensor(np.zeros((1, 1, 1, 2, 2))))
+        orbit(grp, Tensor(np.zeros((1, 4, 3, 5))))     # not square
     with pytest.raises(ValueError):
-        transform_filter(grp, 1, Tensor(np.zeros((1, 1, 1, 4, 4))))
-    transform_filter(grp, 1, Tensor(np.zeros((1, 1, 1, 3, 3))))
+        orbit(grp, Tensor(np.zeros((1, 3, 5, 5))))     # pose axis 3
+    with pytest.raises(ValueError):
+        orbit(grp, Tensor(np.zeros((5, 5))))           # no pose axis
 
 
 def test_wrong_pose_extent_rejected():

@@ -391,16 +391,6 @@ def test_sigmoid_values():
     assert s[0] == 0.5 and s[1] == pytest.approx(1.0) and s[2] == pytest.approx(0.0)
 
 
-def test_permute_axis_round_trip():
-    a = Tensor(np.arange(12.0).reshape(3, 4))
-    perm = np.array([2, 0, 3, 1])
-    inv = np.argsort(perm)
-    out = T.permute_axis(a, 1, perm, inv)
-    np.testing.assert_array_equal(out.data, a.data[:, perm])
-    back = T.permute_axis(out, 1, inv, perm)
-    np.testing.assert_array_equal(back.data, a.data)
-
-
 def test_gather_axis_repeats_and_scatter_adds():
     a = Parameter(np.array([1.0, 2.0, 3.0]), dtype="f64")
     with Tape() as tape:
@@ -410,10 +400,23 @@ def test_gather_axis_repeats_and_scatter_adds():
     np.testing.assert_array_equal(a.grad, [2.0, 0.0, 1.0])
 
 
-def test_concat_and_stack_shapes():
+def test_gather_axis_index_axes_replace_the_gathered_axis():
+    a = Parameter(np.arange(6.0).reshape(2, 3), dtype="f64")
+    idx = np.array([[0, 2], [2, 2]])
+    w = np.arange(8.0).reshape(2, 2, 2)
+    with Tape() as tape:
+        g = T.gather_axis(a, 1, idx)
+        backward(tape, T.reduce(T.mul(g, Tensor(w))))
+    np.testing.assert_array_equal(g.data, a.data[:, idx])
+    want = np.zeros((2, 3))
+    for i in range(2):
+        for j in range(2):
+            want[:, idx[i, j]] += w[:, i, j]
+    np.testing.assert_array_equal(a.grad, want)
+
+
+def test_stack_shapes():
     a = Tensor(np.ones((2, 3)))
-    b = Tensor(np.zeros((2, 2)))
-    assert T.concat([a, b], axis=1).shape == (2, 5)
     assert T.stack([a, a], axis=0).shape == (2, 2, 3)
 
 
