@@ -164,6 +164,15 @@ class _PoseKernel:
     columns.  Max ties route to the first index in the flat (o, y, x) order
     for alpha_C and (o, c) for alpha_X.  All arithmetic runs in float64.
 
+    With pooled maps the gated channel sum sum_c alpha_C R is one GEMV per
+    (n, t), [1, C] @ [C, O*P] of the ungated slice.  When no backward will
+    run (no tape, or no parent needs a gradient) the forward locates no
+    route: it takes m = max_o R once, alpha_C's max statistic is max_p m and
+    alpha_X's is max_c alpha_C m, and the slice is never gated.  This is
+    exact: every gate lies in (0, 1) and rounding is monotone, so
+    fl(a max r) = max fl(a r), and the output and maps carry the same bits
+    as on the taped path, which gates the slice in place to find the routes.
+
     Every per-pose quantity is per sample, so forward and backward run over
     chunks of whole samples, each as large as fits a slice [nb, C, Hin, O, P]
     in T.POSE_CHUNK_BYTES (at least one sample); only the parameter
@@ -254,17 +263,33 @@ class _PoseKernel:
         gcs = np.empty((n, hin, order, o, p))   # channel sums of the gated slices
         s_x = np.empty((order, n, g, 2, hin, p)) if alpha_x is not None else None
         r = np.empty((n, c, hin, o, p))         # the one live slice
+        rv = r.reshape(n, c, hin, g, -1)
+        lean = self.pool_out and not keep       # no routes: maxima from one max over o
         for h in range(order):
             np.matmul(self.wb[h], ck.x5, out=r)                     # [n, C, Hin, O, P]
             st = {}
+            m = r.max(axis=3) if lean else None                     # [n, C, Hin, P]
+            ac = None
             if alpha_c:
-                alpha_c[h][...] = self._channel_forward(ck, h, r, st)
-            np.sum(r, axis=1, out=gcs[:, :, h])
-            if s_x is not None:
+                ac = alpha_c[h][...] = self._channel_forward(ck, h, r, m, st)
+            if ac is not None and self.pool_out:
+                # sum_c alpha_C r as one GEMV per (n, t): [n, Hin, 1, C] @ [n, Hin, C, O*P]
+                np.matmul(ac.transpose(0, 2, 3, 1),
+                          r.reshape(n, c, hin, o * p).swapaxes(1, 2),
+                          out=gcs.reshape(n, hin, order, o * p)[:, :, h:h + 1])
+                if s_x is not None and not lean:
+                    rv *= ac[..., None]             # the routes read the gated slice
+            else:
+                if ac is not None:
+                    rv *= ac[..., None]             # pool_out=False gates per (c, o)
+                np.sum(r, axis=1, out=gcs[:, :, h])
+            if lean and s_x is not None:
+                self._pooled_stats(m, ac, gcs[:, :, h], s_x[h])
+            elif s_x is not None:
                 self._spatial_stats(r, gcs[:, :, h], st, s_x[h])
             if keep:
                 ck.poses.append(st)
-        del r
+        del r, rv
         ck.x5 = ck.xs = None                    # the backward unfolds them again
         if s_x is None:
             np.sum(gcs, axis=1, out=res)
@@ -278,21 +303,36 @@ class _PoseKernel:
             ck.gcs, ck.axt, ck.fs = gcs, axt, fs
         np.sum(gcs * axt, axis=1, out=res)
 
-    def _channel_forward(self, ck, h, r, st):
+    def _channel_forward(self, ck, h, r, m, st):
+        """alpha_C [n, C, Hin, g] of the ungated slice r; its max statistic is
+        m's max over p when m (r's max over o) is given, else read at the
+        first (o, p) route, which st keeps for the backward."""
         n = ck.hi - ck.lo
         _, c, hin, o, kk, p = self.dims
         g, rep = self.g, o // self.g
-        rv = r.reshape(n, c, hin, g, -1)
-        am = rv.argmax(axis=-1)                                     # [n, C, Hin, g]
-        s = np.stack((np.einsum("ctgk,nctk->nctg", self.wsum[h], ck.xs) / (rep * p),
-                      np.take_along_axis(rv, am[..., None], axis=-1)[..., 0]))
+        if m is not None:
+            smax = m.max(axis=-1)[..., None]                        # [n, C, Hin, 1]
+        else:
+            rv = r.reshape(n, c, hin, g, -1)
+            am = rv.argmax(axis=-1)                                 # [n, C, Hin, g]
+            smax = np.take_along_axis(rv, am[..., None], axis=-1)[..., 0]
+            st.update(am=am)
+        s = np.stack((np.einsum("ctgk,nctk->nctg", self.wsum[h], ck.xs) / (rep * p), smax))
         sb = s.transpose(3, 2, 0, 1, 4).reshape(hin, c, 2 * n * g)  # [Hin, C, (2, n, g)]
         u = np.matmul(self.w1[h], sb)
         z = np.matmul(self.w2[h], np.maximum(u, 0.0)).reshape(hin, c, 2, n * g).sum(axis=2)
         ac = _gate_np(z, self.residual, self.eps).reshape(hin, c, n, g).transpose(2, 1, 0, 3)
-        rv *= ac[..., None]                                         # r is gated from here
-        st.update(am=am, sb=sb, u=u, ac=ac)
+        st.update(sb=sb, u=u, ac=ac)
         return ac                                                   # [n, C, Hin, g]
+
+    def _pooled_stats(self, m, ac, gc, out):
+        """Mean and max over (o, c) into out [n, 1, 2, Hin, P] from m, the
+        ungated slice's max over o; the gates commute with that max."""
+        _, c, hin, o, kk, p = self.dims
+        if ac is not None:
+            m = m * ac
+        out[:, 0, 0] = gc.sum(axis=2) / (o * c)
+        out[:, 0, 1] = m.max(axis=1)
 
     def _spatial_stats(self, r, gc, st, out):
         """Mean and max over (o, c) (over c with pool_out=False) into out [n, g, 2, Hin, P]."""

@@ -295,14 +295,14 @@ def build_parser():
     p.add_argument("--data", choices=("synth", "rotmnist"), default="synth")
     p.add_argument("--data-dir", help=f"digit file directory (or ${DATA_DIR_ENV})")
     p.add_argument("--arch", choices=("tiny", "digit"))
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--epochs", type=_int_from(1))
+    p.add_argument("--batch", type=_int_from(1))
     p.add_argument("--lr", type=float)
     p.add_argument("--weight-decay", type=float, default=1e-4)
     p.add_argument("--dropout", type=float)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--train-size", type=int, default=2048)
-    p.add_argument("--limit", type=int, help="cap the training set (smoke runs)")
+    p.add_argument("--channels", type=_int_from(1))
+    p.add_argument("--train-size", type=_int_from(1), default=2048)
+    p.add_argument("--limit", type=_int_from(1), help="cap the training set (smoke runs)")
     p.add_argument("--normalize", action="store_true",
                    help="subtract the training-set mean")
     p.add_argument("--lr-decay", type=int, nargs="*",
@@ -313,7 +313,7 @@ def build_parser():
                        help="dump spatial attention maps for transformed inputs")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--arch", choices=("tiny", "digit"))
-    p.add_argument("--channels", type=int)
+    p.add_argument("--channels", type=_int_from(1))
     p.add_argument("--image", help="PGM input; default is a generated sample")
     p.add_argument("--sample-index", type=_int_from(0), default=0)
     p.add_argument("--layer", type=int, help="network layer index to inspect")

@@ -352,8 +352,8 @@ _CONFIG_PARSERS = {
     "filter_size": lambda v, k, ln: _int(v, k, ln),
     "reduction_ratio": lambda v, k, ln: _int(v, k, ln),
     "lr": lambda v, k, ln: _float(v, k, ln),
-    "epochs": lambda v, k, ln: _int(v, k, ln),
-    "batch": lambda v, k, ln: _int(v, k, ln),
+    "epochs": lambda v, k, ln: _int(v, k, ln, minimum=1),
+    "batch": lambda v, k, ln: _int(v, k, ln, minimum=1),
     "seed": lambda v, k, ln: _int(v, k, ln),
     "dtype": lambda v, k, ln: _choice(v, k, ln, ("f32", "f64")),
     "residual_branch": _parse_bool,
@@ -367,11 +367,14 @@ def _choice(val, key, lineno, options):
     return val
 
 
-def _int(val, key, lineno):
+def _int(val, key, lineno, minimum=None):
     try:
-        return int(val)
+        value = int(val)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} expects an integer, got {val!r}") from None
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"line {lineno}: {key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _float(val, key, lineno):

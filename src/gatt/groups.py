@@ -147,7 +147,7 @@ def feature_perm(grp, h):
 
 def transform_array(grp, h, arr, group_axis=None):
     """Numpy-level transform: spatial index map plus optional group-axis permutation."""
-    if arr.shape[-1] != arr.shape[-2] and h != 0:
+    if arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"plane spatial dims must be square to transform, got {arr.shape[-2:]}")
     out = arr
     if group_axis is not None and arr.shape[group_axis] != 1:

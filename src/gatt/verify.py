@@ -575,9 +575,12 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
 
     Returns max|fast - reference| / max(1, max|reference|) for the output,
     alpha_C, alpha_X and the gradients of the input and of every parameter
-    under a random linear loss, on `batch` samples.  With `ties` the input
-    and weights are rounded and the input has zero rows, so every max has
-    ties to route.
+    under a random linear loss, on `batch` samples.  The same for the output
+    and maps of a forward with no tape (keys `tapeless_*`), and under
+    `tapeless_vs_taped` the largest absolute difference between those and
+    the taped forward's, 0 when the two agree bit for bit.  With `ties` the
+    input and weights are rounded and the input has zero rows, so every max
+    has ties to route.
     """
     grp = make_group(group_name)
     rng = new_rng(seed)
@@ -595,6 +598,13 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
     params = [xp] + layer.params() + (ch.params() if ch else []) + (sp.params() if sp else [])
     f = FeatureMapG(xp, grp)
     kwargs = dict(variant=variant, residual_branch=residual_branch, pool_out=pool_out)
+
+    def values(out, maps):
+        got = {"out": out.data.data}
+        got.update((name, m.data) for name, m in zip(("alpha_c", "alpha_x"), maps)
+                   if m is not None)
+        return got
+
     probe = None
     results = []
     for fast in (True, False):
@@ -608,17 +618,24 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
                 probe = Tensor(new_rng(seed + 1).standard_normal(out.shape).astype(
                     out.data.data.dtype))
             backward(tape, T.reduce(T.mul(out.data, probe)))
-        got = {"out": out.data.data}
-        got.update((name, m.data) for name, m in zip(("alpha_c", "alpha_x"), maps)
-                   if m is not None)
+        got = values(out, maps)
         got.update((f"grad_{p.name.rsplit('.', 1)[-1]}", p.grad.copy()) for p in params)
         results.append(got)
         zero_grads(params)
+    # with no tape the block keeps no record and takes its maxima without routes
+    tapeless = values(attentive_group_conv(f, layer, ch, sp, **kwargs),
+                      attention_maps(f, layer, ch, sp, **kwargs))
     fast, ref = results
     if fast.keys() != ref.keys():
         raise AssertionError(f"fast block reports {sorted(fast)}, reference {sorted(ref)}")
-    return {k: max_abs(fast[k], ref[k]) / max(1.0, float(np.max(np.abs(ref[k]))))
-            for k in ref}
+
+    def err(got, k):
+        return max_abs(got[k], ref[k]) / max(1.0, float(np.max(np.abs(ref[k]))))
+
+    errs = {k: err(fast, k) for k in ref}
+    errs.update((f"tapeless_{k}", err(tapeless, k)) for k in tapeless)
+    errs["tapeless_vs_taped"] = max(max_abs(tapeless[k], fast[k]) for k in tapeless)
+    return errs
 
 
 # ---------------------------------------------------------------------------

@@ -374,12 +374,13 @@ def test_spatial_attention_shape_mismatch():
 @pytest.mark.parametrize("group_name", ["C4", "D4"])
 @pytest.mark.parametrize("variant", ["full", "channel", "spatial"])
 def test_fast_block_matches_reference_oracle(group_name, variant):
-    # output, both maps and every gradient, on plain and tie-heavy inputs
-    keys = {"out", "grad_x", "grad_weight", "grad_bias"}
+    # output, both maps and every gradient, on plain and tie-heavy inputs; the
+    # output and maps again with no tape, bit-identical to the taped forward's
+    keys = {"out", "grad_x", "grad_weight", "grad_bias", "tapeless_out", "tapeless_vs_taped"}
     if variant != "spatial":
-        keys |= {"alpha_c", "grad_w1", "grad_w2"}
+        keys |= {"alpha_c", "grad_w1", "grad_w2", "tapeless_alpha_c"}
     if variant != "channel":
-        keys |= {"alpha_x", "grad_psi"}
+        keys |= {"alpha_x", "grad_psi", "tapeless_alpha_x"}
     cases = 0
     for pool_out in (True, False):
         for residual in (True, False):
@@ -390,6 +391,7 @@ def test_fast_block_matches_reference_oracle(group_name, variant):
                                                    ties=cases % 2 == 1)
                     assert set(errs) == keys
                     assert max(errs.values()) <= 1e-10, errs
+                    assert errs["tapeless_vs_taped"] == 0.0, errs
                     cases += 1
     assert cases == 24
 
@@ -414,6 +416,7 @@ def test_fast_block_matches_reference_oracle_over_ragged_chunks(monkeypatch, gro
         errs = attentive_oracle_errors(group_name, variant, pool_out, seed=7, ties=True,
                                        batch=5)
         assert max(errs.values()) <= 1e-10, errs
+        assert errs["tapeless_vs_taped"] == 0.0, errs
     assert spans and all(s == [(0, 2), (2, 4), (4, 5)] for s in spans)
 
 
@@ -434,6 +437,7 @@ def test_scatter_add_rejects_a_target_that_is_not_c_contiguous():
 def test_fast_block_matches_reference_in_f32():
     errs = attentive_oracle_errors("C4", seed=5, dtype="f32")
     assert max(errs.values()) <= 1e-5, errs
+    assert errs["tapeless_vs_taped"] == 0.0, errs
 
 
 def test_attentive_forward_peaks_below_half_the_pair_tensor():

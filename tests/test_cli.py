@@ -145,17 +145,38 @@ def input_checkpoint(tmp_path_factory):
     ["parity-demo", "--size", "0"],
     ["attend", "--layer", "99"],
     ["attend", "--sample-index", "-1"],
+    ["attend", "--channels", "0"],
+    ["train", "--channels", "0"],
+    ["train", "--epochs", "-1"],
+    ["train", "--epochs", "0"],
+    ["train", "--batch", "0"],
+    ["train", "--train-size", "0"],
+    ["train", "--limit", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_arguments_exit_2(capsys, input_checkpoint, argv):
+    # valid arguments first; the bad value comes last, so it wins over any earlier one
     if argv[0] == "attend":
-        argv = argv + ["--checkpoint", input_checkpoint, "--variant", "input",
-                       "--channels", "4", "--seed", "5"]
+        argv = ["attend", "--checkpoint", input_checkpoint, "--variant", "input",
+                "--channels", "4", "--seed", "5"] + argv[1:]
+    if argv[0] == "train":
+        argv = ["train", "--data", "synth", "--train-size", "32", "--epochs", "1",
+                "--channels", "4"] + argv[1:]
     try:
         code = main(argv)
     except SystemExit as exc:   # argparse rejects the value itself
         code = exc.code
     assert code == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["epochs = -1", "epochs = 0", "batch = 0"])
+def test_train_config_counts_below_one_exit_2(capsys, tmp_path, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code = main(["train", "--config", str(cfg), "--data", "synth", "--train-size", "32",
+                 "--channels", "4"])
+    assert code == 2
+    assert "must be >= 1" in capsys.readouterr().err
 
 
 def test_rotmnist_without_data_dir_exits_2(capsys, monkeypatch):

@@ -342,6 +342,8 @@ pool_out_channels = no
     ("mystery = 3", "line 1: unknown key"),
     ("seed = 1\nseed = 2", "line 2: duplicate"),
     ("epochs = soon", "line 1: epochs expects an integer"),
+    ("epochs = 0", "line 1: epochs must be >= 1"),
+    ("seed = 1\nbatch = -2", "line 2: batch must be >= 1"),
     ("lr = fast", "line 1: lr expects a number"),
     ("group = p8", "line 1: group must be one of"),
     ("dtype = f16", "line 1: dtype"),

@@ -131,9 +131,12 @@ def test_inverse_transform_round_trip(grp):
 
 
 def test_non_square_plane_rejected():
+    # also at the identity, which would otherwise crop or index out of range
     grp = make_group("C4")
-    with pytest.raises(ValueError):
-        transform_array(grp, 1, np.zeros((3, 4)))
+    for h in (0, 1):
+        for shape in ((5, 3), (3, 5), (3, 4)):
+            with pytest.raises(ValueError, match="square"):
+                transform_array(grp, h, np.arange(float(np.prod(shape))).reshape(shape))
 
 
 # ---------------------------------------------------------------------------
