@@ -28,10 +28,10 @@ class Parameter(Tensor):
         self.weight_decay = bool(weight_decay)
 
 
-def he_init(rng, shape, fan_in, dtype="f32", name="", weight_decay=True):
-    """Fan-in scaled normal init, std = sqrt(2 / fan_in)."""
+def he_init(rng, shape, fan_in, dtype="f32", name=""):
+    """Fan-in scaled normal init, std = sqrt(2 / fan_in); weight-decayed."""
     data = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-    return Parameter(data, dtype=dtype, name=name, weight_decay=weight_decay)
+    return Parameter(data, dtype=dtype, name=name)
 
 
 def backward(tape, loss):
@@ -66,11 +66,14 @@ def zero_grads(params):
         p.grad = None
 
 
-def finite_diff_grad(loss_fn, params, h=1e-5):
+FD_STEP = 1e-5  # central-difference step h of finite_diff_grad
+
+
+def finite_diff_grad(loss_fn, params):
     """Central-difference gradient of a scalar-valued closure.
 
     `loss_fn` takes no arguments and must not depend on an active tape; it is
-    re-evaluated with each parameter coordinate nudged by +/-h.
+    re-evaluated with each parameter coordinate nudged by +/-FD_STEP.
     """
     grads = []
     for p in params:
@@ -79,12 +82,12 @@ def finite_diff_grad(loss_fn, params, h=1e-5):
         gflat = g.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
+            flat[i] = orig + FD_STEP
             lp = float(loss_fn())
-            flat[i] = orig - h
+            flat[i] = orig - FD_STEP
             lm = float(loss_fn())
             flat[i] = orig
-            gflat[i] = (lp - lm) / (2.0 * h)
+            gflat[i] = (lp - lm) / (2.0 * FD_STEP)
         grads.append(g)
     return grads
 
@@ -100,13 +103,13 @@ def grad_rel_err(a, b):
 class Adam:
     """Adam with decoupled-from-nothing L2: decay is added to the raw gradient."""
 
-    def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8,
-                 weight_decay=0.0):
+    BETA1 = 0.9
+    BETA2 = 0.999
+    EPS = 1e-8
+
+    def __init__(self, params, lr=0.001, weight_decay=0.0):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -115,7 +118,7 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = self.BETA1, self.BETA2
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
@@ -129,14 +132,14 @@ class Adam:
             v += dt(1 - b2) * (g * g)
             mhat = m / dt(1 - b1 ** t)
             vhat = v / dt(1 - b2 ** t)
-            p.data -= dt(self.lr) * mhat / (np.sqrt(vhat) + dt(self.eps))
+            p.data -= dt(self.lr) * mhat / (np.sqrt(vhat) + dt(self.EPS))
 
 
-def dropout(t, rate, rng, training=True):
+def dropout(t, rate, rng):
     """Inverted dropout: keep with prob 1-rate and scale kept units by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
+    if rate == 0.0:
         return t
     keep = rng.random(t.shape, dtype=t.data.dtype) >= rate
     scale = t.data.dtype.type(1.0 / (1.0 - rate))

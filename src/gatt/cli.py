@@ -111,8 +111,7 @@ def cmd_conv_oracle(args):
 
 def cmd_parity_demo(args):
     cfg = _resolve_config(args)
-    report, maps = parity_report(size=args.size, seed=cfg.seed, dtype=cfg.dtype,
-                                 return_maps=True)
+    report, maps = parity_report(size=args.size, seed=cfg.seed, dtype=cfg.dtype)
     emit(report, args.out, "parity_demo")
     if args.out:
         for name, plane in maps.items():

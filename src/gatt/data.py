@@ -59,12 +59,12 @@ def read_idx(path):
     return magic, data
 
 
-def load_idx_images(path, dtype=np.float32):
-    """[N, Y, X] scaled to [0, 1]."""
+def load_idx_images(path):
+    """[N, Y, X] float32 scaled to [0, 1]."""
     magic, data = read_idx(path)
     if magic != IDX_IMAGES_MAGIC:
         raise ValueError(f"{path}: expected an IDX image file")
-    return data.astype(dtype) / dtype(255.0)
+    return data.astype(np.float32) / np.float32(255.0)
 
 
 def load_idx_labels(path):
@@ -269,14 +269,14 @@ def read_pgm(path):
     return data.reshape(h, w)
 
 
-def attention_montage(input_plane, alpha_planes, upsample=8, gap=1):
+def attention_montage(input_plane, alpha_planes):
     """Input beside each attention plane, jointly normalized, as one graymap.
 
     The attention planes share one min-max normalization so their relative
     strengths stay comparable; the input is normalized on its own.  Attention
     planes from downsampled layers are nearest-upscaled to the input extent
-    (which must be an integer multiple).  Panels are separated by white gap
-    columns and the result nearest-upsampled as a whole.
+    (which must be an integer multiple).  Panels are separated by one white
+    column and the result nearest-upsampled 8x as a whole.
     """
     def norm(p):
         p = np.asarray(p, dtype=np.float64)
@@ -298,14 +298,14 @@ def attention_montage(input_plane, alpha_planes, upsample=8, gap=1):
     y = np.asarray(input_plane).shape[0]
     panels = [norm(input_plane)] + [fit_to(alphas[k], y)
                                     for k in range(alphas.shape[0])]
-    sep = np.ones((y, gap))
+    sep = np.ones((y, 1))
     row = []
     for i, p in enumerate(panels):
         if i:
             row.append(sep)
         row.append(p)
     montage = np.concatenate(row, axis=1)
-    return np.repeat(np.repeat(montage, upsample, axis=0), upsample, axis=1)
+    return np.repeat(np.repeat(montage, 8, axis=0), 8, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +349,8 @@ def _parse_bool(val, key, lineno):
 _CONFIG_PARSERS = {
     "group": lambda v, k, ln: _choice(v, k, ln, tuple(GROUP_ALIASES)),
     "variant": lambda v, k, ln: _choice(v, k, ln, VARIANTS),
-    "filter_size": lambda v, k, ln: _int(v, k, ln),
-    "reduction_ratio": lambda v, k, ln: _int(v, k, ln),
+    "filter_size": lambda v, k, ln: _int(v, k, ln, minimum=1),
+    "reduction_ratio": lambda v, k, ln: _int(v, k, ln, minimum=1),
     "lr": lambda v, k, ln: _float(v, k, ln),
     "epochs": lambda v, k, ln: _int(v, k, ln, minimum=1),
     "batch": lambda v, k, ln: _int(v, k, ln, minimum=1),

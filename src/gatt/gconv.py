@@ -125,7 +125,7 @@ def group_conv(f: FeatureMapG, layer) -> FeatureMapG:
     return FeatureMapG(out, grp)
 
 
-def group_pool(f: FeatureMapG, mode="max") -> Tensor:
-    """Reduce the pose axis away: [N, C, |H|, Y, X] -> [N, C, Y, X]."""
+def group_pool(f: FeatureMapG) -> Tensor:
+    """Max-pool the pose axis away: [N, C, |H|, Y, X] -> [N, C, Y, X]."""
     check_feature(f)
-    return T.reduce(f.data, axes=(2,), mode=mode)
+    return T.reduce(f.data, axes=(2,), mode="max")

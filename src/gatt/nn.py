@@ -19,6 +19,8 @@ from .groups import make_group
 from .tensor import Tensor
 
 VARIANTS = ("plain", "full", "channel", "spatial", "input")
+BN_EPS = 2e-5       # GBatchNorm's variance floor
+BN_MOMENTUM = 0.1   # weight of a batch's statistics in GBatchNorm's running ones
 
 
 @dataclass
@@ -103,7 +105,7 @@ class GDropout:
     def forward(self, f, ctx):
         if not ctx.training or self.rate == 0.0:
             return f
-        return _map_data(f, lambda t: dropout(t, self.rate, ctx.rng, training=True))
+        return _map_data(f, lambda t: dropout(t, self.rate, ctx.rng))
 
     def params(self):
         return []
@@ -116,9 +118,7 @@ class GBatchNorm:
     equivariant: a transformed batch has the same per-channel moments.
     """
 
-    def __init__(self, channels, eps=2e-5, momentum=0.1, dtype="f32", name=""):
-        self.eps = eps
-        self.momentum = momentum
+    def __init__(self, channels, dtype="f32", name=""):
         self.gamma = Parameter(np.ones(channels), dtype=dtype, name=f"{name}.gamma",
                                weight_decay=False)
         self.beta = Parameter(np.zeros(channels), dtype=dtype, name=f"{name}.beta",
@@ -131,10 +131,10 @@ class GBatchNorm:
             c = t.shape[1]
             stat_axes = (0, 2, 3, 4) if t.ndim == 5 else (0, 2, 3)
             stats = None if ctx.training else (self.running_mean, self.running_var)
-            out, mu, var = T.batch_norm(t, self.gamma, self.beta, stat_axes, self.eps,
+            out, mu, var = T.batch_norm(t, self.gamma, self.beta, stat_axes, BN_EPS,
                                         stats)
             if ctx.training:
-                m = self.momentum
+                m = BN_MOMENTUM
                 self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
                 self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
             return out
@@ -148,10 +148,10 @@ class PoseBias:
     """Adds a distinct bias per (channel, pose).  Breaks equivariance on
     purpose; exists as a verification control."""
 
-    def __init__(self, channels, group, dtype="f32", scale=0.5, name="pose_bias"):
+    def __init__(self, channels, group, dtype="f32"):
         rng = new_rng(1234)
-        data = rng.normal(0.0, scale, size=(1, channels, group.order, 1, 1))
-        self.bias = Parameter(data, dtype=dtype, name=name, weight_decay=False)
+        data = rng.normal(0.0, 0.5, size=(1, channels, group.order, 1, 1))
+        self.bias = Parameter(data, dtype=dtype, name="pose_bias", weight_decay=False)
 
     def forward(self, f, ctx):
         return FeatureMapG(T.add(f.data, self.bias), f.group)
@@ -161,11 +161,8 @@ class PoseBias:
 
 
 class GroupPoolL:
-    def __init__(self, mode="max"):
-        self.mode = mode
-
     def forward(self, f, ctx):
-        return group_pool(f, mode=self.mode)
+        return group_pool(f)
 
     def params(self):
         return []
@@ -227,10 +224,10 @@ def _attention_for(rng, variant, in_channels, in_poses, reduction_ratio, kernel,
     return ch, sp
 
 
-def build_tiny_net(group_name="C4", variant="input", channels=8, n_classes=4,
+def build_tiny_net(group_name="C4", variant="input", channels=8,
                    reduction_ratio=2, att_kernel=7, dtype="f32", seed=0,
                    residual_branch=True, pool_out=True, dropout_rate=0.0):
-    """Two gconv layers plus a 1x1 head; fits 16x16 inputs.
+    """Two gconv layers plus a 1x1 head to the 4 glyph classes; fits 16x16 inputs.
 
     Attention (any variant) sits on the second, group-to-group layer; the
     lifting layer stays plain so the whole stack is exactly equivariant.
@@ -257,21 +254,21 @@ def build_tiny_net(group_name="C4", variant="input", channels=8, n_classes=4,
     if dropout_rate:
         layers.append(GDropout(dropout_rate))
     layers += [
-        GBlock(make_gconv_layer(rng, grp, channels, n_classes, 1, dtype=dtype,
-                                name="head")),
-        GroupPoolL("max"),
+        GBlock(make_gconv_layer(rng, grp, channels, 4, 1, dtype=dtype, name="head")),
+        GroupPoolL(),
         SpatialMeanL(),
     ]
     return Network(grp, layers)
 
 
-def build_parity_nets(channels=4, dtype="f32", seed=0):
-    """The two 2-layer C4 stacks of the stride/pooling comparison.
+def build_parity_nets(dtype="f32", seed=0):
+    """The two 2-layer C4 stacks (4 channels) of the stride/pooling comparison.
 
     (a) downsamples with a stride-2 group conv; (b) uses stride 1 followed by
     2x2 max pooling.  Both share the same first layer weights.
     """
     grp = make_group("C4")
+    channels = 4
     rng_a = new_rng(seed)
     net_a = Network(grp, [
         GBlock(make_gconv_layer(rng_a, grp, 1, channels, 3, lifting=True,
@@ -292,10 +289,10 @@ def build_parity_nets(channels=4, dtype="f32", seed=0):
     return net_a, net_b
 
 
-def build_digit_net(group_name="C4", variant="plain", channels=10, n_classes=10,
+def build_digit_net(group_name="C4", variant="plain", channels=10,
                     reduction_ratio=2, att_kernel=7, dtype="f32", seed=0,
                     residual_branch=True, pool_out=True, dropout_rate=0.3):
-    """Seven-layer digit classifier (28x28 inputs), ~22k weights at width 10."""
+    """Seven-layer 10-way digit classifier (28x28 inputs), ~22k weights at width 10."""
     grp = make_group(group_name)
     rng = new_rng(seed)
     layers = [
@@ -317,9 +314,8 @@ def build_digit_net(group_name="C4", variant="plain", channels=10, n_classes=10,
         if dropout_rate and i < 7:
             layers.append(GDropout(dropout_rate))
     layers += [
-        GBlock(make_gconv_layer(rng, grp, channels, n_classes, 1, dtype=dtype,
-                                name="head")),
-        GroupPoolL("max"),
+        GBlock(make_gconv_layer(rng, grp, channels, 10, 1, dtype=dtype, name="head")),
+        GroupPoolL(),
         SpatialMeanL(),
     ]
     return Network(grp, layers)

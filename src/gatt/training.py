@@ -36,11 +36,11 @@ def accuracy(net, x, y, batch=256):
 
 
 def fit(net, train_xy, val_xy=None, epochs=10, batch=128, lr=0.001,
-        weight_decay=0.0001, seed=0, log=None, lr_decay_epochs=(),
-        lr_decay_factor=0.1):
+        weight_decay=0.0001, seed=0, log=None, lr_decay_epochs=()):
     """Train with Adam; returns (one metrics dict per epoch, the optimizer).
 
-    `log`, if given, receives one preformatted key=value line per epoch.
+    The rate is multiplied by 0.1 from each epoch listed in `lr_decay_epochs`
+    on.  `log`, if given, receives one preformatted key=value line per epoch.
     """
     x, y = train_xy
     params = net.params()
@@ -51,7 +51,7 @@ def fit(net, train_xy, val_xy=None, epochs=10, batch=128, lr=0.001,
     history = []
     for epoch in range(epochs):
         if lr_decay_epochs:
-            opt.lr = lr * (lr_decay_factor ** sum(epoch >= e for e in lr_decay_epochs))
+            opt.lr = lr * (0.1 ** sum(epoch >= e for e in lr_decay_epochs))
         t0 = time.monotonic()
         total_loss = 0.0
         total_hit = 0

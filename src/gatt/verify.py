@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .attention import (ATTENTIVE_VARIANTS, _gate, _rel_index, attention_maps,
                         attentive_group_conv, input_attention, input_attention_maps)
-from .autodiff import (Parameter, backward, dropout, finite_diff_grad,
+from .autodiff import (FD_STEP, Parameter, backward, dropout, finite_diff_grad,
                        grad_rel_err, new_rng, zero_grads)
 from .gconv import FeatureMapG, _check_input, filter_bank, group_conv, make_gconv_layer
 from .groups import (AffineElement, compose_affine, feature_perm, invert_affine,
@@ -22,11 +22,17 @@ from .nn import (ForwardCtx, GBatchNorm, GBlock, Network, PoseBias, ReLUG,
                  VARIANTS, _attention_for, build_parity_nets)
 from .tensor import Tape, Tensor
 
-DEFAULT_SHIFTS = ((1, 0), (0, 1), (2, 1))
+DEFAULT_SHIFTS = ((1, 0), (0, 1), (2, 1))  # translations of the stack sweep
+RELABEL_SHIFTS = ((1, 0), (0, 2))          # translations of the map-relabeling law
 
 
 # ---------------------------------------------------------------------------
 # small geometry helpers (independent of the Tensor transform path)
+
+def _max_shift(shifts):
+    """Largest displacement along either axis over (dy, dx) shifts."""
+    return max(max(abs(dy), abs(dx)) for dy, dx in shifts)
+
 
 def shift_plane(arr, dy, dx):
     """Translate the last two axes by (dy, dx), filling with zeros."""
@@ -151,9 +157,9 @@ def random_stack(group_name="C4", variant="plain", depth=2, seed=0, dtype="f64",
     return Network(grp, layers)
 
 
-def stack_equivariance_report(net, x, shifts=DEFAULT_SHIFTS, tolerance=1e-10,
-                              halo=0):
-    """Transform-then-compute vs compute-then-transform for every h and shift.
+def stack_equivariance_report(net, x, tolerance=1e-10, halo=0):
+    """Transform-then-compute vs compute-then-transform for every h and every
+    shift of DEFAULT_SHIFTS.
 
     `x` must be a planar ndarray [N, C, Y, X] whose support clears the
     boundary by at least max(shift) + the stack's receptive halo; then both
@@ -171,8 +177,7 @@ def stack_equivariance_report(net, x, shifts=DEFAULT_SHIFTS, tolerance=1e-10,
         return out.data.data if isinstance(out, FeatureMapG) else out.data
 
     base = run(x)
-    max_shift = max((max(abs(dy), abs(dx)) for dy, dx in shifts), default=0)
-    crop = max_shift + halo
+    crop = _max_shift(DEFAULT_SHIFTS) + halo
     report = {"dtype": str(x.dtype), "crop_margin": crop, "tolerance": tolerance}
     errs = []
     for h in range(grp.order):
@@ -180,7 +185,7 @@ def stack_equivariance_report(net, x, shifts=DEFAULT_SHIFTS, tolerance=1e-10,
         want = relabel(grp, h, base, pose_axes=(2,))
         report[f"err_h{h}"] = max_abs(got, want)
         errs.append(report[f"err_h{h}"])
-    for dy, dx in shifts:
+    for dy, dx in DEFAULT_SHIFTS:
         got = run(shift_plane(x, dy, dx))
         want = shift_plane(base, dy, dx)
         report[f"err_shift_{dy}_{dx}"] = max_abs(crop_interior(got, crop),
@@ -193,23 +198,20 @@ def stack_equivariance_report(net, x, shifts=DEFAULT_SHIFTS, tolerance=1e-10,
 
 
 def stack_suite(group_name="C4", variant="plain", max_depth=3, trials=5, seed=0,
-                dtype="f64", tolerance=1e-10, negative_control=None,
-                shifts=DEFAULT_SHIFTS):
+                dtype="f64", tolerance=1e-10, negative_control=None):
     """Equivariance sweep over `trials` random stacks of depth 1..max_depth."""
     reports = []
     np_dtype = np.float64 if dtype == "f64" else np.float32
-    max_shift = max(max(abs(dy), abs(dx)) for dy, dx in shifts) if shifts else 0
     for t in range(trials):
         depth = 1 + t % max_depth
         net = random_stack(group_name, variant, depth=depth, seed=seed + t,
                            dtype=dtype, negative_control=negative_control)
         halo = depth * 1 + 2 + 1  # conv halos + attention filter halo + slack
-        margin = max_shift + halo
+        margin = _max_shift(DEFAULT_SHIFTS) + halo
         size = 2 * margin + 7
         rng = new_rng(seed + 1000 + t)
         x = bordered_noise(rng, (2, 2, size, size), margin, dtype=np_dtype)
-        rep = stack_equivariance_report(net, x, shifts=shifts, tolerance=tolerance,
-                                        halo=halo)
+        rep = stack_equivariance_report(net, x, tolerance=tolerance, halo=halo)
         rep["depth"] = depth
         reports.append(rep)
     summary = {
@@ -234,11 +236,12 @@ def stack_suite(group_name="C4", variant="plain", max_depth=3, trials=5, seed=0,
 
 def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False,
                              index_mode="relative", residual_branch=True,
-                             pool_out=True, size=15, shifts=((1, 0), (0, 2)),
-                             tolerance=1e-10, channels=4, out_channels=3,
-                             kernel=3, att_kernel=5):
+                             pool_out=True, tolerance=1e-10, att_kernel=5):
     """Check that both attention maps of a transformed input are the
     index-relabeled maps of the original input.
+
+    The probe is one 4-to-3-channel 3x3 layer with full attention, on two
+    15x15 inputs, under every group element and every shift of RELABEL_SHIFTS.
 
     For input transform h the predicted channel map is
     alpha_C[n, c, h0, t] -> alpha_C[n, c, h^-1 h0, h^-1 t] and the spatial map
@@ -247,16 +250,14 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
     """
     grp = make_group(group_name)
     rng = new_rng(seed)
-    layer = make_gconv_layer(rng, grp, channels, out_channels, kernel=kernel,
-                             lifting=lifting, dtype=dtype, name="probe")
-    n_rel = 1 if lifting else grp.order
-    ch, sp = _attention_for(rng, "full", channels, n_rel, 2, att_kernel, dtype, "probe")
-    margin = max(max(abs(dy), abs(dx)) for dy, dx in shifts) if shifts else 0
-    margin += kernel // 2 + att_kernel // 2
-    np_dtype = np.float64 if dtype == "f64" else np.float32
+    layer = make_gconv_layer(rng, grp, 4, 3, kernel=3, lifting=lifting, dtype=dtype,
+                             name="probe")
     hin = 1 if lifting else grp.order
-    x = bordered_noise(new_rng(seed + 1), (2, channels, hin, size, size), margin,
-                       dtype=np_dtype)
+    ch, sp = _attention_for(rng, "full", 4, hin, 2, att_kernel, dtype, "probe")
+    # the shifts, then the halos of the 3x3 conv and of the attention filter
+    margin = _max_shift(RELABEL_SHIFTS) + 1 + att_kernel // 2
+    np_dtype = np.float64 if dtype == "f64" else np.float32
+    x = bordered_noise(new_rng(seed + 1), (2, 4, hin, 15, 15), margin, dtype=np_dtype)
 
     def maps(arr):
         f = FeatureMapG(Tensor(np.ascontiguousarray(arr)), grp)
@@ -277,7 +278,7 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
         errs_x.append(max_abs(ax_h, relabel(grp, h, ax0, x_axes, spatial=True)))
         report[f"err_alpha_c_h{h}"] = errs_c[-1]
         report[f"err_alpha_x_h{h}"] = errs_x[-1]
-    for dy, dx in shifts:
+    for dy, dx in RELABEL_SHIFTS:
         crop = max(abs(dy), abs(dx))
         ac_s, ax_s = maps(shift_plane(x, dy, dx))
         errs_c.append(max_abs(ac_s, ac0))
@@ -333,20 +334,18 @@ def naive_group_conv(x, grp, weight, bias=None, stride=1, padding="same"):
     return out
 
 
-def conv_oracle_report(group_names=("C4", "D4"), sizes=(4, 5, 6), seed=0,
-                       tolerance=1e-12):
+def conv_oracle_report(seed=0, tolerance=1e-12):
     """Compare group_conv (lifting and group-to-group) against the double-sum
-    oracle, and the fused attentive block against its rank-7 reference."""
+    oracle on C4 and D4 at extents 4, 5 and 6, and the fused attentive block
+    against its rank-7 reference."""
     worst = 0.0
     cases = 0
     report = {}
-    for gname in group_names:
+    for gname in ("C4", "D4"):
         grp = make_group(gname)
-        for size in sizes:
+        for size in (4, 5, 6):
             for lifting in (False, True):
                 for stride, padding in ((1, "same"), (2, "same"), (1, "valid")):
-                    if padding == "valid" and size < 3:
-                        continue
                     rng = new_rng(seed + cases)
                     layer = make_gconv_layer(rng, grp, 2, 2, kernel=3,
                                              lifting=lifting, stride=stride,
@@ -665,8 +664,11 @@ def reference_batch_norm(t, gamma, beta, axes, eps, stats=None):
 # ---------------------------------------------------------------------------
 # stride / pooling parity measurement
 
-def parity_report(size=32, seed=0, dtype="f32", return_maps=False):
+def parity_report(size=32, seed=0, dtype="f32"):
     """Quarter-turn equivariance error of a stride-2 stack vs a pool stack.
+
+    Returns (report, maps): `maps` holds each stack's per-pixel error plane
+    of the first sample, under "stride" and "pool".
 
     The downsampling grid of a stride-2 convolution keeps even-indexed rows
     and columns; a quarter turn of an even-extent plane maps them onto
@@ -675,7 +677,7 @@ def parity_report(size=32, seed=0, dtype="f32", return_maps=False):
     situation flips: the stride grid becomes symmetric while no symmetric
     2x2 tiling exists.
     """
-    net_a, net_b = build_parity_nets(channels=4, dtype=dtype, seed=seed)
+    net_a, net_b = build_parity_nets(dtype=dtype, seed=seed)
     grp = net_a.group
     np_dtype = np.float32 if dtype == "f32" else np.float64
     rng = new_rng(seed + 99)
@@ -698,9 +700,7 @@ def parity_report(size=32, seed=0, dtype="f32", return_maps=False):
         "err_pool": err_b,
         "ratio": err_a / err_b if err_b > 0 else float("inf"),
     }
-    if return_maps:
-        return report, {"stride": map_a, "pool": map_b}
-    return report
+    return report, {"stride": map_a, "pool": map_b}
 
 
 # ---------------------------------------------------------------------------
@@ -848,7 +848,7 @@ def gradcheck_cases(seed=0):
     xd = _p(rng, (3, 8), "xd")
 
     def loss_dropout():
-        y = dropout(xd, 0.4, new_rng(777), training=True)
+        y = dropout(xd, 0.4, new_rng(777))
         return T.reduce(T.mul(y, y))
     cases.append(("dropout", [xd], loss_dropout))
 
@@ -865,8 +865,9 @@ def gradcheck_cases(seed=0):
     return cases
 
 
-def run_gradcheck_case(params, loss_fn, h=1e-5):
-    """Max relative error between taped gradients and central differences."""
+def run_gradcheck_case(params, loss_fn):
+    """Max relative error between taped gradients and central differences
+    at the fixed step h = FD_STEP (1e-5)."""
     with Tape() as tape:
         loss = loss_fn()
         backward(tape, loss)
@@ -878,17 +879,18 @@ def run_gradcheck_case(params, loss_fn, h=1e-5):
 
     worst = 0.0
     for p, g in zip(params, analytic):
-        fd = finite_diff_grad(eval_loss, [p], h=h)[0]
+        fd = finite_diff_grad(eval_loss, [p])[0]
         got = np.zeros_like(fd) if g is None else g
         worst = max(worst, grad_rel_err(got, fd))
     return worst
 
 
-def gradcheck_report(seed=0, tolerance=1e-4, h=1e-5):
-    report = {"tolerance": tolerance, "h": h}
+def gradcheck_report(seed=0, tolerance=1e-4):
+    """Every gradcheck case at central-difference step h = FD_STEP (1e-5)."""
+    report = {"tolerance": tolerance, "h": FD_STEP}
     worst = 0.0
     for name, params, loss_fn in gradcheck_cases(seed):
-        err = run_gradcheck_case(params, loss_fn, h=h)
+        err = run_gradcheck_case(params, loss_fn)
         report[f"err_{name}"] = err
         worst = max(worst, err)
     report["max_err"] = worst

@@ -89,8 +89,8 @@ def test_a4_gradients_match_finite_differences():
 
 def test_a5_pooled_downsampling_beats_strided_at_even_extents():
     t0 = time.monotonic()
-    even = parity_report(size=32, dtype="f32")
-    odd = parity_report(size=33, dtype="f32")
+    even, _ = parity_report(size=32, dtype="f32")
+    odd, _ = parity_report(size=33, dtype="f32")
     dt = time.monotonic() - t0
     ok = even["ratio"] >= 100 and odd["err_stride"] <= 1e-6 and dt < 30
     scoreboard("downsampling-parity", ok,
@@ -104,7 +104,7 @@ def test_a5_pooled_downsampling_beats_strided_at_even_extents():
     "misaligned grid, so the pool net cannot be exactly equivariant there "
     "(measured error ~4.6)"))
 def test_a5_pooling_is_not_exact_at_odd_extents():
-    odd = parity_report(size=33, dtype="f32")
+    odd, _ = parity_report(size=33, dtype="f32")
     scoreboard("downsampling-parity-odd-pool", odd["err_pool"] <= 1e-6,
                f"33px pool err {odd['err_pool']:.3g} (<=1e-6)")
     assert odd["err_pool"] <= 1e-6

@@ -13,7 +13,7 @@ from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
                             input_attention, input_attention_maps,
                             make_channel_attention, make_spatial_attention,
                             residual_gate)
-from gatt.autodiff import Parameter, backward, new_rng
+from gatt.autodiff import Parameter, backward, new_rng, zero_grads
 from gatt.gconv import FeatureMapG, group_conv, make_gconv_layer
 from gatt.groups import make_group, transform_array
 from gatt.tensor import Tape, Tensor
@@ -438,6 +438,39 @@ def test_fast_block_matches_reference_in_f32():
     errs = attentive_oracle_errors("C4", seed=5, dtype="f32")
     assert max(errs.values()) <= 1e-5, errs
     assert errs["tapeless_vs_taped"] == 0.0, errs
+
+
+@pytest.mark.parametrize("group_name", ["C4", "D4"])
+@pytest.mark.parametrize("pool_out", [True, False])
+def test_nan_in_one_sample_stays_in_that_sample(group_name, pool_out):
+    # a NaN row has no first maximum; its max route must stay in range, so the
+    # taped block completes and the other sample's output and input gradient
+    # are those of a run on that sample alone
+    grp = make_group(group_name)
+    rng = new_rng(11)
+    layer = make_gconv_layer(rng, grp, 4, 3, kernel=3, dtype="f64", name="l")
+    ch = make_channel_attention(rng, grp.order, 4, 2, dtype="f64", name="c")
+    sp = make_spatial_attention(rng, grp.order, kernel=3, dtype="f64", name="s")
+    params = layer.params() + ch.params() + sp.params()
+    x = new_rng(12).standard_normal((2, 4, grp.order, 7, 7))
+    x[0, 1, 2, 3, 4] = np.nan
+    probe = new_rng(13).standard_normal((2, 3, grp.order, 7, 7))
+
+    def run(xs, ps):
+        xp = Parameter(xs, dtype="f64", name="x")
+        with Tape() as tape:
+            out = attentive_group_conv(FeatureMapG(xp, grp), layer, ch, sp,
+                                       variant="full", pool_out=pool_out)
+            backward(tape, T.reduce(T.mul(out.data, Tensor(ps))))
+        zero_grads(params)
+        return out.data.data, xp.grad
+
+    out, grad = run(x, probe)
+    alone, grad_alone = run(x[1:], probe[1:])
+    assert np.isnan(out[0]).any()
+    assert np.isfinite(alone).all() and np.isfinite(grad_alone).all()
+    np.testing.assert_array_equal(out[1], alone[0])
+    np.testing.assert_array_equal(grad[1], grad_alone[0])
 
 
 def test_attentive_forward_peaks_below_half_the_pair_tensor():

@@ -69,6 +69,17 @@ def test_thm1_oracle_passes(capsys):
     assert "gc_max_err_alpha_c" in rep and "lift_max_err_alpha_x" in rep
 
 
+def test_thm1_oracle_per_out_channel_maps_from_config(capsys, tmp_path):
+    # pool_out=False (one map per output channel) is reachable only through
+    # this config key
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("pool_out_channels = no\n")
+    code, rep = run_cli(capsys, "thm1-oracle", "--group", "p4m", "--config", str(cfg))
+    assert code == 0
+    assert rep["pass"] == "true" and rep["group"] == "D4"
+    assert float(rep["max_err"]) <= float(rep["tolerance"])
+
+
 def test_thm1_oracle_detects_absolute_indexing(capsys):
     code, rep = run_cli(capsys, "thm1-oracle", "--negative-control",
                         "broken-w-indexing", "--dtype", "f64")
@@ -169,14 +180,17 @@ def test_out_of_range_arguments_exit_2(capsys, input_checkpoint, argv):
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["epochs = -1", "epochs = 0", "batch = 0"])
+@pytest.mark.parametrize("line", ["epochs = -1", "epochs = 0", "batch = 0",
+                                  "reduction_ratio = 0", "filter_size = 0"])
 def test_train_config_counts_below_one_exit_2(capsys, tmp_path, line):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(line + "\n")
     code = main(["train", "--config", str(cfg), "--data", "synth", "--train-size", "32",
-                 "--channels", "4"])
+                 "--channels", "4", "--variant", "full"])
     assert code == 2
-    assert "must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "must be >= 1" in err
+    assert "Traceback" not in err
 
 
 def test_rotmnist_without_data_dir_exits_2(capsys, monkeypatch):
@@ -240,7 +254,7 @@ def test_attend_round_trip(capsys, tmp_path):
     assert float(rep["max_err"]) <= 1e-4
     for h in range(4):
         montage = read_pgm(tmp_path / f"attend_h{h}.pgm")
-        assert montage.shape[0] == 16 * 8  # input extent x default upsample
+        assert montage.shape[0] == 16 * 8  # input extent x the montage's 8x upsample
 
 
 def test_attend_plain_variant_exits_2(capsys, tmp_path):

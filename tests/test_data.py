@@ -281,22 +281,24 @@ def test_netpbm_error_paths(tmp_path):
 def test_attention_montage_layout():
     inp = new_rng(10).random((8, 8))
     alphas = new_rng(11).random((3, 4, 4))  # will be nearest-upscaled 2x
-    m = attention_montage(inp, alphas, upsample=2, gap=1)
-    assert m.shape == (16, 2 * (4 * 8 + 3 * 1))
+    m = attention_montage(inp, alphas)
+    # four 8-wide panels and three 1-wide gaps, the whole upsampled 8x
+    assert m.shape == (8 * 8, 8 * (4 * 8 + 3 * 1))
     assert m.min() >= 0.0 and m.max() <= 1.0
     # gap columns are white at every upsampled position
-    assert np.all(m[:, 2 * 8: 2 * 9] == 1.0)
+    assert np.all(m[:, 8 * 8: 8 * 9] == 1.0)
 
 
 def test_attention_montage_joint_normalization():
     inp = np.zeros((4, 4))
     alphas = np.stack([np.full((4, 4), 0.2), np.full((4, 4), 0.8)])
-    m = attention_montage(inp, alphas, upsample=1, gap=0)
+    m = attention_montage(inp, alphas)
+    # panel k starts at column 5k before the 8x upsampling (4 wide, 1 gap)
     # the two alpha panels normalize jointly: one all 0, the other all 1
-    np.testing.assert_array_equal(m[:, 4:8], np.zeros((4, 4)))
-    np.testing.assert_array_equal(m[:, 8:12], np.ones((4, 4)))
-    flat = attention_montage(inp, np.full((1, 4, 4), 0.3), upsample=1, gap=0)
-    np.testing.assert_array_equal(flat[:, 4:8], np.full((4, 4), 0.5))
+    np.testing.assert_array_equal(m[:, 40:72], np.zeros((32, 32)))
+    np.testing.assert_array_equal(m[:, 80:112], np.ones((32, 32)))
+    flat = attention_montage(inp, np.full((1, 4, 4), 0.3))
+    np.testing.assert_array_equal(flat[:, 40:72], np.full((32, 32), 0.5))
 
 
 def test_attention_montage_rejects_non_divisor_panels():
@@ -344,6 +346,8 @@ pool_out_channels = no
     ("epochs = soon", "line 1: epochs expects an integer"),
     ("epochs = 0", "line 1: epochs must be >= 1"),
     ("seed = 1\nbatch = -2", "line 2: batch must be >= 1"),
+    ("reduction_ratio = 0", "line 1: reduction_ratio must be >= 1"),
+    ("filter_size = 0", "line 1: filter_size must be >= 1"),
     ("lr = fast", "line 1: lr expects a number"),
     ("group = p8", "line 1: group must be one of"),
     ("dtype = f16", "line 1: dtype"),

@@ -180,21 +180,18 @@ def test_intermediate_responses_are_single_channel_convs(lifting, stride):
 def test_group_pool_invariant_under_pose_relabel():
     grp = make_group("C4")
     x = new_rng(18).standard_normal((2, 3, 4, 5, 5))
-    pooled = group_pool(_feature(x, grp), mode="max").data
+    pooled = group_pool(_feature(x, grp)).data
     for h in range(grp.order):
         xt = transform_input(grp, h, x)
-        got = group_pool(_feature(xt, grp), mode="max").data
+        got = group_pool(_feature(xt, grp)).data
         want = transform_array(grp, h, pooled)  # only the spatial part remains
         np.testing.assert_array_equal(got, want)
 
 
-def test_group_pool_modes():
+def test_group_pool_takes_the_pose_max():
     grp = make_group("C4")
     x = new_rng(19).standard_normal((1, 2, 4, 3, 3))
-    f = _feature(x, grp)
-    np.testing.assert_array_equal(group_pool(f, "max").data, x.max(axis=2))
-    np.testing.assert_allclose(group_pool(f, "mean").data, x.mean(axis=2),
-                               atol=1e-15)
+    np.testing.assert_array_equal(group_pool(_feature(x, grp)).data, x.max(axis=2))
 
 
 # ---------------------------------------------------------------------------
