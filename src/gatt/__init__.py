@@ -1,8 +1,8 @@
 """Discrete roto-translation equivariant convolutions with attention, on a
 small tape-based autodiff core.
 
-Feature maps are [N, C, |H|, Y, X] tensors tagged with their symmetry group
-(pose extent 1 marks a planar map).  Import from the submodules: groups,
+Feature maps are plain [N, C, |H|, Y, X] Tensors (pose extent 1 marks a
+planar map); the layer that reads one supplies its group.  Import from the submodules: groups,
 tensor, autodiff, gconv, attention, nn, data, training, verify and cli.
 """
 

@@ -22,8 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tensor as T
 from .autodiff import Parameter, he_init
-from .gconv import (FeatureMapG, GConvLayer, _check_input, check_feature, filter_bank,
-                    group_conv)
+from .gconv import GConvLayer, _check_input, check_feature, filter_bank, group_conv
 from .groups import make_group, orbit
 from .tensor import Tensor
 
@@ -105,8 +104,6 @@ def _rel_index(grp, hin, index_mode):
 
 # ---------------------------------------------------------------------------
 # the attentive group convolution, one output pose at a time
-
-ATTENTIVE_VARIANTS = ("full", "channel", "spatial")
 
 _F64 = np.float64
 
@@ -552,32 +549,31 @@ def _scatter_add(target, idx, val):
     np.add.at(target.reshape(-1), np.ravel(idx), np.ravel(val))
 
 
-def _attentive_pass(f, layer, ch_params, sp_params, variant, residual_branch, pool_out,
-                    index_mode):
-    """Run the fused block; returns (output Tensor, alpha_C list, alpha_X list)."""
-    if variant not in ATTENTIVE_VARIANTS:
-        raise ValueError(f"unknown attention variant {variant!r}")
+def _attentive_pass(f, layer, ch_params, sp_params, residual_branch, pool_out, index_mode):
+    """Run the fused block; returns (output Tensor, alpha_C list, alpha_X list).
+
+    alpha_C is computed if and only if ch_params is given, alpha_X if and
+    only if sp_params is.
+    """
+    if ch_params is None and sp_params is None:
+        raise ValueError("an attentive block needs channel or spatial attention parameters")
     _check_input(f, layer)
     grp = layer.group
     n, c, hin, y, x = f.shape
     w1g = w2g = psis = None
-    if variant != "spatial":
-        if ch_params is None:
-            raise ValueError(f"variant {variant!r} needs channel attention parameters")
+    if ch_params is not None:
         if (ch_params.channels, ch_params.n_poses) != (c, hin):
             raise ValueError(f"channel attention built for {ch_params.channels} channels "
                              f"and {ch_params.n_poses} poses, input has {c} and {hin}")
         kidx = _rel_index(grp, hin, index_mode).reshape(-1)
         w1g = T.gather_axis(ch_params.w1, 0, kidx)                  # [H*Hin, C/r, C]
         w2g = T.gather_axis(ch_params.w2, 0, kidx)                  # [H*Hin, C, C/r]
-    if variant != "channel":
-        if sp_params is None:
-            raise ValueError(f"variant {variant!r} needs spatial attention parameters")
+    if sp_params is not None:
         if sp_params.psi.shape[2] != hin:
             raise ValueError(f"input pose axis {hin} does not match attention filter "
                              f"({sp_params.psi.shape[2]})")
         psis = orbit(grp, sp_params.psi)                            # [H, 1, 2, Hin, k, k]
-    flat = T.reshape(f.data, (n, c * hin, y, x))
+    flat = T.reshape(f, (n, c * hin, y, x))
     bank = filter_bank(layer)
     bias = layer.bias
     parents = [t for t in (flat, bank, w1g, w2g, psis, bias) if t is not None]
@@ -588,23 +584,22 @@ def _attentive_pass(f, layer, ch_params, sp_params, variant, residual_branch, po
     if bias is not None:
         out += bias.data.astype(_F64, copy=False)[:, None, None]
     o = bank.shape[0] // grp.order
-    out = Tensor(out.reshape(n, o, grp.order, kern.yo, kern.xo).astype(f.data.data.dtype))
+    out = Tensor(out.reshape(n, o, grp.order, kern.yo, kern.xo).astype(f.data.dtype))
     T._record(out, parents, lambda: kern.backward(out.grad))
     return out, alpha_c, alpha_x
 
 
-def attention_maps(f: FeatureMapG, layer, ch_params=None, sp_params=None,
-                   variant="full", residual_branch=True, pool_out=True,
-                   index_mode="relative"):
+def attention_maps(f: Tensor, layer, ch_params=None, sp_params=None,
+                   residual_branch=True, pool_out=True, index_mode="relative"):
     """(alpha_C, alpha_X) of one attentive layer, as the fused block computes them.
 
     alpha_C is [N, C, |H|, |H_in|] ([N, O, C, |H|, |H_in|] with
     pool_out=False); alpha_X is [N, 1, |H|, |H_in|, Yo, Xo] (an out-channel
     axis in place of the 1 with pool_out=False).  alpha_X is computed from
-    the channel-gated responses, so it depends on alpha_C.  A map the
-    variant lacks is None.  The maps carry no gradient.
+    the channel-gated responses, so it depends on alpha_C.  A map whose
+    parameters are not given is None.  The maps carry no gradient.
     """
-    out, alpha_c, alpha_x = _attentive_pass(f, layer, ch_params, sp_params, variant,
+    out, alpha_c, alpha_x = _attentive_pass(f, layer, ch_params, sp_params,
                                             residual_branch, pool_out, index_mode)
     dtype = out.data.dtype
     ac = ax = None
@@ -617,31 +612,32 @@ def attention_maps(f: FeatureMapG, layer, ch_params=None, sp_params=None,
     return ac, ax
 
 
-def attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_params=None,
-                         variant="full", residual_branch=True, pool_out=True,
-                         index_mode="relative") -> FeatureMapG:
+def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
+                         residual_branch=True, pool_out=True,
+                         index_mode="relative") -> Tensor:
     """Group convolution with its per-pair responses modulated by attention.
 
     Each per-pair response (output pose h, input channel c, input pose t) is
     scaled by alpha_C, then by alpha_X (computed from the channel-gated
     responses); the result is summed over input channels and poses and the
-    shared per-channel bias added.  The whole block is one tape record.
+    shared per-channel bias added.  A map whose parameters are not given is
+    left out; at least one must be.  The whole block is one tape record.
     """
-    out, _, _ = _attentive_pass(f, layer, ch_params, sp_params, variant,
-                                residual_branch, pool_out, index_mode)
-    return FeatureMapG(out, layer.group)
+    out, _, _ = _attentive_pass(f, layer, ch_params, sp_params, residual_branch,
+                                pool_out, index_mode)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # input attention (single-argument form)
 
-def _input_attention_pieces(f, ch_params, sp_params, residual_branch):
+def _input_attention_pieces(f, group, ch_params, sp_params, residual_branch):
     n, c, hf, y, x = f.shape
-    grp_eff = f.group if hf == f.group.order else make_group("C1")
+    grp_eff = group if hf == group.order else make_group("C1")
 
     # channel branch: pool over space, bottleneck as a pose-axis group conv
-    s_avg = T.reduce(f.data, axes=(3, 4), mode="mean")  # [N, C, Hf]
-    s_max = T.reduce(f.data, axes=(3, 4), mode="max")
+    s_avg = T.reduce(f, axes=(3, 4), mode="mean")  # [N, C, Hf]
+    s_max = T.reduce(f, axes=(3, 4), mode="max")
     k2 = _rel_index(grp_eff, hf, "relative")
     mid = ch_params.w1.shape[1]
 
@@ -661,21 +657,20 @@ def _input_attention_pieces(f, ch_params, sp_params, residual_branch):
 
     z = T.add(branch(s_avg), branch(s_max))
     alpha_c = T.transpose(T.reshape(_gate(z, residual_branch), (hf, c, n)), (2, 1, 0))
-    f1 = T.mul(f.data, T.reshape(alpha_c, (n, c, hf, 1, 1)))
+    f1 = T.mul(f, T.reshape(alpha_c, (n, c, hf, 1, 1)))
 
     # spatial branch: 2-channel stats, gated full group convolution
     mean = T.reduce(f1, axes=(1,), mode="mean")       # [N, Hf, Y, X]
     mx = T.reduce(f1, axes=(1,), mode="max")
     s_x = T.stack([mean, mx], axis=1)                 # [N, 2, Hf, Y, X]
     psi_layer = GConvLayer(grp_eff, sp_params.psi, bias=None, stride=1, padding="same")
-    alpha_x = _gate(group_conv(FeatureMapG(s_x, grp_eff), psi_layer).data,
-                    residual_branch)                  # [N, 1, Hf, Y, X]
+    alpha_x = _gate(group_conv(s_x, psi_layer), residual_branch)  # [N, 1, Hf, Y, X]
     f2 = T.mul(f1, alpha_x)
     return alpha_c, alpha_x, f2
 
 
-def _check_input_attention(f, ch_params, sp_params):
-    check_feature(f)
+def _check_input_attention(f, group, ch_params, sp_params):
+    check_feature(f, group)
     n, c, hf, y, x = f.shape
     if ch_params.channels != c:
         raise ValueError(f"channel mismatch: map has {c}, attention built for "
@@ -684,9 +679,8 @@ def _check_input_attention(f, ch_params, sp_params):
         raise ValueError("attention parameters do not match the map's pose axis")
 
 
-def input_attention(f: FeatureMapG, ch_params: ChannelAttentionParams,
-                    sp_params: SpatialAttentionParams,
-                    residual_branch=True) -> FeatureMapG:
+def input_attention(f: Tensor, group, ch_params: ChannelAttentionParams,
+                    sp_params: SpatialAttentionParams, residual_branch=True) -> Tensor:
     """Gate a feature map itself before a standard group convolution.
 
     A map depending on one group argument stays equivariant only if every
@@ -697,13 +691,14 @@ def input_attention(f: FeatureMapG, ch_params: ChannelAttentionParams,
     treated as carrying the trivial group, which reduces this to the familiar
     channel-then-spatial gating of a plain feature map.
     """
-    _check_input_attention(f, ch_params, sp_params)
-    _, _, f2 = _input_attention_pieces(f, ch_params, sp_params, residual_branch)
-    return FeatureMapG(f2, f.group)
+    _check_input_attention(f, group, ch_params, sp_params)
+    _, _, f2 = _input_attention_pieces(f, group, ch_params, sp_params, residual_branch)
+    return f2
 
 
-def input_attention_maps(f: FeatureMapG, ch_params, sp_params, residual_branch=True):
+def input_attention_maps(f: Tensor, group, ch_params, sp_params, residual_branch=True):
     """alpha_C [N, C, Hf] and alpha_X [N, 1, Hf, Y, X] as input_attention computes them."""
-    _check_input_attention(f, ch_params, sp_params)
-    alpha_c, alpha_x, _ = _input_attention_pieces(f, ch_params, sp_params, residual_branch)
+    _check_input_attention(f, group, ch_params, sp_params)
+    alpha_c, alpha_x, _ = _input_attention_pieces(f, group, ch_params, sp_params,
+                                                  residual_branch)
     return alpha_c, alpha_x

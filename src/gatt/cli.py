@@ -8,6 +8,7 @@ exit codes 0 = pass, 1 = property failure, 2 = usage or config error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -17,11 +18,12 @@ import numpy as np
 from .data import (ConfigError, GROUP_ALIASES, attention_montage, load_config,
                    make_rotmnist, read_pgm, save_checkpoint, load_checkpoint,
                    synth_shapes, write_pgm)
+from .groups import transform_array
 from .nn import VARIANTS, build_digit_net, build_tiny_net
 from .training import _fmt, accuracy, fit
 from .verify import (alpha_panels, alpha_x_consistency, attention_relabel_report,
                      attentive_block_indices, conv_oracle_report, gradcheck_report,
-                     parity_report, stack_suite, transform_input)
+                     parity_report, stack_suite)
 
 DATA_DIR_ENV = "GATT_DATA_DIR"
 
@@ -229,7 +231,7 @@ def cmd_attend(args):
     if args.out:
         grp = net.group
         for h in range(grp.order):
-            xin = transform_input(grp, h, x)
+            xin = transform_array(grp, h, x)
             montage = attention_montage(xin[0, 0], alpha_panels(maps[h]))
             write_pgm(Path(args.out) / f"attend_h{h}.pgm", montage)
     return 0 if report["pass"] else 1
@@ -246,6 +248,18 @@ def _int_from(minimum):
             raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
         return value
     parse.__name__ = "int"
+    return parse
+
+
+def _float_from(minimum, strict):
+    """argparse type: a finite float >= `minimum` (> `minimum` if `strict`)."""
+    def parse(text):
+        value = float(text)
+        if not math.isfinite(value) or value < minimum or (strict and value == minimum):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {minimum:g}, got {value}")
+        return value
+    parse.__name__ = "float"
     return parse
 
 
@@ -296,8 +310,8 @@ def build_parser():
     p.add_argument("--arch", choices=("tiny", "digit"))
     p.add_argument("--epochs", type=_int_from(1))
     p.add_argument("--batch", type=_int_from(1))
-    p.add_argument("--lr", type=float)
-    p.add_argument("--weight-decay", type=float, default=1e-4)
+    p.add_argument("--lr", type=_float_from(0.0, True))
+    p.add_argument("--weight-decay", type=_float_from(0.0, False), default=1e-4)
     p.add_argument("--dropout", type=float)
     p.add_argument("--channels", type=_int_from(1))
     p.add_argument("--train-size", type=_int_from(1), default=2048)

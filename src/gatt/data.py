@@ -9,6 +9,7 @@ every malformed file with ValueError.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -351,7 +352,7 @@ _CONFIG_PARSERS = {
     "variant": lambda v, k, ln: _choice(v, k, ln, VARIANTS),
     "filter_size": lambda v, k, ln: _int(v, k, ln, minimum=1),
     "reduction_ratio": lambda v, k, ln: _int(v, k, ln, minimum=1),
-    "lr": lambda v, k, ln: _float(v, k, ln),
+    "lr": lambda v, k, ln: _positive_float(v, k, ln),
     "epochs": lambda v, k, ln: _int(v, k, ln, minimum=1),
     "batch": lambda v, k, ln: _int(v, k, ln, minimum=1),
     "seed": lambda v, k, ln: _int(v, k, ln),
@@ -377,11 +378,14 @@ def _int(val, key, lineno, minimum=None):
     return value
 
 
-def _float(val, key, lineno):
+def _positive_float(val, key, lineno):
     try:
-        return float(val)
+        value = float(val)
     except ValueError:
         raise ConfigError(f"line {lineno}: {key} expects a number, got {val!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise ConfigError(f"line {lineno}: {key} must be finite and > 0, got {value}")
+    return value
 
 
 def load_config(path=None, text=None, overrides=None) -> RunConfig:

@@ -1,7 +1,8 @@
 """Lifting and group convolutions over the discrete roto-translation groups.
 
-Feature maps on the group are stored as [N, C, |H|, Y, X]; planar maps use a
-group axis of extent 1.  Filters are [O, C, |H_in|, k, k] with odd square k.
+Feature maps on the group are plain Tensors [N, C, |H|, Y, X]; planar maps
+use a group axis of extent 1.  A map carries no group: the layer that reads
+it supplies one.  Filters are [O, C, |H_in|, k, k] with odd square k.
 
 A group convolution decomposes into |H| spatial convolutions: for each output
 pose h the filter is transformed by h (spatial index map plus a permutation of
@@ -11,38 +12,12 @@ shared across the |H| axis; a pose-dependent bias would break equivariance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
 from .autodiff import Parameter, he_init
-from .groups import FiniteGroup, orbit
+from .groups import orbit
 from .tensor import Tensor
-
-@dataclass
-class FeatureMapG:
-    """A Tensor tagged with the group its pose axis refers to."""
-    data: Tensor
-    group: FiniteGroup
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def poses(self):
-        return self.data.shape[2]
-
-
-def check_feature(f: FeatureMapG, group=None):
-    if f.data.ndim != 5:
-        raise ValueError(f"feature map must be [N, C, |H|, Y, X], got rank {f.data.ndim}")
-    if f.poses not in (1, f.group.order):
-        raise ValueError(f"group axis extent {f.poses} not in {{1, {f.group.order}}}")
-    if group is not None and f.group.name != group.name:
-        raise ValueError(f"group mismatch: feature {f.group.name} vs layer {group.name}")
-
 
 class GConvLayer:
     """Weights for one lifting or group convolution layer.
@@ -96,15 +71,23 @@ def filter_bank(layer):
     return T.reshape(bank, (layer.group.order * o, c * hin, k, k))
 
 
-def _check_input(f: FeatureMapG, layer):
+def check_feature(f: Tensor, group):
+    """Reject f unless it is [N, C, P, Y, X] with P in {1, |H|}."""
+    if f.ndim != 5:
+        raise ValueError(f"feature map must be [N, C, |H|, Y, X], got rank {f.ndim}")
+    if f.shape[2] not in (1, group.order):
+        raise ValueError(f"group axis extent {f.shape[2]} not in {{1, {group.order}}}")
+
+
+def _check_input(f: Tensor, layer):
     check_feature(f, layer.group)
     if f.shape[1] != layer.weight.shape[1]:
         raise ValueError(f"channel mismatch: {f.shape[1]} vs {layer.weight.shape[1]}")
-    if f.poses != layer.weight.shape[2]:
-        raise ValueError(f"pose mismatch: input {f.poses} vs filter {layer.weight.shape[2]}")
+    if f.shape[2] != layer.weight.shape[2]:
+        raise ValueError(f"pose mismatch: input {f.shape[2]} vs filter {layer.weight.shape[2]}")
 
 
-def group_conv(f: FeatureMapG, layer) -> FeatureMapG:
+def group_conv(f: Tensor, layer) -> Tensor:
     """Lifting or group-to-group convolution, summing over input channels and
     poses.
 
@@ -115,17 +98,17 @@ def group_conv(f: FeatureMapG, layer) -> FeatureMapG:
     grp = layer.group
     n, c, hin, y, x = f.shape
     o = layer.weight.shape[0]
-    flat = T.reshape(f.data, (n, c * hin, y, x))
+    flat = T.reshape(f, (n, c * hin, y, x))
     out = T.conv2d(flat, filter_bank(layer), padding=layer.padding, stride=layer.stride)
     yo, xo = out.shape[2], out.shape[3]
     out = T.reshape(out, (n, grp.order, o, yo, xo))
     out = T.transpose(out, (0, 2, 1, 3, 4))
     if layer.bias is not None:
         out = T.add(out, T.reshape(layer.bias, (1, o, 1, 1, 1)))
-    return FeatureMapG(out, grp)
+    return out
 
 
-def group_pool(f: FeatureMapG) -> Tensor:
+def group_pool(f: Tensor, group) -> Tensor:
     """Max-pool the pose axis away: [N, C, |H|, Y, X] -> [N, C, Y, X]."""
-    check_feature(f)
-    return T.reduce(f.data, axes=(2,), mode="max")
+    check_feature(f, group)
+    return T.reduce(f, axes=(2,), mode="max")

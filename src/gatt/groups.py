@@ -145,16 +145,19 @@ def feature_perm(grp, h):
     return grp.cayley[hinv].copy()
 
 
-def transform_array(grp, h, arr, group_axis=None):
-    """Numpy-level transform: spatial index map plus optional group-axis permutation."""
+def transform_array(grp, h, arr, pose_axes=()):
+    """The action of h on a numpy array: x -> h^-1 x on the last two (square)
+    axes and t -> h^-1 t on each of `pose_axes`; a pose axis of extent 1 (a
+    planar map) passes through."""
     if arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"plane spatial dims must be square to transform, got {arr.shape[-2:]}")
     out = arr
-    if group_axis is not None and arr.shape[group_axis] != 1:
-        if arr.shape[group_axis] != grp.order:
-            raise ValueError(f"group axis extent {arr.shape[group_axis]} does not match "
-                             f"{grp.name} order {grp.order}")
-        out = np.take(out, feature_perm(grp, h), axis=group_axis)
+    for axis in pose_axes:
+        if out.shape[axis] != 1:
+            if out.shape[axis] != grp.order:
+                raise ValueError(f"group axis extent {out.shape[axis]} does not match "
+                                 f"{grp.name} order {grp.order}")
+            out = np.take(out, feature_perm(grp, h), axis=axis)
     I, J = plane_index_map(grp, h, arr.shape[-1])
     return out[..., I, J]
 
@@ -181,7 +184,7 @@ def _orbit_index(grp, shape):
     idx = grp._orbits.get(shape)
     if idx is None:
         src = np.arange(int(np.prod(shape))).reshape(shape)
-        idx = np.stack([transform_array(grp, h, src, group_axis=-3)
+        idx = np.stack([transform_array(grp, h, src, pose_axes=(-3,))
                         for h in range(grp.order)])
         idx.setflags(write=False)
         grp._orbits[shape] = idx

@@ -1,8 +1,9 @@
 """Layer containers and small reference networks.
 
-Layers pass a FeatureMapG along until a pooling head collapses it to a plain
-Tensor of logits.  Everything is built from the differentiable ops in
-gatt.tensor, so gradients come from the shared tape.
+Layers pass a feature map along as a plain Tensor [N, C, |H|, Y, X] until a
+pooling head collapses it to logits; a layer that needs the group holds it.
+Everything is built from the differentiable ops in gatt.tensor, so gradients
+come from the shared tape.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from . import tensor as T
 from .attention import (attentive_group_conv, input_attention, make_channel_attention,
                         make_spatial_attention)
 from .autodiff import Parameter, dropout, new_rng
-from .gconv import FeatureMapG, GConvLayer, group_conv, group_pool, make_gconv_layer
+from .gconv import GConvLayer, group_conv, group_pool, make_gconv_layer
 from .groups import make_group
 from .tensor import Tensor
 
@@ -27,12 +28,6 @@ BN_MOMENTUM = 0.1   # weight of a batch's statistics in GBatchNorm's running one
 class ForwardCtx:
     training: bool = False
     rng: object = None
-
-
-def _map_data(x, fn):
-    if isinstance(x, FeatureMapG):
-        return FeatureMapG(fn(x.data), x.group)
-    return fn(x)
 
 
 class GBlock:
@@ -55,27 +50,25 @@ class GBlock:
         if self.variant == "plain":
             return group_conv(f, self.layer)
         if self.variant == "input":
-            gated = input_attention(f, self.ch_params, self.sp_params,
+            gated = input_attention(f, self.layer.group, self.ch_params, self.sp_params,
                                     residual_branch=self.residual_branch)
             return group_conv(gated, self.layer)
         return attentive_group_conv(
-            f, self.layer, self.ch_params, self.sp_params, variant=self.variant,
+            f, self.layer, self.ch_params, self.sp_params,
             residual_branch=self.residual_branch, pool_out=self.pool_out,
             index_mode=self.index_mode)
 
     def params(self):
         out = list(self.layer.params())
-        if self.variant != "plain":
-            if self.ch_params is not None and self.variant != "spatial":
-                out += self.ch_params.params()
-            if self.sp_params is not None and self.variant != "channel":
-                out += self.sp_params.params()
+        for att in (self.ch_params, self.sp_params):
+            if att is not None:
+                out += att.params()
         return out
 
 
 class ReLUG:
     def forward(self, f, ctx):
-        return _map_data(f, T.relu)
+        return T.relu(f)
 
     def params(self):
         return []
@@ -85,14 +78,11 @@ class MaxPoolG:
     """2x2 spatial max pooling at stride 2, applied to every pose slice."""
 
     def forward(self, f, ctx):
-        def pool(t):
-            if t.ndim == 5:
-                n, c, hh, y, x = t.shape
-                flat = T.reshape(t, (n, c * hh, y, x))
-                p = T.max_pool2d(flat)
-                return T.reshape(p, (n, c, hh, p.shape[2], p.shape[3]))
-            return T.max_pool2d(t)
-        return _map_data(f, pool)
+        if f.ndim != 5:
+            return T.max_pool2d(f)
+        n, c, hh, y, x = f.shape
+        p = T.max_pool2d(T.reshape(f, (n, c * hh, y, x)))
+        return T.reshape(p, (n, c, hh, p.shape[2], p.shape[3]))
 
     def params(self):
         return []
@@ -105,7 +95,7 @@ class GDropout:
     def forward(self, f, ctx):
         if not ctx.training or self.rate == 0.0:
             return f
-        return _map_data(f, lambda t: dropout(t, self.rate, ctx.rng))
+        return dropout(f, self.rate, ctx.rng)
 
     def params(self):
         return []
@@ -127,18 +117,15 @@ class GBatchNorm:
         self.running_var = np.ones(channels, dtype=T.DTYPES[dtype])
 
     def forward(self, f, ctx):
-        def norm(t):
-            c = t.shape[1]
-            stat_axes = (0, 2, 3, 4) if t.ndim == 5 else (0, 2, 3)
-            stats = None if ctx.training else (self.running_mean, self.running_var)
-            out, mu, var = T.batch_norm(t, self.gamma, self.beta, stat_axes, BN_EPS,
-                                        stats)
-            if ctx.training:
-                m = BN_MOMENTUM
-                self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
-                self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
-            return out
-        return _map_data(f, norm)
+        c = f.shape[1]
+        stat_axes = (0, 2, 3, 4) if f.ndim == 5 else (0, 2, 3)
+        stats = None if ctx.training else (self.running_mean, self.running_var)
+        out, mu, var = T.batch_norm(f, self.gamma, self.beta, stat_axes, BN_EPS, stats)
+        if ctx.training:
+            m = BN_MOMENTUM
+            self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
+            self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
+        return out
 
     def params(self):
         return [self.gamma, self.beta]
@@ -154,15 +141,18 @@ class PoseBias:
         self.bias = Parameter(data, dtype=dtype, name="pose_bias", weight_decay=False)
 
     def forward(self, f, ctx):
-        return FeatureMapG(T.add(f.data, self.bias), f.group)
+        return T.add(f, self.bias)
 
     def params(self):
         return [self.bias]
 
 
 class GroupPoolL:
+    def __init__(self, group):
+        self.group = group
+
     def forward(self, f, ctx):
-        return group_pool(f)
+        return group_pool(f, self.group)
 
     def params(self):
         return []
@@ -185,9 +175,9 @@ class Network:
         ctx = ctx or ForwardCtx()
         if isinstance(x, np.ndarray):
             x = Tensor(x)
-        if isinstance(x, Tensor) and x.ndim == 4:
+        if x.ndim == 4:
             n, c, y, w = x.shape
-            x = FeatureMapG(T.reshape(x, (n, c, 1, y, w)), self.group)
+            x = T.reshape(x, (n, c, 1, y, w))
         for layer in self.layers:
             x = layer.forward(x, ctx)
         return x
@@ -255,7 +245,7 @@ def build_tiny_net(group_name="C4", variant="input", channels=8,
         layers.append(GDropout(dropout_rate))
     layers += [
         GBlock(make_gconv_layer(rng, grp, channels, 4, 1, dtype=dtype, name="head")),
-        GroupPoolL(),
+        GroupPoolL(grp),
         SpatialMeanL(),
     ]
     return Network(grp, layers)
@@ -315,7 +305,7 @@ def build_digit_net(group_name="C4", variant="plain", channels=10,
             layers.append(GDropout(dropout_rate))
     layers += [
         GBlock(make_gconv_layer(rng, grp, channels, 10, 1, dtype=dtype, name="head")),
-        GroupPoolL(),
+        GroupPoolL(grp),
         SpatialMeanL(),
     ]
     return Network(grp, layers)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import (ATTENTIVE_VARIANTS, _gate, _rel_index, attention_maps,
-                        attentive_group_conv, input_attention, input_attention_maps)
+from .attention import (_gate, _rel_index, attention_maps, attentive_group_conv,
+                        input_attention, input_attention_maps)
 from .autodiff import (FD_STEP, Parameter, backward, dropout, finite_diff_grad,
                        grad_rel_err, new_rng, zero_grads)
-from .gconv import FeatureMapG, _check_input, filter_bank, group_conv, make_gconv_layer
+from .gconv import _check_input, filter_bank, group_conv, make_gconv_layer
 from .groups import (AffineElement, compose_affine, feature_perm, invert_affine,
-                     make_group, orbit, plane_index_map, transform_array)
+                     make_group, orbit, transform_array)
 from .nn import (ForwardCtx, GBatchNorm, GBlock, Network, PoseBias, ReLUG,
                  VARIANTS, _attention_for, build_parity_nets)
 from .tensor import Tape, Tensor
@@ -44,34 +44,6 @@ def shift_plane(arr, dy, dx):
     xr = slice(max(-dx, 0), min(xsz - dx, xsz))
     out[..., ys, xs] = arr[..., yr, xr]
     return out
-
-
-def relabel(grp, h, arr, pose_axes=(), spatial=True):
-    """Index relabeling t -> h^-1 t on each pose axis, then x -> h^-1 x.
-
-    This is the predicted effect of transforming the input by h on a map
-    whose axes carry group / spatial indices.  Pose axes of extent 1 pass
-    through untouched.
-    """
-    out = np.asarray(arr)
-    perm = feature_perm(grp, h)
-    for axis in pose_axes:
-        if out.shape[axis] == grp.order:
-            out = np.take(out, perm, axis=axis)
-        elif out.shape[axis] != 1:
-            raise ValueError(f"pose axis {axis} has extent {out.shape[axis]}")
-    if spatial:
-        I, J = plane_index_map(grp, h, out.shape[-1])
-        out = out[..., I, J]
-    return out
-
-
-def transform_input(grp, h, x):
-    """Transform a network input: planar [N, C, Y, X] or stacked [N, C, |H|, Y, X]."""
-    x = np.asarray(x)
-    if x.ndim == 4:
-        return transform_array(grp, h, x)
-    return transform_array(grp, h, x, group_axis=2)
 
 
 def bordered_noise(rng, shape, margin, dtype=np.float64):
@@ -173,16 +145,15 @@ def stack_equivariance_report(net, x, tolerance=1e-10, halo=0):
     ctx = ForwardCtx(training=False)
 
     def run(inp):
-        out = net.forward(Tensor(np.ascontiguousarray(inp)), ctx)
-        return out.data.data if isinstance(out, FeatureMapG) else out.data
+        return net.forward(Tensor(np.ascontiguousarray(inp)), ctx).data
 
     base = run(x)
     crop = _max_shift(DEFAULT_SHIFTS) + halo
     report = {"dtype": str(x.dtype), "crop_margin": crop, "tolerance": tolerance}
     errs = []
     for h in range(grp.order):
-        got = run(transform_input(grp, h, x))
-        want = relabel(grp, h, base, pose_axes=(2,))
+        got = run(transform_array(grp, h, x))
+        want = transform_array(grp, h, base, pose_axes=(2,))
         report[f"err_h{h}"] = max_abs(got, want)
         errs.append(report[f"err_h{h}"])
     for dy, dx in DEFAULT_SHIFTS:
@@ -201,7 +172,6 @@ def stack_suite(group_name="C4", variant="plain", max_depth=3, trials=5, seed=0,
                 dtype="f64", tolerance=1e-10, negative_control=None):
     """Equivariance sweep over `trials` random stacks of depth 1..max_depth."""
     reports = []
-    np_dtype = np.float64 if dtype == "f64" else np.float32
     for t in range(trials):
         depth = 1 + t % max_depth
         net = random_stack(group_name, variant, depth=depth, seed=seed + t,
@@ -210,7 +180,7 @@ def stack_suite(group_name="C4", variant="plain", max_depth=3, trials=5, seed=0,
         margin = _max_shift(DEFAULT_SHIFTS) + halo
         size = 2 * margin + 7
         rng = new_rng(seed + 1000 + t)
-        x = bordered_noise(rng, (2, 2, size, size), margin, dtype=np_dtype)
+        x = bordered_noise(rng, (2, 2, size, size), margin, dtype=T.DTYPES[dtype])
         rep = stack_equivariance_report(net, x, tolerance=tolerance, halo=halo)
         rep["depth"] = depth
         reports.append(rep)
@@ -256,26 +226,28 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
     ch, sp = _attention_for(rng, "full", 4, hin, 2, att_kernel, dtype, "probe")
     # the shifts, then the halos of the 3x3 conv and of the attention filter
     margin = _max_shift(RELABEL_SHIFTS) + 1 + att_kernel // 2
-    np_dtype = np.float64 if dtype == "f64" else np.float32
-    x = bordered_noise(new_rng(seed + 1), (2, 4, hin, 15, 15), margin, dtype=np_dtype)
+    x = bordered_noise(new_rng(seed + 1), (2, 4, hin, 15, 15), margin,
+                       dtype=T.DTYPES[dtype])
 
     def maps(arr):
-        f = FeatureMapG(Tensor(np.ascontiguousarray(arr)), grp)
-        ac, ax = attention_maps(f, layer, ch, sp, variant="full",
+        ac, ax = attention_maps(Tensor(np.ascontiguousarray(arr)), layer, ch, sp,
                                 residual_branch=residual_branch,
                                 pool_out=pool_out, index_mode=index_mode)
         return ac.data, ax.data
 
     ac0, ax0 = maps(x)
-    c_axes = (-2, -1)   # [.., H, Hin] trailing axes of alpha_C
-    x_axes = (-4, -3)   # [.., H, Hin, Y, X]
     report = {"group": group_name, "dtype": dtype, "lifting": lifting,
               "index_mode": index_mode, "tolerance": tolerance}
     errs_c, errs_x = [], []
     for h in range(grp.order):
-        ac_h, ax_h = maps(transform_array(grp, h, x, group_axis=2))
-        errs_c.append(max_abs(ac_h, relabel(grp, h, ac0, c_axes, spatial=False)))
-        errs_x.append(max_abs(ax_h, relabel(grp, h, ax0, x_axes, spatial=True)))
+        ac_h, ax_h = maps(transform_array(grp, h, x, pose_axes=(2,)))
+        # alpha_C [.., H, Hin] has no spatial axes: only its poses move
+        perm = feature_perm(grp, h)
+        want_c = np.take(ac0, perm, axis=-2)
+        if hin > 1:
+            want_c = np.take(want_c, perm, axis=-1)
+        errs_c.append(max_abs(ac_h, want_c))
+        errs_x.append(max_abs(ax_h, transform_array(grp, h, ax0, pose_axes=(-4, -3))))
         report[f"err_alpha_c_h{h}"] = errs_c[-1]
         report[f"err_alpha_x_h{h}"] = errs_x[-1]
     for dy, dx in RELABEL_SHIFTS:
@@ -353,8 +325,7 @@ def conv_oracle_report(seed=0, tolerance=1e-12):
                                              name="oracle")
                     hin = 1 if lifting else grp.order
                     x = rng.standard_normal((1, 2, hin, size, size))
-                    f = FeatureMapG(Tensor(x), grp)
-                    got = group_conv(f, layer).data.data
+                    got = group_conv(Tensor(x), layer).data
                     want = naive_group_conv(x, grp, layer.weight.data,
                                             layer.bias.data, stride=stride,
                                             padding=padding)
@@ -381,7 +352,7 @@ def conv_oracle_report(seed=0, tolerance=1e-12):
 # as its oracle: materialize every per-pair response, take the statistics,
 # gate, multiply and reduce, each step an ordinary differentiable op.
 
-def intermediate_responses(f: FeatureMapG, layer):
+def intermediate_responses(f: Tensor, layer):
     """Per-pair responses before reduction, [N, O, C, |H|, |H_in|, Yo, Xo].
 
     Entry [n, o, c, h, t] is the spatial cross-correlation of input slice
@@ -397,7 +368,7 @@ def intermediate_responses(f: FeatureMapG, layer):
     bank = T.reshape(filter_bank(layer), (ho, 1, ct, k, k))
     eye = Tensor(np.eye(ct, dtype=bank.data.dtype)[None, :, :, None, None])
     diag = T.reshape(T.mul(bank, eye), (ho * ct, ct, k, k))
-    resp = T.conv2d(T.reshape(f.data, (n, ct, y, x)), diag, padding=layer.padding,
+    resp = T.conv2d(T.reshape(f, (n, ct, y, x)), diag, padding=layer.padding,
                     stride=layer.stride)
     resp = T.reshape(resp, (n, layer.group.order, o, c, hin) + resp.shape[2:])
     return T.transpose(resp, (0, 2, 3, 1, 4, 5, 6))
@@ -514,22 +485,20 @@ def spatial_attention(s_x, params, grp, residual_branch=True):
     return alpha
 
 
-def reference_attention_maps(f: FeatureMapG, layer, ch_params=None, sp_params=None,
-                             variant="full", residual_branch=True, pool_out=True,
-                             index_mode="relative"):
+def reference_attention_maps(f: Tensor, layer, ch_params=None, sp_params=None,
+                             residual_branch=True, pool_out=True, index_mode="relative"):
     """(alpha_C, alpha_X, channel-gated responses) from the rank-7 tensor.
 
     The gated responses are the per-pair responses times alpha_C, or the
-    responses themselves when the variant has no channel map.  Serial order:
-    the spatial statistics are taken from the gated responses, so alpha_X
-    depends on alpha_C.  Missing maps (per variant) are returned as None.
+    responses themselves when no channel parameters are given.  Serial
+    order: the spatial statistics are taken from the gated responses, so
+    alpha_X depends on alpha_C.  A map whose parameters are not given is
+    returned as None.
     """
-    if variant not in ATTENTIVE_VARIANTS:
-        raise ValueError(f"unknown attention variant {variant!r}")
     ftilde = intermediate_responses(f, layer)
     alpha_c = alpha_x = None
     gated = ftilde
-    if variant in ("full", "channel"):
+    if ch_params is not None:
         s_avg, s_max = channel_stats(ftilde, pool_out=pool_out)
         alpha_c = channel_attention(s_avg, s_max, ch_params, layer.group,
                                     residual_branch=residual_branch, index_mode=index_mode)
@@ -539,15 +508,15 @@ def reference_attention_maps(f: FeatureMapG, layer, ch_params=None, sp_params=No
         else:
             expand = T.reshape(alpha_c, alpha_c.shape + (1, 1))
         gated = T.mul(ftilde, expand)
-    if variant in ("full", "spatial"):
+    if sp_params is not None:
         s_x = spatial_stats(gated, pool_out=pool_out)
         alpha_x = spatial_attention(s_x, sp_params, layer.group,
                                     residual_branch=residual_branch)
     return alpha_c, alpha_x, gated
 
 
-def reference_attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_params=None,
-                                   variant="full", residual_branch=True, pool_out=True,
+def reference_attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
+                                   residual_branch=True, pool_out=True,
                                    index_mode="relative"):
     """Oracle of attention.attentive_group_conv: (output map, alpha_C, alpha_X).
 
@@ -555,8 +524,8 @@ def reference_attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_par
     channels and poses, and adds the shared per-channel bias.
     """
     alpha_c, alpha_x, mod = reference_attention_maps(
-        f, layer, ch_params, sp_params, variant=variant,
-        residual_branch=residual_branch, pool_out=pool_out, index_mode=index_mode)
+        f, layer, ch_params, sp_params, residual_branch=residual_branch, pool_out=pool_out,
+        index_mode=index_mode)
     if alpha_x is not None:
         # [N, 1|O, H, Hin, Y, X] -> a singleton channel axis after 1|O
         n, o, hh, hin, y, x = alpha_x.shape
@@ -564,7 +533,7 @@ def reference_attentive_group_conv(f: FeatureMapG, layer, ch_params=None, sp_par
     out = T.reduce(mod, axes=(2, 4), mode="sum")  # [N, O, H, Y, X]
     if layer.bias is not None:
         out = T.add(out, T.reshape(layer.bias, (1, layer.bias.shape[0], 1, 1, 1)))
-    return FeatureMapG(out, layer.group), alpha_c, alpha_x
+    return out, alpha_c, alpha_x
 
 
 def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
@@ -595,11 +564,10 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
         x[..., :2, :] = 0.0
     xp = Parameter(x, dtype=dtype, name="x")
     params = [xp] + layer.params() + (ch.params() if ch else []) + (sp.params() if sp else [])
-    f = FeatureMapG(xp, grp)
-    kwargs = dict(variant=variant, residual_branch=residual_branch, pool_out=pool_out)
+    kwargs = dict(residual_branch=residual_branch, pool_out=pool_out)
 
     def values(out, maps):
-        got = {"out": out.data.data}
+        got = {"out": out.data}
         got.update((name, m.data) for name, m in zip(("alpha_c", "alpha_x"), maps)
                    if m is not None)
         return got
@@ -609,21 +577,21 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
     for fast in (True, False):
         with Tape() as tape:
             if fast:
-                out = attentive_group_conv(f, layer, ch, sp, **kwargs)
-                maps = attention_maps(f, layer, ch, sp, **kwargs)
+                out = attentive_group_conv(xp, layer, ch, sp, **kwargs)
+                maps = attention_maps(xp, layer, ch, sp, **kwargs)
             else:
-                out, *maps = reference_attentive_group_conv(f, layer, ch, sp, **kwargs)
+                out, *maps = reference_attentive_group_conv(xp, layer, ch, sp, **kwargs)
             if probe is None:
                 probe = Tensor(new_rng(seed + 1).standard_normal(out.shape).astype(
-                    out.data.data.dtype))
-            backward(tape, T.reduce(T.mul(out.data, probe)))
+                    out.data.dtype))
+            backward(tape, T.reduce(T.mul(out, probe)))
         got = values(out, maps)
         got.update((f"grad_{p.name.rsplit('.', 1)[-1]}", p.grad.copy()) for p in params)
         results.append(got)
         zero_grads(params)
     # with no tape the block keeps no record and takes its maxima without routes
-    tapeless = values(attentive_group_conv(f, layer, ch, sp, **kwargs),
-                      attention_maps(f, layer, ch, sp, **kwargs))
+    tapeless = values(attentive_group_conv(xp, layer, ch, sp, **kwargs),
+                      attention_maps(xp, layer, ch, sp, **kwargs))
     fast, ref = results
     if fast.keys() != ref.keys():
         raise AssertionError(f"fast block reports {sorted(fast)}, reference {sorted(ref)}")
@@ -679,15 +647,14 @@ def parity_report(size=32, seed=0, dtype="f32"):
     """
     net_a, net_b = build_parity_nets(dtype=dtype, seed=seed)
     grp = net_a.group
-    np_dtype = np.float32 if dtype == "f32" else np.float64
     rng = new_rng(seed + 99)
-    x = rng.standard_normal((2, 1, size, size)).astype(np_dtype)
+    x = rng.standard_normal((2, 1, size, size)).astype(T.DTYPES[dtype])
     ctx = ForwardCtx(training=False)
 
     def err_and_map(net):
-        base = net.forward(Tensor(x), ctx).data.data
-        got = net.forward(Tensor(transform_input(grp, 1, x)), ctx).data.data
-        want = relabel(grp, 1, base, pose_axes=(2,))
+        base = net.forward(Tensor(x), ctx).data
+        got = net.forward(Tensor(transform_array(grp, 1, x)), ctx).data
+        want = transform_array(grp, 1, base, pose_axes=(2,))
         diff = np.abs(got.astype(np.float64) - want.astype(np.float64))
         return float(diff.max()), diff[0].max(axis=(0, 1))
 
@@ -793,11 +760,8 @@ def gradcheck_cases(seed=0):
     xg = _p(rng, (1, 2, 1, 5, 5), "xg")
 
     def loss_gconv():
-        f = FeatureMapG(xg, grp4)
-        lifted = group_conv(f, lift_layer)
-        relued = FeatureMapG(T.relu(lifted.data), grp4)
-        out = group_conv(relued, gc_layer)
-        return T.reduce(out.data)
+        out = group_conv(T.relu(group_conv(xg, lift_layer)), gc_layer)
+        return T.reduce(out)
     cases.append(("group_conv",
                   [xg] + list(lift_layer.params()) + list(gc_layer.params()),
                   loss_gconv))
@@ -809,9 +773,7 @@ def gradcheck_cases(seed=0):
     xa = _p(rng, (1, 2, 4, 5, 5), "xa")
 
     def loss_attentive():
-        f = FeatureMapG(xa, grp4)
-        out = attentive_group_conv(f, att_layer, att_ch, att_sp, variant="full")
-        return T.reduce(out.data)
+        return T.reduce(attentive_group_conv(xa, att_layer, att_ch, att_sp))
     cases.append(("attentive_full",
                   [xa] + list(att_layer.params()) + att_ch.params() + att_sp.params(),
                   loss_attentive))
@@ -823,10 +785,7 @@ def gradcheck_cases(seed=0):
     xi = _p(rng, (1, 2, 4, 5, 5), "xi")
 
     def loss_input_att():
-        f = FeatureMapG(xi, grp4)
-        gated = input_attention(f, in_ch, in_sp)
-        out = group_conv(gated, in_layer)
-        return T.reduce(out.data)
+        return T.reduce(group_conv(input_attention(xi, grp4, in_ch, in_sp), in_layer))
     cases.append(("input_attention",
                   [xi] + list(in_layer.params()) + in_ch.params() + in_sp.params(),
                   loss_input_att))
@@ -911,15 +870,14 @@ def block_alpha_x(net, x, index):
     if not 0 <= index < len(net.layers):
         raise ValueError(f"layer {index} out of range: the network has {len(net.layers)} layers")
     blk = net.layers[index]
-    if not isinstance(blk, GBlock) or blk.variant in ("plain", "channel"):
+    if not isinstance(blk, GBlock) or blk.sp_params is None:
         raise ValueError(f"layer {index} has no spatial attention")
     f = Network(net.group, net.layers[:index]).forward(x)
     if blk.variant == "input":
-        _, ax = input_attention_maps(f, blk.ch_params, blk.sp_params,
+        _, ax = input_attention_maps(f, blk.layer.group, blk.ch_params, blk.sp_params,
                                      residual_branch=blk.residual_branch)
         return ax.data  # [N, 1, Hf, Y, X]
     _, ax = attention_maps(f, blk.layer, blk.ch_params, blk.sp_params,
-                           variant=blk.variant,
                            residual_branch=blk.residual_branch,
                            pool_out=blk.pool_out, index_mode=blk.index_mode)
     return ax.data  # [N, 1|O, H, Hin, Y, X]
@@ -934,9 +892,9 @@ def alpha_x_consistency(net, x, index, tolerance=1e-4):
     maps = {0: base}
     errs = []
     for h in range(grp.order):
-        got = block_alpha_x(net, transform_input(grp, h, x), index)
+        got = block_alpha_x(net, transform_array(grp, h, x), index)
         maps[h] = got
-        errs.append(max_abs(got, relabel(grp, h, base, pose_axes, spatial=True)))
+        errs.append(max_abs(got, transform_array(grp, h, base, pose_axes)))
         report[f"err_h{h}"] = errs[-1]
     report["max_err"] = max(errs)
     report["pass"] = report["max_err"] <= tolerance

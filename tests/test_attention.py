@@ -14,18 +14,18 @@ from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
                             make_channel_attention, make_spatial_attention,
                             residual_gate)
 from gatt.autodiff import Parameter, backward, new_rng, zero_grads
-from gatt.gconv import FeatureMapG, group_conv, make_gconv_layer
-from gatt.groups import make_group, transform_array
+from gatt.gconv import group_conv, make_gconv_layer
+from gatt.groups import feature_perm, make_group, transform_array
 from gatt.tensor import Tape, Tensor
 from gatt.verify import (attentive_oracle_errors, channel_attention, channel_stats,
-                         intermediate_responses, reference_attention_maps, relabel,
-                         spatial_attention, spatial_stats, transform_input)
+                         intermediate_responses, reference_attention_maps,
+                         spatial_attention, spatial_stats)
 
 GRP = make_group("C4")
 
 
-def _feature(arr, grp=GRP):
-    return FeatureMapG(Tensor(np.ascontiguousarray(arr)), grp)
+def _feature(arr):
+    return Tensor(np.ascontiguousarray(arr))
 
 
 def _setup(seed=0, channels=4, out_channels=3, group=GRP, att_kernel=3):
@@ -152,7 +152,7 @@ def test_spatial_attention_matches_manual():
     n, _, hh, hin, y, xs = s_x.shape
     want = np.zeros((n, 1, hh, hin, y, xs))
     for h in range(hh):
-        psi_h = transform_array(GRP, h, sp.psi.data, group_axis=2)  # [1, 2, Hin, k, k]
+        psi_h = transform_array(GRP, h, sp.psi.data, pose_axes=(2,))  # [1, 2, Hin, k, k]
         for t in range(hin):
             resp = np.zeros((n, y, xs))
             for s in range(2):
@@ -169,13 +169,13 @@ def test_spatial_response_is_a_two_channel_conv_per_pose_pair(monkeypatch, pool_
     # the (h, t) stats correlated with the h-transformed psi[:, :, t] alone
     grp = make_group("D4")
     layer, ch, sp, x = _setup(seed=4, channels=2, out_channels=2, group=grp)
-    s_x = spatial_stats(intermediate_responses(_feature(x, grp), layer), pool_out=pool_out)
+    s_x = spatial_stats(intermediate_responses(_feature(x), layer), pool_out=pool_out)
     monkeypatch.setattr(V, "_gate", lambda z, residual_branch: z)
     got = spatial_attention(s_x, sp, grp).data
     stats = s_x.data if pool_out else s_x.data.reshape((-1,) + s_x.shape[2:])
     got = got.reshape((stats.shape[0], 1) + got.shape[-4:])
     for h in range(grp.order):
-        psi_h = transform_array(grp, h, sp.psi.data, group_axis=2)  # [1, 2, Hin, k, k]
+        psi_h = transform_array(grp, h, sp.psi.data, pose_axes=(2,))  # [1, 2, Hin, k, k]
         for t in range(grp.order):
             want = T.conv2d(Tensor(stats[:, :, h, t]), Tensor(psi_h[:, :, t])).data
             np.testing.assert_allclose(got[:, :, h, t], want, rtol=0, atol=1e-12)
@@ -183,7 +183,7 @@ def test_spatial_response_is_a_two_channel_conv_per_pose_pair(monkeypatch, pool_
 
 def test_attention_maps_in_open_unit_interval():
     layer, ch, sp, x = _setup()
-    ac, ax = attention_maps(_feature(x), layer, ch, sp, variant="full")
+    ac, ax = attention_maps(_feature(x), layer, ch, sp)
     for a in (ac.data, ax.data):
         assert a.min() > 0.0 and a.max() < 1.0
 
@@ -197,7 +197,7 @@ def test_attention_maps_bounded_property(seed, residual):
     ch = make_channel_attention(rng, GRP.order, 2, 2, dtype="f64")
     sp = make_spatial_attention(rng, GRP.order, kernel=3, dtype="f64")
     x = rng.standard_normal((1, 2, 4, 5, 5)) * 3.0
-    ac, ax = attention_maps(_feature(x), layer, ch, sp, variant="full",
+    ac, ax = attention_maps(_feature(x), layer, ch, sp,
                             residual_branch=residual)
     assert 0.0 < ac.data.min() and ac.data.max() < 1.0
     assert 0.0 < ax.data.min() and ax.data.max() < 1.0
@@ -214,8 +214,8 @@ def test_zero_parameter_attention_quarters_the_response():
     sp = SpatialAttentionParams(
         Parameter(np.zeros((1, 2, 4, 3, 3)), dtype="f64", name="z3"))
     f = _feature(x)
-    got = attentive_group_conv(f, layer, ch, sp, variant="full").data.data
-    plain = group_conv(f, layer).data.data
+    got = attentive_group_conv(f, layer, ch, sp).data
+    plain = group_conv(f, layer).data
     bias = layer.bias.data.reshape(1, -1, 1, 1, 1)
     # both gates sit at 0.5, so the pre-bias response is quartered
     np.testing.assert_allclose(got, 0.25 * (plain - bias) + bias, atol=1e-13)
@@ -226,7 +226,7 @@ def test_spatial_map_sees_channel_modulated_responses():
     # channel-gated responses, not the raw ones
     layer, ch, sp, x = _setup()
     f = _feature(x)
-    ac, ax, gated = reference_attention_maps(f, layer, ch, sp, variant="full")
+    ac, ax, gated = reference_attention_maps(f, layer, ch, sp)
     ft = intermediate_responses(f, layer)
     n, c, hh, hin = ac.shape
     mod = ft.data * ac.data.reshape(n, 1, c, hh, hin, 1, 1)
@@ -243,10 +243,10 @@ def test_pool_out_false_keeps_out_channel_axis():
     layer, _, sp, x = _setup()
     rng = new_rng(33)
     ch = make_channel_attention(rng, GRP.order, 4, 2, dtype="f64")
-    ac, ax = attention_maps(_feature(x), layer, ch, sp, variant="full", pool_out=False)
+    ac, ax = attention_maps(_feature(x), layer, ch, sp, pool_out=False)
     assert ac.shape == (2, 3, 4, 4, 4)        # [N, O, C, H, Hin]
     assert ax.shape == (2, 3, 4, 4, 6, 6)     # [N, O, H, Hin, Y, X]
-    out = attentive_group_conv(_feature(x), layer, ch, sp, variant="full",
+    out = attentive_group_conv(_feature(x), layer, ch, sp,
                                pool_out=False)
     assert out.data.shape == (2, 3, 4, 6, 6)
 
@@ -254,26 +254,22 @@ def test_pool_out_false_keeps_out_channel_axis():
 def test_channel_only_and_spatial_only_variants():
     layer, ch, sp, x = _setup()
     f = _feature(x)
-    ac, ax = attention_maps(f, layer, ch_params=ch, variant="channel")
+    ac, ax = attention_maps(f, layer, ch_params=ch)
     assert ax is None and ac is not None
-    ac, ax = attention_maps(f, layer, sp_params=sp, variant="spatial")
+    ac, ax = attention_maps(f, layer, sp_params=sp)
     assert ac is None and ax is not None
     with pytest.raises(ValueError):
-        attention_maps(f, layer, variant="channel")   # missing parameters
-    with pytest.raises(ValueError):
-        attention_maps(f, layer, variant="spatial")
-    with pytest.raises(ValueError):
-        attention_maps(f, layer, ch, sp, variant="both")
+        attention_maps(f, layer)   # missing parameters
 
 
 def test_attentive_layer_equivariance():
     layer, ch, sp, x = _setup()
     f = _feature(x)
-    base = attentive_group_conv(f, layer, ch, sp, variant="full").data.data
+    base = attentive_group_conv(f, layer, ch, sp).data
     for h in range(GRP.order):
-        ft = _feature(transform_input(GRP, h, x))
-        got = attentive_group_conv(ft, layer, ch, sp, variant="full").data.data
-        want = relabel(GRP, h, base, pose_axes=(2,))
+        ft = _feature(transform_array(GRP, h, x, pose_axes=(2,)))
+        got = attentive_group_conv(ft, layer, ch, sp).data
+        want = transform_array(GRP, h, base, pose_axes=(2,))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -288,7 +284,7 @@ def test_planar_input_attention_matches_flat_reference():
     ch = make_channel_attention(rng, 1, c, 2, dtype="f64")
     sp = make_spatial_attention(rng, 1, kernel=k, dtype="f64")
     x = new_rng(41).standard_normal((2, c, 1, 7, 7))
-    out = input_attention(_feature(x), ch, sp).data.data
+    out = input_attention(_feature(x), GRP, ch, sp).data
 
     flat = x[:, :, 0]                                   # [N, C, Y, X]
     w1, w2 = ch.w1.data[0], ch.w2.data[0]
@@ -308,17 +304,17 @@ def test_input_attention_equivariance_and_map_laws():
     sp = make_spatial_attention(rng, GRP.order, kernel=3, dtype="f64")
     x = new_rng(43).standard_normal((2, 3, 4, 6, 6))
     f = _feature(x)
-    base = input_attention(f, ch, sp).data.data
-    ac0, ax0 = (m.data for m in input_attention_maps(f, ch, sp))
+    base = input_attention(f, GRP, ch, sp).data
+    ac0, ax0 = (m.data for m in input_attention_maps(f, GRP, ch, sp))
     for h in range(GRP.order):
-        ft = _feature(transform_input(GRP, h, x))
-        got = input_attention(ft, ch, sp).data.data
-        np.testing.assert_allclose(got, relabel(GRP, h, base, pose_axes=(2,)),
+        ft = _feature(transform_array(GRP, h, x, pose_axes=(2,)))
+        got = input_attention(ft, GRP, ch, sp).data
+        np.testing.assert_allclose(got, transform_array(GRP, h, base, pose_axes=(2,)),
                                    atol=1e-12)
-        ac_h, ax_h = (m.data for m in input_attention_maps(ft, ch, sp))
-        np.testing.assert_allclose(ac_h, relabel(GRP, h, ac0, pose_axes=(-1,),
-                                                 spatial=False), atol=1e-12)
-        np.testing.assert_allclose(ax_h, relabel(GRP, h, ax0, pose_axes=(2,)),
+        ac_h, ax_h = (m.data for m in input_attention_maps(ft, GRP, ch, sp))
+        np.testing.assert_allclose(ac_h, np.take(ac0, feature_perm(GRP, h), axis=-1),
+                                   atol=1e-12)
+        np.testing.assert_allclose(ax_h, transform_array(GRP, h, ax0, pose_axes=(2,)),
                                    atol=1e-12)
 
 
@@ -327,9 +323,9 @@ def test_input_attention_parameter_validation():
     ch = make_channel_attention(rng, GRP.order, 3, 3, dtype="f64")
     sp = make_spatial_attention(rng, GRP.order, kernel=3, dtype="f64")
     with pytest.raises(ValueError):
-        input_attention(_feature(np.zeros((1, 2, 4, 5, 5))), ch, sp)  # channels
+        input_attention(_feature(np.zeros((1, 2, 4, 5, 5))), GRP, ch, sp)  # channels
     with pytest.raises(ValueError):
-        input_attention(_feature(np.zeros((1, 3, 1, 5, 5))), ch, sp)  # pose axis
+        input_attention(_feature(np.zeros((1, 3, 1, 5, 5))), GRP, ch, sp)  # pose axis
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +455,10 @@ def test_nan_in_one_sample_stays_in_that_sample(group_name, pool_out):
     def run(xs, ps):
         xp = Parameter(xs, dtype="f64", name="x")
         with Tape() as tape:
-            out = attentive_group_conv(FeatureMapG(xp, grp), layer, ch, sp,
-                                       variant="full", pool_out=pool_out)
-            backward(tape, T.reduce(T.mul(out.data, Tensor(ps))))
+            out = attentive_group_conv(xp, layer, ch, sp, pool_out=pool_out)
+            backward(tape, T.reduce(T.mul(out, Tensor(ps))))
         zero_grads(params)
-        return out.data.data, xp.grad
+        return out.data, xp.grad
 
     out, grad = run(x, probe)
     alone, grad_alone = run(x[1:], probe[1:])
@@ -486,7 +481,7 @@ def test_attentive_forward_peaks_below_half_the_pair_tensor():
     assert pair_bytes >= 40e6
     tracemalloc.start()
     try:
-        out = attentive_group_conv(f, layer, ch, sp, variant="full")
+        out = attentive_group_conv(f, layer, ch, sp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -508,8 +503,8 @@ def test_attentive_forward_and_backward_peak_below_the_whole_batch_slice():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            out = attentive_group_conv(FeatureMapG(x, GRP), layer, ch, sp, variant="full")
-            backward(tape, T.reduce(T.mul(out.data, probe)))
+            out = attentive_group_conv(x, layer, ch, sp)
+            backward(tape, T.reduce(T.mul(out, probe)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -163,6 +163,13 @@ def input_checkpoint(tmp_path_factory):
     ["train", "--batch", "0"],
     ["train", "--train-size", "0"],
     ["train", "--limit", "0"],
+    ["train", "--lr", "nan"],
+    ["train", "--lr", "inf"],
+    ["train", "--lr", "0"],
+    ["train", "--lr", "-1"],
+    ["train", "--weight-decay", "nan"],
+    ["train", "--weight-decay", "inf"],
+    ["train", "--weight-decay", "-1"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_arguments_exit_2(capsys, input_checkpoint, argv):
     # valid arguments first; the bad value comes last, so it wins over any earlier one

@@ -349,6 +349,10 @@ pool_out_channels = no
     ("reduction_ratio = 0", "line 1: reduction_ratio must be >= 1"),
     ("filter_size = 0", "line 1: filter_size must be >= 1"),
     ("lr = fast", "line 1: lr expects a number"),
+    ("lr = inf", "line 1: lr must be finite and > 0"),
+    ("lr = nan", "line 1: lr must be finite and > 0"),
+    ("lr = 0", "line 1: lr must be finite and > 0"),
+    ("lr = -1", "line 1: lr must be finite and > 0"),
     ("group = p8", "line 1: group must be one of"),
     ("dtype = f16", "line 1: dtype"),
     ("variant = cbam", "line 1: variant"),

@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 import gatt.tensor as T
+from gatt.attention import (attentive_group_conv, input_attention, make_channel_attention,
+                            make_spatial_attention)
 from gatt.autodiff import new_rng
-from gatt.gconv import (FeatureMapG, GConvLayer, filter_bank, group_conv, group_pool,
-                        make_gconv_layer)
+from gatt.gconv import GConvLayer, filter_bank, group_conv, group_pool, make_gconv_layer
 from gatt.groups import make_group, transform_array
 from gatt.tensor import Tensor
-from gatt.verify import (intermediate_responses, naive_group_conv, relabel,
-                         transform_input)
+from gatt.verify import intermediate_responses, naive_group_conv
 
 
-def _feature(arr, grp):
-    return FeatureMapG(Tensor(np.ascontiguousarray(arr)), grp)
+def _feature(arr):
+    return Tensor(np.ascontiguousarray(arr))
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +23,7 @@ def test_c1_lift_is_plain_conv2d():
     rng = new_rng(0)
     layer = make_gconv_layer(rng, grp, 2, 3, kernel=3, lifting=True, dtype="f64")
     x = new_rng(1).standard_normal((2, 2, 6, 6))
-    out = group_conv(_feature(x[:, :, None], grp), layer).data.data
+    out = group_conv(_feature(x[:, :, None]), layer).data
     want = T.conv2d(Tensor(x), T.reshape(layer.weight, (3, 2, 3, 3))).data \
         + layer.bias.data.reshape(1, 3, 1, 1)
     np.testing.assert_array_equal(out[:, :, 0], want)
@@ -37,7 +37,7 @@ def test_c1_group_layer_degenerates_to_lifting():
     layer = make_gconv_layer(rng, grp, 2, 3, kernel=3, lifting=False, dtype="f64")
     assert layer.weight.shape[2] == 1
     x = new_rng(3).standard_normal((1, 2, 1, 5, 5))
-    out = group_conv(_feature(x, grp), layer).data.data
+    out = group_conv(_feature(x), layer).data
     want = T.conv2d(Tensor(x[:, :, 0]), T.reshape(layer.weight, (3, 2, 3, 3))).data \
         + layer.bias.data.reshape(1, 3, 1, 1)
     np.testing.assert_array_equal(out[:, :, 0], want)
@@ -52,11 +52,11 @@ def test_lift_conv_equivariance(group_name):
     layer = make_gconv_layer(new_rng(4), grp, 2, 3, kernel=3, lifting=True,
                              dtype="f64")
     x = new_rng(5).standard_normal((2, 2, 7, 7))
-    base = group_conv(_feature(x[:, :, None], grp), layer).data.data
+    base = group_conv(_feature(x[:, :, None]), layer).data
     for h in range(grp.order):
         xt = transform_array(grp, h, x)
-        got = group_conv(_feature(xt[:, :, None], grp), layer).data.data
-        want = relabel(grp, h, base, pose_axes=(2,))
+        got = group_conv(_feature(xt[:, :, None]), layer).data
+        want = transform_array(grp, h, base, pose_axes=(2,))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -65,11 +65,11 @@ def test_group_conv_equivariance(group_name):
     grp = make_group(group_name)
     layer = make_gconv_layer(new_rng(6), grp, 2, 3, kernel=3, dtype="f64")
     x = new_rng(7).standard_normal((1, 2, grp.order, 7, 7))
-    base = group_conv(_feature(x, grp), layer).data.data
+    base = group_conv(_feature(x), layer).data
     for h in range(grp.order):
-        xt = transform_input(grp, h, x)
-        got = group_conv(_feature(xt, grp), layer).data.data
-        want = relabel(grp, h, base, pose_axes=(2,))
+        xt = transform_array(grp, h, x, pose_axes=(2,))
+        got = group_conv(_feature(xt), layer).data
+        want = transform_array(grp, h, base, pose_axes=(2,))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_gconv_matches_double_sum(group_name, lifting):
                              dtype="f64")
     hin = 1 if lifting else grp.order
     x = new_rng(9).standard_normal((1, 2, hin, 5, 5))
-    got = group_conv(_feature(x, grp), layer).data.data
+    got = group_conv(_feature(x), layer).data
     want = naive_group_conv(x, grp, layer.weight.data, layer.bias.data)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -94,7 +94,7 @@ def test_gconv_stride2_matches_double_sum():
     layer = make_gconv_layer(new_rng(10), grp, 2, 2, kernel=3, stride=2,
                              dtype="f64")
     x = new_rng(11).standard_normal((1, 2, 4, 6, 6))
-    got = group_conv(_feature(x, grp), layer).data.data
+    got = group_conv(_feature(x), layer).data
     want = naive_group_conv(x, grp, layer.weight.data, layer.bias.data, stride=2)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -128,11 +128,11 @@ def test_intermediate_responses_sum_reproduces_layer():
     grp = make_group("D4")
     layer = make_gconv_layer(new_rng(13), grp, 3, 2, kernel=3, dtype="f64")
     x = new_rng(14).standard_normal((2, 3, 8, 6, 6))
-    f = _feature(x, grp)
+    f = _feature(x)
     resp = intermediate_responses(f, layer).data  # [N, O, C, H, Hin, Y, X]
     assert resp.shape == (2, 2, 3, 8, 8, 6, 6)
     summed = resp.sum(axis=(2, 4)) + layer.bias.data.reshape(1, 2, 1, 1, 1)
-    full = group_conv(f, layer).data.data
+    full = group_conv(f, layer).data
     np.testing.assert_allclose(summed, full, atol=1e-13)
 
 
@@ -141,11 +141,11 @@ def test_intermediate_responses_lifting():
     layer = make_gconv_layer(new_rng(15), grp, 2, 3, kernel=3, lifting=True,
                              dtype="f64")
     x = new_rng(16).standard_normal((1, 2, 1, 5, 5))
-    f = _feature(x, grp)
+    f = _feature(x)
     resp = intermediate_responses(f, layer).data
     assert resp.shape == (1, 3, 2, 4, 1, 5, 5)
     summed = resp.sum(axis=(2, 4)) + layer.bias.data.reshape(1, 3, 1, 1, 1)
-    np.testing.assert_allclose(summed, group_conv(f, layer).data.data, atol=1e-13)
+    np.testing.assert_allclose(summed, group_conv(f, layer).data, atol=1e-13)
 
 
 @pytest.mark.parametrize("lifting", [True, False])
@@ -158,7 +158,7 @@ def test_intermediate_responses_are_single_channel_convs(lifting, stride):
                              stride=stride, dtype="f64")
     hin = 1 if lifting else grp.order
     x = new_rng(18).standard_normal((2, 2, hin, 7, 7))
-    resp = intermediate_responses(_feature(x, grp), layer).data
+    resp = intermediate_responses(_feature(x), layer).data
     bank = filter_bank(layer).data                 # [(H, O), (C, Hin), k, k]
     o = 3
     assert resp.shape == (2, o, 2, grp.order, hin, 4 if stride == 2 else 7,
@@ -177,13 +177,13 @@ def test_intermediate_responses_are_single_channel_convs(lifting, stride):
 # ---------------------------------------------------------------------------
 # pooling heads
 
-def test_group_pool_invariant_under_pose_relabel():
+def test_group_pool_invariant_under_pose_permutation():
     grp = make_group("C4")
     x = new_rng(18).standard_normal((2, 3, 4, 5, 5))
-    pooled = group_pool(_feature(x, grp)).data
+    pooled = group_pool(_feature(x), grp).data
     for h in range(grp.order):
-        xt = transform_input(grp, h, x)
-        got = group_pool(_feature(xt, grp)).data
+        xt = transform_array(grp, h, x, pose_axes=(2,))
+        got = group_pool(_feature(xt), grp).data
         want = transform_array(grp, h, pooled)  # only the spatial part remains
         np.testing.assert_array_equal(got, want)
 
@@ -191,7 +191,7 @@ def test_group_pool_invariant_under_pose_relabel():
 def test_group_pool_takes_the_pose_max():
     grp = make_group("C4")
     x = new_rng(19).standard_normal((1, 2, 4, 3, 3))
-    np.testing.assert_array_equal(group_pool(_feature(x, grp)).data, x.max(axis=2))
+    np.testing.assert_array_equal(group_pool(_feature(x), grp).data, x.max(axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -219,21 +219,33 @@ def test_gconv_layer_requires_odd_square_filter():
     GConvLayer(grp, Tensor(np.zeros((1, 1, 1, 3, 3))))
 
 
-def test_forward_input_validation():
-    grp = make_group("C4")
-    lift_layer = make_gconv_layer(new_rng(21), grp, 2, 2, lifting=True)
-    gc_layer = make_gconv_layer(new_rng(22), grp, 2, 2)
-    planar = _feature(np.zeros((1, 2, 1, 5, 5), dtype=np.float32), grp)
-    stacked = _feature(np.zeros((1, 2, 4, 5, 5), dtype=np.float32), grp)
+_C4 = make_group("C4")
+_LIFT = make_gconv_layer(new_rng(21), _C4, 2, 2, lifting=True)
+_GC = make_gconv_layer(new_rng(22), _C4, 2, 2)
+_CH = make_channel_attention(new_rng(23), _C4.order, 2, 2)
+_SP = make_spatial_attention(new_rng(24), _C4.order, kernel=3)
+_CONSUMERS = {
+    "group_conv": lambda f: group_conv(f, _GC),
+    "lifting_conv": lambda f: group_conv(f, _LIFT),
+    "attentive_group_conv": lambda f: attentive_group_conv(f, _GC, _CH, _SP),
+    "input_attention": lambda f: input_attention(f, _C4, _CH, _SP),
+    "group_pool": lambda f: group_pool(f, _C4),
+    "intermediate_responses": lambda f: intermediate_responses(f, _GC),
+}
+
+
+@pytest.mark.parametrize("consumer,shape", [
+    # a map is a plain Tensor: its rank and pose extent are all a C4 consumer can check
+    *[(name, shape) for name in ("group_conv", "attentive_group_conv", "input_attention",
+                                 "group_pool")
+      for shape in ((1, 2, 5, 5),          # rank 4
+                    (1, 2, 3, 5, 5),       # pose extent 3
+                    (1, 2, 8, 5, 5))],     # a D4 map
+    ("lifting_conv", (1, 2, 4, 5, 5)),     # a lifting layer wants planar input
+    ("group_conv", (1, 2, 1, 5, 5)),       # group-to-group wants a full pose axis
+    ("group_conv", (1, 3, 4, 5, 5)),       # channel mismatch
+    ("intermediate_responses", (1, 2, 1, 5, 5)),  # pose mismatch vs filter
+], ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_forward_input_validation(consumer, shape):
     with pytest.raises(ValueError):
-        group_conv(stacked, lift_layer)  # a lifting layer wants planar input
-    with pytest.raises(ValueError):
-        group_conv(planar, gc_layer)     # group-to-group wants a full pose axis
-    with pytest.raises(ValueError):
-        group_conv(_feature(np.zeros((1, 3, 4, 5, 5), dtype=np.float32), grp),
-                   gc_layer)             # channel mismatch
-    with pytest.raises(ValueError):
-        group_conv(_feature(np.zeros((1, 2, 3, 5, 5), dtype=np.float32), grp),
-                   gc_layer)             # bad pose extent
-    with pytest.raises(ValueError):
-        intermediate_responses(planar, gc_layer)  # pose mismatch vs filter
+        _CONSUMERS[consumer](Tensor(np.zeros(shape, dtype=np.float32)))

@@ -125,8 +125,8 @@ def test_inverse_transform_round_trip(grp):
     x = np.random.default_rng(0).random((2, 3, grp.order, 6, 6))
     for h in range(grp.order):
         back = transform_array(grp, int(grp.inverse[h]),
-                               transform_array(grp, h, x, group_axis=2),
-                               group_axis=2)
+                               transform_array(grp, h, x, pose_axes=(2,)),
+                               pose_axes=(2,))
         np.testing.assert_array_equal(back, x)
 
 
@@ -148,9 +148,9 @@ def test_feature_representation_property(grp):
     x = rng.random((2, 2, grp.order, 5, 5))
     for a in range(grp.order):
         for b in range(grp.order):
-            lhs = transform_array(grp, a, transform_array(grp, b, x, group_axis=2),
-                                  group_axis=2)
-            rhs = transform_array(grp, int(grp.cayley[a, b]), x, group_axis=2)
+            lhs = transform_array(grp, a, transform_array(grp, b, x, pose_axes=(2,)),
+                                  pose_axes=(2,))
+            rhs = transform_array(grp, int(grp.cayley[a, b]), x, pose_axes=(2,))
             np.testing.assert_array_equal(lhs, rhs)
 
 
@@ -170,7 +170,7 @@ def test_tensor_transform_matches_array_path():
                 got = orbit(grp, Tensor(x)).data
                 assert got.shape == (grp.order,) + x.shape
                 for h in range(grp.order):
-                    want = transform_array(grp, h, x, group_axis=-3)
+                    want = transform_array(grp, h, x, pose_axes=(-3,))
                     np.testing.assert_array_equal(got[h], want)
 
 
@@ -184,7 +184,7 @@ def test_tensor_transform_gradient_is_inverse_transform():
         # element, summed in h order
         want = np.zeros(x.shape)
         for h in range(grp.order):
-            want = want + transform_array(grp, int(grp.inverse[h]), w[h], group_axis=-3)
+            want = want + transform_array(grp, int(grp.inverse[h]), w[h], pose_axes=(-3,))
         np.testing.assert_array_equal(x.grad, want)
 
 
@@ -201,7 +201,7 @@ def test_orbit_rejects_a_bad_shape():
 def test_wrong_pose_extent_rejected():
     grp = make_group("C4")
     with pytest.raises(ValueError):
-        transform_array(grp, 1, np.zeros((1, 1, 3, 5, 5)), group_axis=2)
+        transform_array(grp, 1, np.zeros((1, 1, 3, 5, 5)), pose_axes=(2,))
 
 
 # ---------------------------------------------------------------------------

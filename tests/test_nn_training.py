@@ -9,21 +9,21 @@ import pytest
 import gatt.tensor as T
 from gatt.autodiff import Parameter, backward, new_rng, zero_grads
 from gatt.data import synth_shapes
-from gatt.gconv import FeatureMapG, make_gconv_layer
+from gatt.gconv import make_gconv_layer
 from gatt.groups import make_group, transform_array
 from gatt.nn import (BN_EPS, ForwardCtx, GBatchNorm, GBlock, GDropout, GroupPoolL,
                      MaxPoolG, Network, PoseBias, ReLUG, SpatialMeanL,
                      build_digit_net, build_parity_nets, build_tiny_net)
 from gatt.tensor import Tape, Tensor
 from gatt.training import accuracy, fit, minibatch_order, predict
-from gatt.verify import reference_batch_norm, relabel, transform_input
+from gatt.verify import reference_batch_norm
 
 GRP = make_group("C4")
 EVAL = ForwardCtx(training=False)
 
 
-def _feature(arr, grp=GRP):
-    return FeatureMapG(Tensor(np.ascontiguousarray(arr)), grp)
+def _feature(arr):
+    return Tensor(np.ascontiguousarray(arr))
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +32,7 @@ def _feature(arr, grp=GRP):
 def test_batchnorm_training_stats_match_manual():
     bn = GBatchNorm(3, dtype="f64", name="bn")
     x = new_rng(0).standard_normal((4, 3, 2, 5, 5))
-    out = bn.forward(_feature(x), ForwardCtx(training=True)).data.data
+    out = bn.forward(_feature(x), ForwardCtx(training=True)).data
     mu = x.mean(axis=(0, 2, 3, 4), keepdims=True)
     var = ((x - mu) ** 2).mean(axis=(0, 2, 3, 4), keepdims=True)
     want = (x - mu) / np.sqrt(var + 2e-5)
@@ -48,7 +48,7 @@ def test_batchnorm_eval_uses_running_stats():
     bn.running_mean = np.array([1.0, -1.0])
     bn.running_var = np.array([4.0, 0.25])
     x = new_rng(1).standard_normal((2, 2, 4, 3, 3))
-    out = bn.forward(_feature(x), EVAL).data.data
+    out = bn.forward(_feature(x), EVAL).data
     want = (x - bn.running_mean.reshape(1, 2, 1, 1, 1)) / \
         np.sqrt(bn.running_var.reshape(1, 2, 1, 1, 1) + 2e-5)
     np.testing.assert_allclose(out, want, atol=1e-12)
@@ -59,7 +59,7 @@ def test_batchnorm_affine_pair_applies_per_channel():
     bn.gamma.data = np.array([2.0, 3.0])
     bn.beta.data = np.array([-1.0, 1.0])
     x = np.zeros((1, 2, 1, 2, 2))
-    out = bn.forward(_feature(x), EVAL).data.data
+    out = bn.forward(_feature(x), EVAL).data
     assert np.allclose(out[0, 0], -1.0) and np.allclose(out[0, 1], 1.0)
 
 
@@ -68,12 +68,12 @@ def test_batchnorm_equivariant_in_training_mode():
     # transform commutes up to summation-order noise in the moments
     bn = GBatchNorm(3, dtype="f64", name="bn")
     x = new_rng(2).standard_normal((2, 3, 4, 6, 6))
-    base = bn.forward(_feature(x), ForwardCtx(training=True)).data.data
+    base = bn.forward(_feature(x), ForwardCtx(training=True)).data
     for h in range(GRP.order):
         bn2 = GBatchNorm(3, dtype="f64", name="bn")
-        got = bn2.forward(_feature(transform_input(GRP, h, x)),
-                          ForwardCtx(training=True)).data.data
-        np.testing.assert_allclose(got, relabel(GRP, h, base, pose_axes=(2,)),
+        got = bn2.forward(_feature(transform_array(GRP, h, x, pose_axes=(2,))),
+                          ForwardCtx(training=True)).data
+        np.testing.assert_allclose(got, transform_array(GRP, h, base, pose_axes=(2,)),
                                    atol=1e-13)
 
 
@@ -128,19 +128,19 @@ def test_maxpool_equivariant_on_even_extent():
     x = new_rng(4).standard_normal((1, 2, 8, 8, 8))
     d4 = make_group("D4")
     pool = MaxPoolG()
-    base = pool.forward(_feature(x, d4), EVAL).data.data
+    base = pool.forward(_feature(x), EVAL).data
     for h in range(d4.order):
-        got = pool.forward(_feature(transform_input(d4, h, x), d4), EVAL).data.data
-        np.testing.assert_array_equal(got, relabel(d4, h, base, pose_axes=(2,)))
+        got = pool.forward(_feature(transform_array(d4, h, x, pose_axes=(2,))), EVAL).data
+        np.testing.assert_array_equal(got, transform_array(d4, h, base, pose_axes=(2,)))
 
 
 def test_pose_bias_breaks_equivariance():
     layer = make_gconv_layer(new_rng(5), GRP, 1, 3, lifting=True, dtype="f64")
     net = Network(GRP, [GBlock(layer), PoseBias(3, GRP, dtype="f64")])
     x = new_rng(6).standard_normal((1, 1, 8, 8))
-    base = net.forward(Tensor(x), EVAL).data.data
-    got = net.forward(Tensor(transform_array(GRP, 1, x)), EVAL).data.data
-    err = np.abs(got - relabel(GRP, 1, base, pose_axes=(2,))).max()
+    base = net.forward(Tensor(x), EVAL).data
+    got = net.forward(Tensor(transform_array(GRP, 1, x)), EVAL).data
+    err = np.abs(got - transform_array(GRP, 1, base, pose_axes=(2,))).max()
     assert err > 0.1
 
 
@@ -156,7 +156,7 @@ def test_heads_collapse_to_invariant_logits():
 
 def test_group_pool_and_spatial_mean_layers():
     x = new_rng(8).standard_normal((2, 3, 4, 5, 5))
-    pooled = GroupPoolL().forward(_feature(x), EVAL)
+    pooled = GroupPoolL(GRP).forward(_feature(x), EVAL)
     np.testing.assert_array_equal(pooled.data, x.max(axis=2))
     mean = SpatialMeanL().forward(pooled, EVAL)
     np.testing.assert_allclose(mean.data, x.max(axis=2).mean(axis=(2, 3)),
@@ -170,7 +170,7 @@ def test_relu_and_dropout_wrappers():
     f = _feature(np.ones((1, 1, 4, 2, 2)))
     assert GDropout(0.5).forward(f, EVAL) is f  # eval mode: identity
     ctx = ForwardCtx(training=True, rng=new_rng(9))
-    dropped = GDropout(0.5).forward(f, ctx).data.data
+    dropped = GDropout(0.5).forward(f, ctx).data
     assert set(np.unique(dropped)) <= {0.0, 2.0}
 
 
