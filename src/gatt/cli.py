@@ -271,7 +271,7 @@ def build_parser():
     common.add_argument("--group", choices=tuple(GROUP_ALIASES))
     common.add_argument("--variant", choices=VARIANTS)
     common.add_argument("--out", help="directory for reports and emitted images")
-    common.add_argument("--tolerance", type=float)
+    common.add_argument("--tolerance", type=_float_from(0.0, False))
 
     parser = argparse.ArgumentParser(
         prog="gatt",

@@ -45,7 +45,8 @@ class FiniteGroup:
 
 
 class AffineElement(NamedTuple):
-    """Roto-translation (x, h): integer translation x=(row, col), point-group index h."""
+    """Roto-translation (x, h): integer translation x=(row, col), point-group index h.
+    Row and col may be broadcasting integer arrays: a grid of translations sharing h."""
     x: tuple
     h: int
 
@@ -100,7 +101,7 @@ def _validate(grp):
 
 
 def compose_affine(grp, g1: AffineElement, g2: AffineElement) -> AffineElement:
-    """(x1, h1) * (x2, h2) = (x1 + h1 x2, h1 h2)."""
+    """(x1, h1) * (x2, h2) = (x1 + h1 x2, h1 h2); array translations broadcast."""
     m = grp.action[g1.h]
     x = (g1.x[0] + int(m[0, 0]) * g2.x[0] + int(m[0, 1]) * g2.x[1],
          g1.x[1] + int(m[1, 0]) * g2.x[0] + int(m[1, 1]) * g2.x[1])
@@ -108,7 +109,7 @@ def compose_affine(grp, g1: AffineElement, g2: AffineElement) -> AffineElement:
 
 
 def invert_affine(grp, g: AffineElement) -> AffineElement:
-    """(x, h)^-1 = (-h^-1 x, h^-1)."""
+    """(x, h)^-1 = (-h^-1 x, h^-1); array translations invert entry by entry."""
     hinv = int(grp.inverse[g.h])
     m = grp.action[hinv]
     x = (-(int(m[0, 0]) * g.x[0] + int(m[0, 1]) * g.x[1]),

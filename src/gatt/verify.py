@@ -276,6 +276,8 @@ def naive_group_conv(x, grp, weight, bias=None, stride=1, padding="same"):
     Works entirely through the affine group algebra and the raw weight array,
     sharing no code with the im2col path.  `x` is [N, C, |H_in|, Y, X] and
     `weight` [O, C, |H_in|, k, k]; a pose extent of 1 means a lifting layer.
+    Per (h, t), g^-1 (x~, t) is formed for all output centres and input pixels
+    at once, by broadcasting coordinate arrays through the affine algebra.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(weight, dtype=np.float64)
@@ -284,23 +286,20 @@ def naive_group_conv(x, grp, weight, bias=None, stride=1, padding="same"):
     r = k // 2
     pt, _, yo_sz = T._pad_amounts(ysz, k, stride, padding)
     pl, _, xo_sz = T._pad_amounts(xsz, k, stride, padding)
+    centre = ((np.arange(yo_sz) * stride - pt + r)[:, None, None, None],
+              (np.arange(xo_sz) * stride - pl + r)[None, :, None, None])
+    pixel = (np.arange(ysz)[:, None], np.arange(xsz))
     out = np.zeros((n, o, grp.order, yo_sz, xo_sz))
     for h in range(grp.order):
-        for yo in range(yo_sz):
-            for xo in range(xo_sz):
-                center = (yo * stride - pt + r, xo * stride - pl + r)
-                ginv = invert_affine(grp, AffineElement(center, h))
-                for t in range(hin):
-                    for ty in range(ysz):
-                        for tx in range(xsz):
-                            rel = compose_affine(grp, ginv,
-                                                 AffineElement((ty, tx), t))
-                            du, dv = rel.x
-                            if abs(du) > r or abs(dv) > r:
-                                continue
-                            wslice = w[:, :, rel.h if hin > 1 else 0,
-                                       du + r, dv + r]         # [O, C]
-                            out[:, :, h, yo, xo] += x[:, :, t, ty, tx] @ wslice.T
+        ginv = invert_affine(grp, AffineElement(centre, h))
+        for t in range(hin):
+            rel = compose_affine(grp, ginv, AffineElement(pixel, t))
+            du, dv = rel.x                                     # [Yo, Xo, Y, X]
+            inside = (np.abs(du) <= r) & (np.abs(dv) <= r)
+            wg = w[:, :, rel.h if hin > 1 else 0,
+                   np.where(inside, du + r, 0), np.where(inside, dv + r, 0)]
+            wg = np.where(inside, wg, 0.0)                     # [O, C, Yo, Xo, Y, X]
+            out[:, :, h] += np.einsum("ncyx,ocpqyx->nopq", x[:, :, t], wg)
     if bias is not None:
         out += np.asarray(bias, dtype=np.float64).reshape(1, o, 1, 1, 1)
     return out

@@ -153,6 +153,9 @@ def input_checkpoint(tmp_path_factory):
     ["check-equivariance", "--depth", "0"],
     ["check-equivariance", "--depth", "-1"],
     ["check-equivariance", "--trials", "0"],
+    ["check-equivariance", "--tolerance", "nan"],
+    ["check-equivariance", "--tolerance", "inf"],
+    ["check-equivariance", "--tolerance", "-1"],
     ["parity-demo", "--size", "0"],
     ["attend", "--layer", "99"],
     ["attend", "--sample-index", "-1"],

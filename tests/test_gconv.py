@@ -6,9 +6,10 @@ from gatt.attention import (attentive_group_conv, input_attention, make_channel_
                             make_spatial_attention)
 from gatt.autodiff import new_rng
 from gatt.gconv import GConvLayer, filter_bank, group_conv, group_pool, make_gconv_layer
-from gatt.groups import make_group, transform_array
+from gatt.groups import (AffineElement, compose_affine, invert_affine, make_group, orbit,
+                         transform_array)
 from gatt.tensor import Tensor
-from gatt.verify import intermediate_responses, naive_group_conv
+from gatt.verify import conv_oracle_report, intermediate_responses, naive_group_conv
 
 
 def _feature(arr):
@@ -97,6 +98,56 @@ def test_gconv_stride2_matches_double_sum():
     got = group_conv(_feature(x), layer).data
     want = naive_group_conv(x, grp, layer.weight.data, layer.bias.data, stride=2)
     np.testing.assert_allclose(got, want, atol=1e-12)
+
+
+def _per_term_output(x, grp, w, h, yo, xo, stride, padding):
+    """out[:, :, h, yo, xo] of the bias-free correlation, one
+    invert_affine/compose_affine call per term of the double sum."""
+    _, _, hin, ysz, xsz = x.shape
+    k = w.shape[-1]
+    r = k // 2
+    pt = T._pad_amounts(ysz, k, stride, padding)[0]
+    pl = T._pad_amounts(xsz, k, stride, padding)[0]
+    ginv = invert_affine(grp, AffineElement((yo * stride - pt + r, xo * stride - pl + r), h))
+    total = np.zeros((x.shape[0], w.shape[0]))
+    for t in range(hin):
+        for ty in range(ysz):
+            for tx in range(xsz):
+                rel = compose_affine(grp, ginv, AffineElement((ty, tx), t))
+                du, dv = rel.x
+                if abs(du) <= r and abs(dv) <= r:
+                    total += x[:, :, t, ty, tx] @ w[:, :, rel.h if hin > 1 else 0,
+                                                    du + r, dv + r].T
+    return total
+
+
+@pytest.mark.parametrize("group_name", ["C4", "D4"])
+@pytest.mark.parametrize("lifting,stride,padding", [
+    (True, 1, "same"), (False, 1, "same"), (False, 2, "same"), (False, 1, "valid")],
+    ids=["lift", "group", "stride2", "valid"])
+def test_naive_group_conv_matches_per_term_sum(group_name, lifting, stride, padding):
+    # the array-evaluated oracle against its own definition, term by term, at
+    # both corners and a few sampled outputs
+    grp = make_group(group_name)
+    rng = new_rng(30)
+    hin = 1 if lifting else grp.order
+    w = rng.standard_normal((2, 3, hin, 3, 3))
+    x = rng.standard_normal((2, 3, hin, 6, 6))
+    out = naive_group_conv(x, grp, w, stride=stride, padding=padding)
+    _, _, hsz, yo_sz, xo_sz = out.shape
+    samples = [(0, 0, 0), (hsz - 1, yo_sz - 1, xo_sz - 1)] + [
+        tuple(int(rng.integers(e)) for e in (hsz, yo_sz, xo_sz)) for _ in range(4)]
+    for h, yo, xo in samples:
+        want = _per_term_output(x, grp, w, h, yo, xo, stride, padding)
+        np.testing.assert_allclose(out[:, :, h, yo, xo], want, rtol=0, atol=1e-13)
+
+
+def test_conv_oracle_flags_inverted_filter_orbit(monkeypatch):
+    # negative control: transforming every filter by the inverse element is
+    # a G-CNN with the wrong action, which the oracle must reject
+    monkeypatch.setattr("gatt.gconv.orbit",
+                        lambda grp, t: T.gather_axis(orbit(grp, t), 0, grp.inverse))
+    assert not conv_oracle_report()["pass"]
 
 
 # ---------------------------------------------------------------------------

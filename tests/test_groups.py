@@ -236,6 +236,27 @@ def test_affine_group_laws(gi, h1, h2, x1, x2):
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("group_name", ["C4", "D4"])
+def test_affine_array_translations_match_scalar_calls(group_name):
+    # translations given as broadcasting [5, 1] and [1, 5] arrays give, entry
+    # by entry over the 5 x 5 grid, what one scalar call per entry gives
+    grp = make_group(group_name)
+    ys, xs = np.arange(-2, 3)[:, None], np.arange(-3, 2)[None, :]
+    for h1 in range(grp.order):
+        first = AffineElement((ys, xs), h1)
+        inv = invert_affine(grp, first)
+        for h2 in range(grp.order):
+            prod = compose_affine(grp, first, AffineElement((2 * ys - 1, 1 - xs), h2))
+            for i, j in np.ndindex(5, 5):
+                y, x = int(ys[i, 0]), int(xs[0, j])
+                want = compose_affine(grp, AffineElement((y, x), h1),
+                                      AffineElement((2 * y - 1, 1 - x), h2))
+                assert (prod.x[0][i, j], prod.x[1][i, j], prod.h) == (*want.x, want.h)
+        for i, j in np.ndindex(5, 5):
+            want = invert_affine(grp, AffineElement((int(ys[i, 0]), int(xs[0, j])), h1))
+            assert (inv.x[0][i, j], inv.x[1][i, j], inv.h) == (*want.x, want.h)
+
+
 def test_plane_index_map_matches_action():
     # the index map must agree with the matrix acting on centered coordinates
     grp = make_group("C4")
