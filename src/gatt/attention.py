@@ -199,8 +199,8 @@ class _PoseKernel:
         self.residual = residual_branch
         self.eps = np.finfo(flat.data.dtype).epsneg     # the gates' clip, as in T.sigmoid
         self.inputs = flat, bank, w1g, w2g, psis, bias
-        wb = bank.data.astype(_F64, copy=False).reshape(order, o, c, hin, kk)
-        self.wb = np.ascontiguousarray(wb.transpose(0, 2, 3, 1, 4))    # [H, C, Hin, O, K]
+        wb = bank.data.astype(_F64, copy=False).reshape(o, order, c, hin, kk)
+        self.wb = np.ascontiguousarray(wb.transpose(1, 2, 3, 0, 4))    # [H, C, Hin, O, K]
         self.w1 = self.w2 = self.fpsi = None
         if w1g is not None:
             mid = w1g.shape[1]
@@ -374,7 +374,7 @@ class _PoseKernel:
                 if t.requires_grad:
                     T._accumulate(t, sums[key].reshape(t.shape), owned=True)
         if bank.requires_grad:
-            T._accumulate(bank, sums["bank"].transpose(0, 3, 1, 2, 4).reshape(bank.shape),
+            T._accumulate(bank, sums["bank"].transpose(3, 0, 1, 2, 4).reshape(bank.shape),
                           owned=True)
         if self.fpsi is not None and psis.requires_grad:
             corr = np.fft.irfft2(sums["psi"], s=self.fshape)

@@ -143,12 +143,11 @@ def dropout(t, rate, rng):
         return t
     keep = rng.random(t.shape, dtype=t.data.dtype) >= rate
     scale = t.data.dtype.type(1.0 / (1.0 - rate))
-    mask = keep.astype(t.data.dtype) * scale
-    out = Tensor(t.data * mask)
+    out = Tensor(t.data * (keep.astype(t.data.dtype) * scale))
 
-    def bwd():
+    def bwd():     # the tape keeps the bool mask; the scaled one is rebuilt here
         if t.requires_grad:
-            T._accumulate(t, out.grad * mask, owned=True)
+            T._accumulate(t, out.grad * (keep.astype(t.data.dtype) * scale), owned=True)
 
     T._record(out, (t,), bwd)
     return out

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .autodiff import Parameter, he_init
-from .groups import orbit
+from .groups import orbit_index
 from .tensor import Tensor
 
 class GConvLayer:
@@ -61,14 +61,17 @@ def make_gconv_layer(rng, group, in_channels, out_channels, kernel=3, lifting=Fa
 
 
 def filter_bank(layer):
-    """Stack of transformed filters, [(|H| * O), C * |H_in|, k, k].
+    """Stack of transformed filters, [O * |H|, C * |H_in|, k, k].
 
-    Row block h holds the filter transformed by group element h, flattened
-    over (C, |H_in|); differentiable with respect to layer.weight.
+    Row o*|H| + h holds filter o transformed by group element h, flattened
+    over (C, |H_in|); differentiable with respect to layer.weight.  It is
+    orbit's gather with the index table's (h, o) axes swapped, so each
+    filter's |H| copies are consecutive rows.
     """
     o, c, hin, k, _ = layer.weight.shape
-    bank = orbit(layer.group, layer.weight)
-    return T.reshape(bank, (layer.group.order * o, c * hin, k, k))
+    idx = orbit_index(layer.group, layer.weight.shape).swapaxes(0, 1)
+    bank = T.gather_axis(T.reshape(layer.weight, (-1,)), 0, idx)
+    return T.reshape(bank, (o * layer.group.order, c * hin, k, k))
 
 
 def check_feature(f: Tensor, group):
@@ -92,20 +95,16 @@ def group_conv(f: Tensor, layer) -> Tensor:
     poses.
 
     The input's pose extent must match the filter's |H_in|: a planar map for
-    a lifting layer, a full group axis otherwise.
+    a lifting layer, a full group axis otherwise.  It is one conv2d with the
+    (o, h)-ordered filter bank, which adds the bias to each filter's |H|
+    rows, so its output is already [N, O, |H|, Y, X] in memory.
     """
     _check_input(f, layer)
-    grp = layer.group
     n, c, hin, y, x = f.shape
-    o = layer.weight.shape[0]
     flat = T.reshape(f, (n, c * hin, y, x))
-    out = T.conv2d(flat, filter_bank(layer), padding=layer.padding, stride=layer.stride)
-    yo, xo = out.shape[2], out.shape[3]
-    out = T.reshape(out, (n, grp.order, o, yo, xo))
-    out = T.transpose(out, (0, 2, 1, 3, 4))
-    if layer.bias is not None:
-        out = T.add(out, T.reshape(layer.bias, (1, o, 1, 1, 1)))
-    return out
+    out = T.conv2d(flat, filter_bank(layer), padding=layer.padding, stride=layer.stride,
+                   bias=layer.bias)
+    return T.reshape(out, (n, layer.weight.shape[0], layer.group.order) + out.shape[2:])
 
 
 def group_pool(f: Tensor, group) -> Tensor:

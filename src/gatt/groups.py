@@ -15,7 +15,8 @@ plane, which stays an integer index map even for even extents.
 
 `transform_array` is the one definition of the action, on numpy arrays.
 `orbit` gives a Tensor transformed by every element at once, as a single
-gather whose index table is transform_array applied to an arange.
+gather whose index table (`orbit_index`) is transform_array applied to an
+arange.
 """
 from __future__ import annotations
 
@@ -176,12 +177,12 @@ def orbit(grp, t):
     """
     if t.ndim < 3 or t.shape[-1] != t.shape[-2]:
         raise ValueError(f"orbit expects axes [..., |H|, S, S], got {t.shape}")
-    idx = _orbit_index(grp, t.shape)
-    return T.gather_axis(T.reshape(t, (-1,)), 0, idx)
+    return T.gather_axis(T.reshape(t, (-1,)), 0, orbit_index(grp, t.shape))
 
 
-def _orbit_index(grp, shape):
-    """Flat source index per entry of orbit(grp, t) for t of this shape."""
+def orbit_index(grp, shape):
+    """Flat source index per entry of orbit(grp, t) for t of this shape,
+    [|H|, *shape]; cached per shape and read-only."""
     idx = grp._orbits.get(shape)
     if idx is None:
         src = np.arange(int(np.prod(shape))).reshape(shape)

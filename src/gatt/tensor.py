@@ -8,11 +8,13 @@ the record list is already a topological order of the data-flow graph and
 output's intermediate gradient are freed as soon as the record has run, so
 a tape is consumed by one backward.
 
-conv2d is the one planar convolution.  It works on chunked im2col
-columns, so no k*k-inflated copy of the batch is allocated or kept on the
-tape; its input gradient is a transposed convolution.  max_pool2d pools
-fixed 2x2 windows at stride 2.  batch_norm is one record with a
-closed-form backward.
+conv2d is the one planar convolution, with an optional bias.  It works on
+chunked im2col columns, so no k*k-inflated copy of the batch is allocated
+or kept on the tape, and its record keeps the unpadded input, not a padded
+float64 copy; its input gradient is a transposed convolution.  max_pool2d
+pools fixed 2x2 windows at stride 2.  batch_norm is one record with a
+closed-form backward.  relu reads its backward mask from its output, and
+max_pool2d keeps its window offsets as uint8.
 
 Numerical conventions, fixed for reproducibility:
 
@@ -207,12 +209,13 @@ def div(a, b):
 
 
 def relu(a):
-    mask = a.data > 0  # relu'(0) = 0 by convention
-    out = Tensor(np.where(mask, a.data, a.data.dtype.type(0)))
+    # relu'(0) = 0 by convention; out > 0 exactly where a > 0, so the
+    # backward reads its mask from the output instead of keeping one
+    out = Tensor(np.where(a.data > 0, a.data, a.data.dtype.type(0)))
 
     def bwd():
         if a.requires_grad:
-            _accumulate(a, out.grad * mask, owned=True)
+            _accumulate(a, out.grad * (out.data > 0), owned=True)
 
     _record(out, (a,), bwd)
     return out
@@ -543,30 +546,47 @@ def _column_chunks(xp, k, stride, yo, xo):
         yield lo, hi, cols.reshape(ckk, (hi - lo) * p)
 
 
-def conv2d(f, w, padding="same", stride=1):
-    """Channel-summing cross-correlation: out(y) = sum_c sum_x f_c(x) w_c(x - y).
+def conv2d(f, w, padding="same", stride=1, bias=None):
+    """Channel-summing cross-correlation: out(y) = sum_c sum_x f_c(x) w_c(x - y),
+    plus a bias.
 
     `same` zero-pads to ceil(extent / stride) outputs; `valid` takes only fully
-    covered positions.  Accumulation runs in float64 over chunked columns
-    (see `_correlate`); the tape keeps only the padded float64 input.  The
-    weight gradient recomputes each chunk's columns; the input gradient is a
-    transposed convolution: the output gradient, dilated by the stride and
-    padded so that the result lands on the input's extent, is correlated
-    with the flipped, channel-transposed filter.
+    covered positions.  `bias`, if given, is a vector of B values with B
+    dividing the O output rows: entry b is added to the block of O/B
+    consecutive rows b*O/B .. (b+1)*O/B - 1, in the storage dtype.
+    Accumulation runs in float64 over chunked columns (see `_correlate`);
+    the tape keeps only the unpadded input f, which the previous record
+    already holds.  The weight gradient pads f again and recomputes each
+    chunk's columns; the input gradient is a transposed convolution: the
+    output gradient, dilated by the stride and padded so that the result
+    lands on the input's extent, is correlated with the flipped,
+    channel-transposed filter.
     """
     k, (pt, pb, yo), (pl, pr, xo) = _conv_geometry(f, w, padding, stride)
     n, c, y, x = f.shape
     o = w.shape[0]
-    fp = _pad64(f.data, (pt, pb), (pl, pr))
+    parents = (f, w)
+    if bias is not None:
+        _check_same_dtype(f, bias)
+        if bias.ndim != 1 or o % bias.shape[0]:
+            raise ValueError(f"bias of shape {bias.shape} does not divide {o} output rows")
+        parents = (f, w, bias)
+    blocks = (n, 1 if bias is None else bias.shape[0], -1, yo, xo)
     out = Tensor(np.empty((n, o, yo, xo), dtype=f.data.dtype))
-    _correlate(fp, w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo,
-               out.data)
+    _correlate(_pad64(f.data, (pt, pb), (pl, pr)),
+               w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo, out.data)
+    if bias is not None:
+        rows = out.data.reshape(blocks)
+        rows += bias.data[:, None, None, None]
 
     def bwd():
         g = out.grad
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g.reshape(blocks).sum(axis=(0, 2, 3, 4)), owned=True)
         if w.requires_grad:
             gw = np.zeros((o, c * k * k))
-            for lo, hi, cols in _column_chunks(fp, k, stride, yo, xo):
+            for lo, hi, cols in _column_chunks(_pad64(f.data, (pt, pb), (pl, pr)), k,
+                                               stride, yo, xo):
                 gc = np.ascontiguousarray(g[lo:hi].transpose(1, 0, 2, 3), dtype=np.float64)
                 gw += gc.reshape(o, -1) @ cols.T
             _accumulate(w, gw.reshape(w.shape), owned=True)
@@ -583,7 +603,7 @@ def conv2d(f, w, padding="same", stride=1):
             _correlate(gd, wt.reshape(c, o * k * k), k, 1, y, x, gf)
             _accumulate(f, gf, owned=True)
 
-    _record(out, (f, w), bwd)
+    _record(out, parents, bwd)
     return out
 
 
@@ -603,7 +623,7 @@ def max_pool2d(f):
         return a[:, :, :2 * yo, :2 * xo].reshape(n, c, yo, 2, xo, 2).transpose(0, 1, 2, 4, 3, 5)
 
     flat = windows(f.data).reshape(n, c, yo, xo, 4)
-    idx = flat.argmax(axis=-1)[..., None]
+    idx = flat.argmax(axis=-1)[..., None].astype(np.uint8)     # window offsets 0-3
     out = Tensor(np.take_along_axis(flat, idx, axis=-1)[..., 0])
 
     def bwd():

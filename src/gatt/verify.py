@@ -306,9 +306,9 @@ def naive_group_conv(x, grp, weight, bias=None, stride=1, padding="same"):
 
 
 def conv_oracle_report(seed=0, tolerance=1e-12):
-    """Compare group_conv (lifting and group-to-group) against the double-sum
-    oracle on C4 and D4 at extents 4, 5 and 6, and the fused attentive block
-    against its rank-7 reference."""
+    """Compare group_conv (lifting and group-to-group, with nonzero biases)
+    against the double-sum oracle on C4 and D4 at extents 4, 5 and 6, and the
+    fused attentive block against its rank-7 reference."""
     worst = 0.0
     cases = 0
     report = {}
@@ -324,6 +324,8 @@ def conv_oracle_report(seed=0, tolerance=1e-12):
                                              name="oracle")
                     hin = 1 if lifting else grp.order
                     x = rng.standard_normal((1, 2, hin, size, size))
+                    # nonzero biases, so a bias spread over the wrong rows shows
+                    layer.bias.data = layer.bias.data + rng.normal(0.0, 0.3, 2)
                     got = group_conv(Tensor(x), layer).data
                     want = naive_group_conv(x, grp, layer.weight.data,
                                             layer.bias.data, stride=stride,
@@ -358,19 +360,19 @@ def intermediate_responses(f: Tensor, layer):
     (c, t) with slice (c, t) of the h-transformed filter; summing over
     (C, |H_in|) and adding the bias reproduces the layer output.  It is one
     conv2d whose filter is block-diagonal over the input channels (c, t):
-    output channel (h, o, c, t) sees only input channel (c, t).
+    output channel (o, h, c, t) sees only input channel (c, t).
     """
     _check_input(f, layer)
     n, c, hin, y, x = f.shape
     o, k = layer.weight.shape[0], layer.weight.shape[-1]
-    ho, ct = layer.group.order * o, c * hin
-    bank = T.reshape(filter_bank(layer), (ho, 1, ct, k, k))
+    oh, ct = o * layer.group.order, c * hin
+    bank = T.reshape(filter_bank(layer), (oh, 1, ct, k, k))
     eye = Tensor(np.eye(ct, dtype=bank.data.dtype)[None, :, :, None, None])
-    diag = T.reshape(T.mul(bank, eye), (ho * ct, ct, k, k))
+    diag = T.reshape(T.mul(bank, eye), (oh * ct, ct, k, k))
     resp = T.conv2d(T.reshape(f, (n, ct, y, x)), diag, padding=layer.padding,
                     stride=layer.stride)
-    resp = T.reshape(resp, (n, layer.group.order, o, c, hin) + resp.shape[2:])
-    return T.transpose(resp, (0, 2, 3, 1, 4, 5, 6))
+    resp = T.reshape(resp, (n, o, layer.group.order, c, hin) + resp.shape[2:])
+    return T.transpose(resp, (0, 1, 3, 2, 4, 5, 6))
 
 
 def channel_stats(ftilde, pool_out=True):

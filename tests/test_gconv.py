@@ -4,10 +4,10 @@ import pytest
 import gatt.tensor as T
 from gatt.attention import (attentive_group_conv, input_attention, make_channel_attention,
                             make_spatial_attention)
-from gatt.autodiff import new_rng
+from gatt.autodiff import Parameter, new_rng
 from gatt.gconv import GConvLayer, filter_bank, group_conv, group_pool, make_gconv_layer
-from gatt.groups import (AffineElement, compose_affine, invert_affine, make_group, orbit,
-                         transform_array)
+from gatt.groups import (AffineElement, compose_affine, invert_affine, make_group,
+                         orbit_index, transform_array)
 from gatt.tensor import Tensor
 from gatt.verify import conv_oracle_report, intermediate_responses, naive_group_conv
 
@@ -142,11 +142,37 @@ def test_naive_group_conv_matches_per_term_sum(group_name, lifting, stride, padd
         np.testing.assert_allclose(out[:, :, h, yo, xo], want, rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("lifting", [True, False])
+def test_group_conv_records_only_reshape_gather_and_conv2d(lifting):
+    # the (o, h) bank puts the output in [N, O, |H|, Y, X] order and conv2d
+    # adds the bias, so no transpose or add copies the output
+    grp = make_group("D4")
+    layer = make_gconv_layer(new_rng(19), grp, 2, 3, lifting=lifting)
+    f = Parameter(np.ones((1, 2, 1 if lifting else grp.order, 5, 5)), dtype="f32")
+    with T.Tape() as tape:
+        group_conv(f, layer)
+    ops = {fn.__qualname__.split(".")[0] for fn, _ in tape.records}
+    assert ops == {"reshape", "gather_axis", "conv2d"}
+
+
+def test_conv_oracle_flags_bias_spread_over_the_wrong_rows(monkeypatch):
+    # negative control: tiling the per-channel bias over the (o, h) rows adds
+    # channel (r mod O)'s bias to row r instead of channel (r div |H|)'s
+    conv2d = T.conv2d
+
+    def tiled(f, w, padding="same", stride=1, bias=None):
+        if bias is not None:
+            bias = Tensor(np.tile(bias.data, w.shape[0] // bias.shape[0]))
+        return conv2d(f, w, padding=padding, stride=stride, bias=bias)
+    monkeypatch.setattr(T, "conv2d", tiled)
+    assert not conv_oracle_report()["pass"]
+
+
 def test_conv_oracle_flags_inverted_filter_orbit(monkeypatch):
     # negative control: transforming every filter by the inverse element is
     # a G-CNN with the wrong action, which the oracle must reject
-    monkeypatch.setattr("gatt.gconv.orbit",
-                        lambda grp, t: T.gather_axis(orbit(grp, t), 0, grp.inverse))
+    monkeypatch.setattr("gatt.gconv.orbit_index",
+                        lambda grp, shape: orbit_index(grp, shape)[grp.inverse])
     assert not conv_oracle_report()["pass"]
 
 
@@ -157,9 +183,9 @@ def test_filter_bank_shape_and_identity_block():
     grp = make_group("C4")
     layer = make_gconv_layer(new_rng(12), grp, 3, 2, kernel=3, dtype="f64")
     bank = filter_bank(layer).data
-    assert bank.shape == (4 * 2, 3 * 4, 3, 3)
-    # block h=0 is the untransformed filter
-    np.testing.assert_array_equal(bank[:2], layer.weight.data.reshape(2, 12, 3, 3))
+    assert bank.shape == (2 * 4, 3 * 4, 3, 3)
+    # rows are (o, h): rows 0::|H| (h = 0) are the untransformed filters
+    np.testing.assert_array_equal(bank[0::4], layer.weight.data.reshape(2, 12, 3, 3))
 
 
 def test_filter_bank_is_a_fixed_number_of_records():
@@ -202,7 +228,7 @@ def test_intermediate_responses_lifting():
 @pytest.mark.parametrize("lifting", [True, False])
 @pytest.mark.parametrize("stride", [1, 2])
 def test_intermediate_responses_are_single_channel_convs(lifting, stride):
-    # slice [n, o, c, h, t] correlates input slice (c, t) with bank row (h, o),
+    # slice [n, o, c, h, t] correlates input slice (c, t) with bank row (o, h),
     # column (c, t): the block-diagonal filter mixes no other input channel
     grp = make_group("D4")
     layer = make_gconv_layer(new_rng(17), grp, 2, 3, kernel=3, lifting=lifting,
@@ -210,7 +236,7 @@ def test_intermediate_responses_are_single_channel_convs(lifting, stride):
     hin = 1 if lifting else grp.order
     x = new_rng(18).standard_normal((2, 2, hin, 7, 7))
     resp = intermediate_responses(_feature(x), layer).data
-    bank = filter_bank(layer).data                 # [(H, O), (C, Hin), k, k]
+    bank = filter_bank(layer).data                 # [(O, H), (C, Hin), k, k]
     o = 3
     assert resp.shape == (2, o, 2, grp.order, hin, 4 if stride == 2 else 7,
                           4 if stride == 2 else 7)
@@ -219,7 +245,7 @@ def test_intermediate_responses_are_single_channel_convs(lifting, stride):
             plane = Tensor(x[:, c:c + 1, t])
             for h in range(grp.order):
                 for oi in range(o):
-                    w = Tensor(bank[h * o + oi, c * hin + t][None, None])
+                    w = Tensor(bank[oi * grp.order + h, c * hin + t][None, None])
                     want = T.conv2d(plane, w, stride=stride).data[:, 0]
                     np.testing.assert_allclose(resp[:, oi, c, h, t], want, rtol=0,
                                                atol=1e-12)

@@ -224,6 +224,36 @@ def test_digit_net_forward_shape():
     assert out.shape == (2, 10)
 
 
+def _tape_bytes(tape):
+    """Bytes of the distinct buffers a tape holds: each record's output and
+    the arrays and Tensors its backward closure captures, views counted once."""
+    bufs = {}
+    for fn, out in tape.records:
+        held = [out]
+        for cell in fn.__closure__ or ():
+            v = cell.cell_contents
+            held += v if isinstance(v, (tuple, list)) else [v]
+        for a in held:
+            a = a.data if isinstance(a, Tensor) else a
+            if isinstance(a, np.ndarray):
+                while isinstance(a.base, np.ndarray):
+                    a = a.base
+                bufs[id(a)] = a.nbytes
+    return sum(bufs.values())
+
+
+def test_plain_digit_training_forward_tape_bytes():
+    # a group conv keeps no padded float64 input, transposed copy or bias-add
+    # output, relu no mask, dropout a bool mask and max pooling uint8 offsets:
+    # 8,301,460 bytes, against 15,981,460 when it kept all of them
+    net = build_digit_net("C4", variant="plain", dtype="f32", seed=0)
+    x = new_rng(1).standard_normal((4, 1, 28, 28)).astype(np.float32)
+    with Tape() as tape:
+        T.softmax_cross_entropy(net.forward(x, ForwardCtx(training=True, rng=new_rng(2))),
+                                np.arange(4))
+    assert _tape_bytes(tape) <= 8_301_460
+
+
 _HASH_FORWARD = """
 import hashlib
 import numpy as np

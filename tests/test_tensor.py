@@ -98,6 +98,13 @@ def test_conv2d_rejects_bad_inputs():
         T.conv2d(f, Tensor(np.zeros((1, 2, 3, 3))), padding="reflect")
     with pytest.raises(ValueError):
         T.conv2d(f, Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32)))  # dtype mix
+    w = Tensor(np.zeros((4, 2, 3, 3)))
+    with pytest.raises(ValueError):
+        T.conv2d(f, w, bias=Tensor(np.zeros(3)))  # 3 bias blocks do not divide 4 rows
+    with pytest.raises(ValueError):
+        T.conv2d(f, w, bias=Tensor(np.zeros((2, 2))))  # bias not a vector
+    with pytest.raises(ValueError):
+        T.conv2d(f, w, bias=Tensor(np.zeros(2, dtype=np.float32)))  # dtype mix
 
 
 def loop_conv2d_grads(f, w, g, padding="same", stride=1):
@@ -191,17 +198,43 @@ def test_conv2d_float32_matches_loops():
     assert out.dtype == df.dtype == dw.dtype == np.float32
 
 
-def test_conv2d_tape_keeps_no_columns():
-    # the backward closure holds the padded input, not k*k-inflated columns
-    rng = np.random.default_rng(35)
-    f = Parameter(rng.standard_normal((4, 3, 10, 10)), dtype="f64")
-    w = Parameter(rng.standard_normal((5, 3, 3, 3)), dtype="f64")
+@pytest.mark.parametrize("blocks", [1, 2, 6])
+@pytest.mark.parametrize("padding,stride", [("same", 1), ("valid", 2)])
+def test_conv2d_bias_matches_loops_plus_bias(blocks, padding, stride):
+    # bias entry b is added to the b-th block of O/B consecutive output rows
+    rng = np.random.default_rng(36)
+    f = rng.standard_normal((2, 3, 6, 7))
+    w = rng.standard_normal((6, 3, 3, 3))
+    b = rng.standard_normal(blocks)
+    want = loop_conv2d(f, w, padding=padding, stride=stride) \
+        + np.repeat(b, 6 // blocks)[None, :, None, None]
+    g = rng.standard_normal(want.shape)
+    fp, wp, bp = Parameter(f), Parameter(w), Parameter(b)
     with Tape() as tape:
-        T.conv2d(f, w)
+        out = T.conv2d(fp, wp, padding=padding, stride=stride, bias=bp)
+        backward(tape, T.reduce(T.mul(out, Tensor(g))))
+    want_df, want_dw = loop_conv2d_grads(f, w, g, padding, stride)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fp.grad, want_df, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wp.grad, want_dw, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(bp.grad, g.sum(axis=(0, 2, 3)).reshape(blocks, -1).sum(axis=1),
+                               rtol=0, atol=1e-12)
+
+
+def test_conv2d_tape_keeps_no_columns():
+    # the record holds its operands and its output and nothing else: no
+    # padded, float64 or k*k-inflated copy of the input
+    rng = np.random.default_rng(35)
+    f = Parameter(rng.standard_normal((4, 3, 10, 10)), dtype="f32")
+    w = Parameter(rng.standard_normal((6, 3, 3, 3)), dtype="f32")
+    b = Parameter(rng.standard_normal(2), dtype="f32")
+    with Tape() as tape:
+        out = T.conv2d(f, w, bias=b)
     (bwd, _), = tape.records
-    held = [cell.cell_contents for cell in bwd.__closure__
-            if isinstance(cell.cell_contents, np.ndarray)]
-    assert max(a.nbytes for a in held) <= 4 * 3 * 12 * 12 * 8
+    held = [cell.cell_contents for cell in bwd.__closure__]
+    held = [v.data if isinstance(v, Tensor) else v for v in held
+            if isinstance(v, (Tensor, np.ndarray))]
+    assert {id(a) for a in held} == {id(t.data) for t in (f, w, b, out)}
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +412,14 @@ def test_softmax_cross_entropy_rejects_rank3():
 # misc semantics
 
 def test_relu_subgradient_at_zero_is_zero():
-    a = Parameter(np.array([-1.0, 0.0, 2.0]), dtype="f64")
+    # -0.0 and NaN map to +0.0 with gradient 0, like 0.0
+    a = Parameter(np.array([-1.0, 0.0, 2.0, -0.0, np.nan]), dtype="f64")
     with Tape() as tape:
-        backward(tape, T.reduce(T.relu(a)))
-    np.testing.assert_array_equal(a.grad, [0.0, 0.0, 1.0])
+        out = T.relu(a)
+        backward(tape, T.reduce(out))
+    np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0, 0.0, 0.0])
+    assert not np.signbit(out.data).any()
+    np.testing.assert_array_equal(a.grad, [0.0, 0.0, 1.0, 0.0, 0.0])
 
 
 def test_sigmoid_values():
