@@ -12,6 +12,11 @@ law a group feature map follows.
 The gate on the pre-activation z is sigmoid(z), or 1 - sigmoid(z) when the
 residual branch form is enabled (the default); both keep maps strictly
 inside (0, 1), also where the logistic function saturates.
+
+Each attention kind is one function that returns its output and its maps:
+`attentive_group_conv` (the fused block, one tape record) and
+`input_attention` (CBAM-style gating of the input map, composed from
+`group_conv`).  The maps carry no gradient.
 """
 from __future__ import annotations
 
@@ -549,11 +554,21 @@ def _scatter_add(target, idx, val):
     np.add.at(target.reshape(-1), np.ravel(idx), np.ravel(val))
 
 
-def _attentive_pass(f, layer, ch_params, sp_params, residual_branch, pool_out, index_mode):
-    """Run the fused block; returns (output Tensor, alpha_C list, alpha_X list).
+def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
+                         residual_branch=True, pool_out=True, index_mode="relative"):
+    """Group convolution with its per-pair responses modulated by attention;
+    returns (output, alpha_C, alpha_X).
 
-    alpha_C is computed if and only if ch_params is given, alpha_X if and
-    only if sp_params is.
+    Each per-pair response (output pose h, input channel c, input pose t) is
+    scaled by alpha_C, then by alpha_X (computed from the channel-gated
+    responses); the result is summed over input channels and poses and the
+    shared per-channel bias added.  A map whose parameters are not given is
+    left out and returned as None; at least one must be given.  The whole
+    block is one tape record.
+
+    alpha_C is [N, C, |H|, |H_in|] ([N, O, C, |H|, |H_in|] with
+    pool_out=False); alpha_X is [N, 1, |H|, |H_in|, Yo, Xo] (an out-channel
+    axis in place of the 1 with pool_out=False).  The maps carry no gradient.
     """
     if ch_params is None and sp_params is None:
         raise ValueError("an attentive block needs channel or spatial attention parameters")
@@ -580,28 +595,17 @@ def _attentive_pass(f, layer, ch_params, sp_params, residual_branch, pool_out, i
     keep = T.active_tape() is not None and any(t.requires_grad for t in parents)
     kern = _PoseKernel(flat, bank, w1g, w2g, psis, bias, grp.order, hin, layer.stride,
                        layer.padding, pool_out, residual_branch)
-    out, alpha_c, alpha_x = kern.forward(keep)
+    res, alpha_c, alpha_x = kern.forward(keep)
     if bias is not None:
-        out += bias.data.astype(_F64, copy=False)[:, None, None]
+        res += bias.data.astype(_F64, copy=False)[:, None, None]
     o = bank.shape[0] // grp.order
-    out = Tensor(out.reshape(n, o, grp.order, kern.yo, kern.xo).astype(f.data.dtype))
-    T._record(out, parents, lambda: kern.backward(out.grad))
-    return out, alpha_c, alpha_x
+    dtype = f.data.dtype
+    out = Tensor(res.reshape(n, o, grp.order, kern.yo, kern.xo).astype(dtype))
 
+    def bwd():
+        kern.backward(out.grad)
 
-def attention_maps(f: Tensor, layer, ch_params=None, sp_params=None,
-                   residual_branch=True, pool_out=True, index_mode="relative"):
-    """(alpha_C, alpha_X) of one attentive layer, as the fused block computes them.
-
-    alpha_C is [N, C, |H|, |H_in|] ([N, O, C, |H|, |H_in|] with
-    pool_out=False); alpha_X is [N, 1, |H|, |H_in|, Yo, Xo] (an out-channel
-    axis in place of the 1 with pool_out=False).  alpha_X is computed from
-    the channel-gated responses, so it depends on alpha_C.  A map whose
-    parameters are not given is None.  The maps carry no gradient.
-    """
-    out, alpha_c, alpha_x = _attentive_pass(f, layer, ch_params, sp_params,
-                                            residual_branch, pool_out, index_mode)
-    dtype = out.data.dtype
+    T._record(out, parents, bwd)
     ac = ax = None
     if alpha_c:
         ac = np.stack(alpha_c, axis=3)                              # [N, C, Hin, H, g]
@@ -609,96 +613,50 @@ def attention_maps(f: Tensor, layer, ch_params=None, sp_params=None,
         ac = Tensor(ac.astype(dtype))
     if alpha_x is not None:
         ax = Tensor(alpha_x.transpose(1, 2, 0, 3, 4, 5).astype(dtype))  # [N, g, H, Hin, Yo, Xo]
-    return ac, ax
-
-
-def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
-                         residual_branch=True, pool_out=True,
-                         index_mode="relative") -> Tensor:
-    """Group convolution with its per-pair responses modulated by attention.
-
-    Each per-pair response (output pose h, input channel c, input pose t) is
-    scaled by alpha_C, then by alpha_X (computed from the channel-gated
-    responses); the result is summed over input channels and poses and the
-    shared per-channel bias added.  A map whose parameters are not given is
-    left out; at least one must be.  The whole block is one tape record.
-    """
-    out, _, _ = _attentive_pass(f, layer, ch_params, sp_params, residual_branch,
-                                pool_out, index_mode)
-    return out
+    return out, ac, ax
 
 
 # ---------------------------------------------------------------------------
 # input attention (single-argument form)
 
-def _input_attention_pieces(f, group, ch_params, sp_params, residual_branch):
-    n, c, hf, y, x = f.shape
-    grp_eff = group if hf == group.order else make_group("C1")
-
-    # channel branch: pool over space, bottleneck as a pose-axis group conv
-    s_avg = T.reduce(f, axes=(3, 4), mode="mean")  # [N, C, Hf]
-    s_max = T.reduce(f, axes=(3, 4), mode="max")
-    k2 = _rel_index(grp_eff, hf, "relative")
-    mid = ch_params.w1.shape[1]
-
-    def big(w, rows, cols):
-        # block matrix whose (out-pose, in-pose) block is w at the relative pose
-        wg = T.gather_axis(w, 0, k2.reshape(-1))      # [Hf*Hf, rows, cols]
-        wg = T.reshape(wg, (hf, hf, rows, cols))
-        wg = T.transpose(wg, (0, 2, 1, 3))            # [Hf, rows, Hf, cols]
-        return T.reshape(wg, (hf * rows, hf * cols))
-
-    w1_big = big(ch_params.w1, mid, c)
-    w2_big = big(ch_params.w2, c, mid)
-
-    def branch(s):
-        sf = T.reshape(T.transpose(s, (2, 1, 0)), (hf * c, n))
-        return T.bmm(w2_big, T.relu(T.bmm(w1_big, sf)))  # [Hf*C, N]
-
-    z = T.add(branch(s_avg), branch(s_max))
-    alpha_c = T.transpose(T.reshape(_gate(z, residual_branch), (hf, c, n)), (2, 1, 0))
-    f1 = T.mul(f, T.reshape(alpha_c, (n, c, hf, 1, 1)))
-
-    # spatial branch: 2-channel stats, gated full group convolution
-    mean = T.reduce(f1, axes=(1,), mode="mean")       # [N, Hf, Y, X]
-    mx = T.reduce(f1, axes=(1,), mode="max")
-    s_x = T.stack([mean, mx], axis=1)                 # [N, 2, Hf, Y, X]
-    psi_layer = GConvLayer(grp_eff, sp_params.psi, bias=None, stride=1, padding="same")
-    alpha_x = _gate(group_conv(s_x, psi_layer), residual_branch)  # [N, 1, Hf, Y, X]
-    f2 = T.mul(f1, alpha_x)
-    return alpha_c, alpha_x, f2
-
-
-def _check_input_attention(f, group, ch_params, sp_params):
-    check_feature(f, group)
-    n, c, hf, y, x = f.shape
-    if ch_params.channels != c:
-        raise ValueError(f"channel mismatch: map has {c}, attention built for "
-                         f"{ch_params.channels}")
-    if ch_params.n_poses != hf or sp_params.psi.shape[2] != hf:
-        raise ValueError("attention parameters do not match the map's pose axis")
+def _pose_conv(s, w, grp):
+    """1x1 group convolution of s [N, cols, P, 1, 1] with the per-relative-pose
+    matrices w [P, rows, cols]: out[n, :, h] = sum_t w[h^-1 t] s[n, :, t]."""
+    p, rows, cols = w.shape
+    kernel = T.reshape(T.transpose(w, (1, 2, 0)), (rows, cols, p, 1, 1))
+    return group_conv(s, GConvLayer(grp, kernel))
 
 
 def input_attention(f: Tensor, group, ch_params: ChannelAttentionParams,
-                    sp_params: SpatialAttentionParams, residual_branch=True) -> Tensor:
-    """Gate a feature map itself before a standard group convolution.
+                    sp_params: SpatialAttentionParams, residual_branch=True):
+    """Gate a feature map itself before a standard group convolution; returns
+    (gated map, alpha_C [N, C, Hf], alpha_X [N, 1, Hf, Y, X]).
 
     A map depending on one group argument stays equivariant only if every
     operator producing it is itself a group convolution, so the channel
-    bottleneck here is a two-stage convolution over the pose axis (with the
-    per-relative-pose matrices as the kernel) and the spatial branch is a
-    full group convolution with the 2-channel stat filter.  Planar inputs are
-    treated as carrying the trivial group, which reduces this to the familiar
-    channel-then-spatial gating of a plain feature map.
+    bottleneck here is two 1x1 group convolutions over the pose axis (with
+    the per-relative-pose matrices as the kernel), applied to the mean and
+    max descriptors as one batch, and the spatial branch is a full group
+    convolution with the 2-channel stat filter.  Planar inputs are treated
+    as carrying the trivial group, which reduces this to the familiar
+    channel-then-spatial gating of a plain feature map.  The maps carry no
+    gradient.
     """
-    _check_input_attention(f, group, ch_params, sp_params)
-    _, _, f2 = _input_attention_pieces(f, group, ch_params, sp_params, residual_branch)
-    return f2
+    check_feature(f, group)
+    n, c, hf = f.shape[:3]
+    grp = group if hf == group.order else make_group("C1")
 
+    # channel branch: pool over space, bottleneck as two pose-axis group convs
+    s = T.stack([T.reduce(f, axes=(3, 4), mode=m) for m in ("mean", "max")])  # [2, N, C, Hf]
+    s = T.reshape(s, (2 * n, c, hf, 1, 1))
+    z = _pose_conv(T.relu(_pose_conv(s, ch_params.w1, grp)), ch_params.w2, grp)
+    z = T.reduce(T.reshape(z, (2, n, c, hf, 1, 1)), axes=(0,))     # both branches add
+    alpha_c = _gate(z, residual_branch)                             # [N, C, Hf, 1, 1]
+    f1 = T.mul(f, alpha_c)
 
-def input_attention_maps(f: Tensor, group, ch_params, sp_params, residual_branch=True):
-    """alpha_C [N, C, Hf] and alpha_X [N, 1, Hf, Y, X] as input_attention computes them."""
-    _check_input_attention(f, group, ch_params, sp_params)
-    alpha_c, alpha_x, _ = _input_attention_pieces(f, group, ch_params, sp_params,
-                                                  residual_branch)
-    return alpha_c, alpha_x
+    # spatial branch: 2-channel stats, gated full group convolution
+    s_x = T.stack([T.reduce(f1, axes=(1,), mode=m) for m in ("mean", "max")],
+                  axis=1)                                           # [N, 2, Hf, Y, X]
+    alpha_x = _gate(group_conv(s_x, GConvLayer(grp, sp_params.psi)), residual_branch)
+    return (T.mul(f1, alpha_x), Tensor(alpha_c.data.reshape(n, c, hf)),
+            Tensor(alpha_x.data))

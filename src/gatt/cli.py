@@ -318,7 +318,7 @@ def build_parser():
     p.add_argument("--limit", type=_int_from(1), help="cap the training set (smoke runs)")
     p.add_argument("--normalize", action="store_true",
                    help="subtract the training-set mean")
-    p.add_argument("--lr-decay", type=int, nargs="*",
+    p.add_argument("--lr-decay", type=_int_from(1), nargs="*",
                    help="epochs at which to multiply the rate by 0.1")
     p.set_defaults(func=cmd_train)
 

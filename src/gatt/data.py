@@ -293,9 +293,7 @@ def attention_montage(input_plane, alpha_planes):
         f = y // p.shape[0]
         return np.repeat(np.repeat(p, f, axis=0), f, axis=1)
 
-    alphas = np.asarray(alpha_planes, dtype=np.float64)
-    lo, hi = alphas.min(), alphas.max()
-    alphas = np.full_like(alphas, 0.5) if hi <= lo else (alphas - lo) / (hi - lo)
+    alphas = norm(alpha_planes)
     y = np.asarray(input_plane).shape[0]
     panels = [norm(input_plane)] + [fit_to(alphas[k], y)
                                     for k in range(alphas.shape[0])]

@@ -2,8 +2,9 @@
 
 Layers pass a feature map along as a plain Tensor [N, C, |H|, Y, X] until a
 pooling head collapses it to logits; a layer that needs the group holds it.
-Everything is built from the differentiable ops in gatt.tensor, so gradients
-come from the shared tape.
+An attentive GBlock passes on only the output of its attention function, not
+the maps it also returns.  Everything is built from the differentiable ops in
+gatt.tensor, so gradients come from the shared tape.
 """
 from __future__ import annotations
 
@@ -50,13 +51,14 @@ class GBlock:
         if self.variant == "plain":
             return group_conv(f, self.layer)
         if self.variant == "input":
-            gated = input_attention(f, self.layer.group, self.ch_params, self.sp_params,
-                                    residual_branch=self.residual_branch)
+            gated, _, _ = input_attention(f, self.layer.group, self.ch_params,
+                                          self.sp_params, residual_branch=self.residual_branch)
             return group_conv(gated, self.layer)
-        return attentive_group_conv(
+        out, _, _ = attentive_group_conv(
             f, self.layer, self.ch_params, self.sp_params,
             residual_branch=self.residual_branch, pool_out=self.pool_out,
             index_mode=self.index_mode)
+        return out
 
     def params(self):
         out = list(self.layer.params())
@@ -78,8 +80,6 @@ class MaxPoolG:
     """2x2 spatial max pooling at stride 2, applied to every pose slice."""
 
     def forward(self, f, ctx):
-        if f.ndim != 5:
-            return T.max_pool2d(f)
         n, c, hh, y, x = f.shape
         p = T.max_pool2d(T.reshape(f, (n, c * hh, y, x)))
         return T.reshape(p, (n, c, hh, p.shape[2], p.shape[3]))

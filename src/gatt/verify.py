@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import (_gate, _rel_index, attention_maps, attentive_group_conv,
-                        input_attention, input_attention_maps)
+from .attention import _gate, _rel_index, attentive_group_conv, input_attention
 from .autodiff import (FD_STEP, Parameter, backward, dropout, finite_diff_grad,
                        grad_rel_err, new_rng, zero_grads)
 from .gconv import _check_input, filter_bank, group_conv, make_gconv_layer
@@ -230,9 +229,9 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
                        dtype=T.DTYPES[dtype])
 
     def maps(arr):
-        ac, ax = attention_maps(Tensor(np.ascontiguousarray(arr)), layer, ch, sp,
-                                residual_branch=residual_branch,
-                                pool_out=pool_out, index_mode=index_mode)
+        _, ac, ax = attentive_group_conv(Tensor(np.ascontiguousarray(arr)), layer, ch, sp,
+                                         residual_branch=residual_branch,
+                                         pool_out=pool_out, index_mode=index_mode)
         return ac.data, ax.data
 
     ac0, ax0 = maps(x)
@@ -567,7 +566,7 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
     params = [xp] + layer.params() + (ch.params() if ch else []) + (sp.params() if sp else [])
     kwargs = dict(residual_branch=residual_branch, pool_out=pool_out)
 
-    def values(out, maps):
+    def values(out, *maps):
         got = {"out": out.data}
         got.update((name, m.data) for name, m in zip(("alpha_c", "alpha_x"), maps)
                    if m is not None)
@@ -575,24 +574,19 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
 
     probe = None
     results = []
-    for fast in (True, False):
+    for block in (attentive_group_conv, reference_attentive_group_conv):
         with Tape() as tape:
-            if fast:
-                out = attentive_group_conv(xp, layer, ch, sp, **kwargs)
-                maps = attention_maps(xp, layer, ch, sp, **kwargs)
-            else:
-                out, *maps = reference_attentive_group_conv(xp, layer, ch, sp, **kwargs)
+            out, *maps = block(xp, layer, ch, sp, **kwargs)
             if probe is None:
                 probe = Tensor(new_rng(seed + 1).standard_normal(out.shape).astype(
                     out.data.dtype))
             backward(tape, T.reduce(T.mul(out, probe)))
-        got = values(out, maps)
+        got = values(out, *maps)
         got.update((f"grad_{p.name.rsplit('.', 1)[-1]}", p.grad.copy()) for p in params)
         results.append(got)
         zero_grads(params)
     # with no tape the block keeps no record and takes its maxima without routes
-    tapeless = values(attentive_group_conv(xp, layer, ch, sp, **kwargs),
-                      attention_maps(xp, layer, ch, sp, **kwargs))
+    tapeless = values(*attentive_group_conv(xp, layer, ch, sp, **kwargs))
     fast, ref = results
     if fast.keys() != ref.keys():
         raise AssertionError(f"fast block reports {sorted(fast)}, reference {sorted(ref)}")
@@ -774,7 +768,7 @@ def gradcheck_cases(seed=0):
     xa = _p(rng, (1, 2, 4, 5, 5), "xa")
 
     def loss_attentive():
-        return T.reduce(attentive_group_conv(xa, att_layer, att_ch, att_sp))
+        return T.reduce(attentive_group_conv(xa, att_layer, att_ch, att_sp)[0])
     cases.append(("attentive_full",
                   [xa] + list(att_layer.params()) + att_ch.params() + att_sp.params(),
                   loss_attentive))
@@ -786,7 +780,7 @@ def gradcheck_cases(seed=0):
     xi = _p(rng, (1, 2, 4, 5, 5), "xi")
 
     def loss_input_att():
-        return T.reduce(group_conv(input_attention(xi, grp4, in_ch, in_sp), in_layer))
+        return T.reduce(group_conv(input_attention(xi, grp4, in_ch, in_sp)[0], in_layer))
     cases.append(("input_attention",
                   [xi] + list(in_layer.params()) + in_ch.params() + in_sp.params(),
                   loss_input_att))
@@ -875,12 +869,12 @@ def block_alpha_x(net, x, index):
         raise ValueError(f"layer {index} has no spatial attention")
     f = Network(net.group, net.layers[:index]).forward(x)
     if blk.variant == "input":
-        _, ax = input_attention_maps(f, blk.layer.group, blk.ch_params, blk.sp_params,
-                                     residual_branch=blk.residual_branch)
+        _, _, ax = input_attention(f, blk.layer.group, blk.ch_params, blk.sp_params,
+                                   residual_branch=blk.residual_branch)
         return ax.data  # [N, 1, Hf, Y, X]
-    _, ax = attention_maps(f, blk.layer, blk.ch_params, blk.sp_params,
-                           residual_branch=blk.residual_branch,
-                           pool_out=blk.pool_out, index_mode=blk.index_mode)
+    _, _, ax = attentive_group_conv(f, blk.layer, blk.ch_params, blk.sp_params,
+                                    residual_branch=blk.residual_branch,
+                                    pool_out=blk.pool_out, index_mode=blk.index_mode)
     return ax.data  # [N, 1|O, H, Hin, Y, X]
 
 

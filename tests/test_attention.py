@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 import gatt.tensor as T
 import gatt.verify as V
 from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
-                            _PoseKernel, _rel_index, _scatter_add, attention_maps,
-                            attentive_group_conv,
-                            input_attention, input_attention_maps,
+                            _PoseKernel, _rel_index, _scatter_add, attentive_group_conv,
+                            input_attention,
                             make_channel_attention, make_spatial_attention,
                             residual_gate)
 from gatt.autodiff import Parameter, backward, new_rng, zero_grads
@@ -183,7 +182,7 @@ def test_spatial_response_is_a_two_channel_conv_per_pose_pair(monkeypatch, pool_
 
 def test_attention_maps_in_open_unit_interval():
     layer, ch, sp, x = _setup()
-    ac, ax = attention_maps(_feature(x), layer, ch, sp)
+    _, ac, ax = attentive_group_conv(_feature(x), layer, ch, sp)
     for a in (ac.data, ax.data):
         assert a.min() > 0.0 and a.max() < 1.0
 
@@ -197,8 +196,8 @@ def test_attention_maps_bounded_property(seed, residual):
     ch = make_channel_attention(rng, GRP.order, 2, 2, dtype="f64")
     sp = make_spatial_attention(rng, GRP.order, kernel=3, dtype="f64")
     x = rng.standard_normal((1, 2, 4, 5, 5)) * 3.0
-    ac, ax = attention_maps(_feature(x), layer, ch, sp,
-                            residual_branch=residual)
+    _, ac, ax = attentive_group_conv(_feature(x), layer, ch, sp,
+                                     residual_branch=residual)
     assert 0.0 < ac.data.min() and ac.data.max() < 1.0
     assert 0.0 < ax.data.min() and ax.data.max() < 1.0
 
@@ -214,7 +213,7 @@ def test_zero_parameter_attention_quarters_the_response():
     sp = SpatialAttentionParams(
         Parameter(np.zeros((1, 2, 4, 3, 3)), dtype="f64", name="z3"))
     f = _feature(x)
-    got = attentive_group_conv(f, layer, ch, sp).data
+    got = attentive_group_conv(f, layer, ch, sp)[0].data
     plain = group_conv(f, layer).data
     bias = layer.bias.data.reshape(1, -1, 1, 1, 1)
     # both gates sit at 0.5, so the pre-bias response is quartered
@@ -243,32 +242,30 @@ def test_pool_out_false_keeps_out_channel_axis():
     layer, _, sp, x = _setup()
     rng = new_rng(33)
     ch = make_channel_attention(rng, GRP.order, 4, 2, dtype="f64")
-    ac, ax = attention_maps(_feature(x), layer, ch, sp, pool_out=False)
+    out, ac, ax = attentive_group_conv(_feature(x), layer, ch, sp, pool_out=False)
     assert ac.shape == (2, 3, 4, 4, 4)        # [N, O, C, H, Hin]
     assert ax.shape == (2, 3, 4, 4, 6, 6)     # [N, O, H, Hin, Y, X]
-    out = attentive_group_conv(_feature(x), layer, ch, sp,
-                               pool_out=False)
     assert out.data.shape == (2, 3, 4, 6, 6)
 
 
 def test_channel_only_and_spatial_only_variants():
     layer, ch, sp, x = _setup()
     f = _feature(x)
-    ac, ax = attention_maps(f, layer, ch_params=ch)
+    _, ac, ax = attentive_group_conv(f, layer, ch_params=ch)
     assert ax is None and ac is not None
-    ac, ax = attention_maps(f, layer, sp_params=sp)
+    _, ac, ax = attentive_group_conv(f, layer, sp_params=sp)
     assert ac is None and ax is not None
     with pytest.raises(ValueError):
-        attention_maps(f, layer)   # missing parameters
+        attentive_group_conv(f, layer)   # missing parameters
 
 
 def test_attentive_layer_equivariance():
     layer, ch, sp, x = _setup()
     f = _feature(x)
-    base = attentive_group_conv(f, layer, ch, sp).data
+    base = attentive_group_conv(f, layer, ch, sp)[0].data
     for h in range(GRP.order):
         ft = _feature(transform_array(GRP, h, x, pose_axes=(2,)))
-        got = attentive_group_conv(ft, layer, ch, sp).data
+        got = attentive_group_conv(ft, layer, ch, sp)[0].data
         want = transform_array(GRP, h, base, pose_axes=(2,))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -284,7 +281,7 @@ def test_planar_input_attention_matches_flat_reference():
     ch = make_channel_attention(rng, 1, c, 2, dtype="f64")
     sp = make_spatial_attention(rng, 1, kernel=k, dtype="f64")
     x = new_rng(41).standard_normal((2, c, 1, 7, 7))
-    out = input_attention(_feature(x), GRP, ch, sp).data
+    out = input_attention(_feature(x), GRP, ch, sp)[0].data
 
     flat = x[:, :, 0]                                   # [N, C, Y, X]
     w1, w2 = ch.w1.data[0], ch.w2.data[0]
@@ -304,18 +301,36 @@ def test_input_attention_equivariance_and_map_laws():
     sp = make_spatial_attention(rng, GRP.order, kernel=3, dtype="f64")
     x = new_rng(43).standard_normal((2, 3, 4, 6, 6))
     f = _feature(x)
-    base = input_attention(f, GRP, ch, sp).data
-    ac0, ax0 = (m.data for m in input_attention_maps(f, GRP, ch, sp))
+    base, ac0, ax0 = (m.data for m in input_attention(f, GRP, ch, sp))
     for h in range(GRP.order):
         ft = _feature(transform_array(GRP, h, x, pose_axes=(2,)))
-        got = input_attention(ft, GRP, ch, sp).data
+        got, ac_h, ax_h = (m.data for m in input_attention(ft, GRP, ch, sp))
         np.testing.assert_allclose(got, transform_array(GRP, h, base, pose_axes=(2,)),
                                    atol=1e-12)
-        ac_h, ax_h = (m.data for m in input_attention_maps(ft, GRP, ch, sp))
         np.testing.assert_allclose(ac_h, np.take(ac0, feature_perm(GRP, h), axis=-1),
                                    atol=1e-12)
         np.testing.assert_allclose(ax_h, transform_array(GRP, h, ax0, pose_axes=(2,)),
                                    atol=1e-12)
+
+
+@pytest.mark.parametrize("group_name", ["C4", "D4"])
+def test_input_attention_alpha_c_is_the_relative_pose_bottleneck(group_name):
+    # u_h = relu(sum_t W1[h^-1 t] s_t) and z_h = sum_h' W2[h^-1 h'] u_h', for the
+    # mean and the max descriptor s; the two z are summed and gated
+    grp = make_group(group_name)
+    rng = new_rng(46)
+    ch = make_channel_attention(rng, grp.order, 4, 2, dtype="f64")
+    sp = make_spatial_attention(rng, grp.order, kernel=3, dtype="f64")
+    x = new_rng(47).standard_normal((2, 4, grp.order, 5, 5))
+    _, ac, _ = input_attention(_feature(x), grp, ch, sp)
+    rel = grp.cayley[grp.inverse]                       # rel[h, t] = h^-1 t
+    w1, w2 = ch.w1.data[rel], ch.w2.data[rel]           # [H, H, rows, cols]
+    z = 0.0
+    for s in (x.mean(axis=(3, 4)), x.max(axis=(3, 4))):  # [N, C, H]
+        u = np.maximum(np.einsum("htmc,nct->nmh", w1, s), 0.0)
+        z = z + np.einsum("htcm,nmt->nch", w2, u)
+    want = 1.0 - 1.0 / (1.0 + np.exp(-z))               # residual gate
+    np.testing.assert_allclose(ac.data, want, rtol=0, atol=1e-12)
 
 
 def test_input_attention_parameter_validation():
@@ -455,7 +470,7 @@ def test_nan_in_one_sample_stays_in_that_sample(group_name, pool_out):
     def run(xs, ps):
         xp = Parameter(xs, dtype="f64", name="x")
         with Tape() as tape:
-            out = attentive_group_conv(xp, layer, ch, sp, pool_out=pool_out)
+            out, _, _ = attentive_group_conv(xp, layer, ch, sp, pool_out=pool_out)
             backward(tape, T.reduce(T.mul(out, Tensor(ps))))
         zero_grads(params)
         return out.data, xp.grad
@@ -481,7 +496,7 @@ def test_attentive_forward_peaks_below_half_the_pair_tensor():
     assert pair_bytes >= 40e6
     tracemalloc.start()
     try:
-        out = attentive_group_conv(f, layer, ch, sp)
+        out, _, _ = attentive_group_conv(f, layer, ch, sp)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -503,7 +518,7 @@ def test_attentive_forward_and_backward_peak_below_the_whole_batch_slice():
     tracemalloc.start()
     try:
         with Tape() as tape:
-            out = attentive_group_conv(x, layer, ch, sp)
+            out, _, _ = attentive_group_conv(x, layer, ch, sp)
             backward(tape, T.reduce(T.mul(out, probe)))
         _, peak = tracemalloc.get_traced_memory()
     finally:

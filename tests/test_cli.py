@@ -173,6 +173,8 @@ def input_checkpoint(tmp_path_factory):
     ["train", "--weight-decay", "nan"],
     ["train", "--weight-decay", "inf"],
     ["train", "--weight-decay", "-1"],
+    ["train", "--lr-decay", "-1"],
+    ["train", "--lr-decay", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_arguments_exit_2(capsys, input_checkpoint, argv):
     # valid arguments first; the bad value comes last, so it wins over any earlier one
