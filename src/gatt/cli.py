@@ -200,7 +200,7 @@ def cmd_train(args):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "train_log.txt").write_text("\n".join(lines) + "\n")
-        save_checkpoint(out / "model.ckpt", net.params(), opt)
+        save_checkpoint(out / "model.ckpt", net.params() + net.buffers(), opt)
     return 0
 
 
@@ -210,7 +210,7 @@ def cmd_attend(args):
     net = _build_net(cfg, arch, 0.0, args.channels)
     if cfg.variant not in ("input", "full", "spatial"):
         raise ConfigError(f"variant {cfg.variant!r} produces no spatial attention map")
-    load_checkpoint(args.checkpoint, net.params())
+    load_checkpoint(args.checkpoint, net.params() + net.buffers())
     if args.image:
         plane = read_pgm(args.image).astype(np.float32) / np.float32(255.0)
         x = plane[None, None]
@@ -263,6 +263,14 @@ def _float_from(minimum, strict):
     return parse
 
 
+def _dropout_rate(text):
+    """argparse type: a finite float in [0, 1)."""
+    value = _float_from(0.0, False)(text)
+    if value >= 1.0:
+        raise argparse.ArgumentTypeError(f"must be < 1, got {value}")
+    return value
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key=value run configuration file")
@@ -312,7 +320,7 @@ def build_parser():
     p.add_argument("--batch", type=_int_from(1))
     p.add_argument("--lr", type=_float_from(0.0, True))
     p.add_argument("--weight-decay", type=_float_from(0.0, False), default=1e-4)
-    p.add_argument("--dropout", type=float)
+    p.add_argument("--dropout", type=_dropout_rate)
     p.add_argument("--channels", type=_int_from(1))
     p.add_argument("--train-size", type=_int_from(1), default=2048)
     p.add_argument("--limit", type=_int_from(1), help="cap the training set (smoke runs)")

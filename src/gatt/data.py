@@ -2,15 +2,18 @@
 
 File formats kept deliberately plain: IDX for digit data (big-endian header,
 raw payload), binary PGM for image dumps, a line-oriented key=value config,
-and a small tagged binary checkpoint ("GATT" magic, little-endian buffers)
-that round-trips parameters and Adam state bitwise.  The readers reject
-every malformed file with ValueError.
+and a checkpoint that is an uncompressed .npz of named arrays (parameters,
+BatchNorm statistics and Adam state, each under its tensor's name) and
+round-trips them bitwise.  The readers reject every malformed file with
+ValueError.
 """
 from __future__ import annotations
 
 import gzip
+import io
 import math
 import struct
+import zipfile
 import zlib
 from dataclasses import dataclass, replace
 
@@ -416,104 +419,82 @@ def load_config(path=None, text=None, overrides=None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CKPT_MAGIC = b"GATT"
-CKPT_VERSION = 1
-CKPT_ADAM = 2  # optimizer-kind byte; 0 marks a file without optimizer state
-_DTYPE_TAG = {"f32": 0, "f64": 1}
-_TAG_DTYPE = {0: "<f4", 1: "<f8"}
+def _members(tensors, with_adam):
+    """Member name -> the array stored under it; Adam's are placeholders of its shape and dtype."""
+    members = {"format": np.array(2), **{t.name: t.data for t in tensors}}
+    if len(members) != len(tensors) + 1:
+        raise ValueError("tensor names must be unique, and not 'format', for checkpointing")
+    if with_adam:
+        members["adam.step"] = np.array(0)
+        for t in tensors:
+            if t.requires_grad:
+                members[f"adam.m.{t.name}"] = members[f"adam.v.{t.name}"] = t.data
+    return members
 
 
-def _write_array(fh, arr):
-    tag = _DTYPE_TAG["f32" if arr.dtype == np.float32 else "f64"]
-    fh.write(struct.pack("<BB", tag, arr.ndim))
-    fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    fh.write(arr.astype(_TAG_DTYPE[tag], copy=False).tobytes())
+def save_checkpoint(path, tensors, optimizer=None):
+    """Each tensor under its name, then Adam's step and moments, as an uncompressed .npz."""
+    members = _members(tensors, False)
+    if optimizer is not None:
+        members["adam.step"] = np.array(optimizer.step_count)
+        for p, m, v in zip(optimizer.params, optimizer.m, optimizer.v):
+            members[f"adam.m.{p.name}"], members[f"adam.v.{p.name}"] = m, v
+    with open(path, "wb") as fh:    # a file object: np.savez adds no .npz suffix
+        np.savez(fh, **members)
 
 
-def _read_exact(fh, size):
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise ValueError(f"{fh.name}: checkpoint truncated")
-    return buf
+def load_checkpoint(path, tensors, optimizer=None):
+    """Restore tensors by name, and Adam's state if the file holds it.
 
-
-def _unpack(fh, fmt):
-    return struct.unpack(fmt, _read_exact(fh, struct.calcsize(fmt)))
-
-
-def _read_array_like(fh, p, what):
-    """Next tagged buffer; its shape and dtype must match parameter `p`."""
-    tag, ndim = _unpack(fh, "<BB")
-    if tag not in _TAG_DTYPE:
-        raise ValueError(f"{fh.name}: unknown dtype tag {tag} for {what}")
-    shape = _unpack(fh, f"<{ndim}I")
-    # checked before the payload is read, so a corrupt shape allocates nothing
-    if shape != p.data.shape or _DTYPE_TAG[p.dtype] != tag:
-        raise ValueError(f"{fh.name}: manifest mismatch for {what}")
-    dt = np.dtype(_TAG_DTYPE[tag])
-    buf = _read_exact(fh, p.data.size * dt.itemsize)
-    return np.frombuffer(buf, dtype=dt).reshape(shape).astype(dt.newbyteorder("="))
-
-
-def save_checkpoint(path, params, optimizer=None):
-    """Parameter manifest plus buffers, then optional Adam state."""
-    names = [p.name for p in params]
-    if len(set(names)) != len(names):
-        raise ValueError("parameter names must be unique for checkpointing")
-    with open(path, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<I", CKPT_VERSION))
-        fh.write(struct.pack("<I", len(params)))
-        for p in params:
-            nb = p.name.encode()
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            _write_array(fh, p.data)
-        if optimizer is None:
-            fh.write(struct.pack("<B", 0))
-        else:
-            fh.write(struct.pack("<BQ", CKPT_ADAM, optimizer.step_count))
-            for buf in optimizer.m + optimizer.v:
-                _write_array(fh, buf)
-
-
-def load_checkpoint(path, params, optimizer=None):
-    """Restore parameters (matched by name, shape and dtype) and Adam state.
-
-    The whole file is parsed and checked before anything is assigned: a
-    truncated, malformed or mismatched file raises ValueError and leaves the
-    parameters and the optimizer untouched.
+    Nothing is assigned until the archive has passed every check: its zip end
+    record closes the file and counts every member once; every member is
+    stored, neither compressed nor encrypted, and passes its CRC-32; the names
+    are exactly those save_checkpoint writes for `tensors`; and each member's
+    .npy header matches its target's shape and dtype before its payload is
+    read.  A truncated, corrupt or mismatched file, a version-1 ("GATT") file
+    among them, raises ValueError and leaves the tensors and the optimizer
+    untouched.
     """
     with open(path, "rb") as fh:
-        if fh.read(4) != CKPT_MAGIC:
-            raise ValueError(f"{path}: bad checkpoint magic")
-        (version,) = _unpack(fh, "<I")
-        if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        (count,) = _unpack(fh, "<I")
-        if count != len(params):
-            raise ValueError(f"{path}: checkpoint has {count} parameters, "
-                             f"model has {len(params)}")
-        arrays = []
-        for p in params:
-            (nlen,) = _unpack(fh, "<H")
-            name = _read_exact(fh, nlen).decode()
-            if name != p.name:
-                raise ValueError(f"{path}: parameter order mismatch "
-                                 f"({name!r} vs {p.name!r})")
-            arrays.append(_read_array_like(fh, p, repr(name)))
-        (kind,) = _unpack(fh, "<B")
-        if kind not in (0, CKPT_ADAM):
-            raise ValueError(f"{path}: unknown optimizer kind {kind}")
-        if kind:
-            (step_count,) = _unpack(fh, "<Q")
-            state = [_read_array_like(fh, p, f"optimizer state of {p.name!r}")
-                     for p in list(params) * 2]
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after the checkpoint")
-    for p, arr in zip(params, arrays):
-        p.data = arr.astype(p.data.dtype, copy=False).copy()
-    if kind and optimizer is not None:
-        optimizer.step_count = step_count
+        raw = fh.read()
+    sig, _, _, _, count, cd_size, cd_offset, comment = struct.unpack(
+        "<4s4H2IH", raw[-22:].rjust(22, b"\0"))
+    if sig != b"PK\x05\x06" or comment or cd_offset + cd_size + 22 != len(raw):
+        raise ValueError(f"{path}: no zip end record closes the file (truncated, "
+                         "trailing bytes or not a checkpoint)")
+    try:
+        with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+            infos = zf.infolist()
+            names = {info.filename for info in infos}
+            want = {f"{k}.npy": a for k, a in _members(tensors, "adam.step.npy" in names).items()}
+            if not len(infos) == len(names) == count:
+                raise ValueError(f"{path}: {len(infos)} members, {len(names)} distinct names, "
+                                 f"but the end record counts {count}")
+            if names != want.keys():
+                raise ValueError(f"{path}: members missing {sorted(want.keys() - names)}, "
+                                 f"unexpected {sorted(names - want.keys())}")
+            if any(i.compress_type or i.flag_bits & 1 or i.compress_size != i.file_size
+                   for i in infos) or zf.testzip():
+                raise ValueError(f"{path}: a member is compressed, encrypted or corrupt")
+            arrays = {}
+            for info in infos:
+                with zf.open(info) as member:
+                    np.lib.format.read_magic(member)
+                    shape, fortran, dtype = np.lib.format.read_array_header_1_0(member)
+                    target = want[info.filename]
+                    if fortran or shape != target.shape or dtype != target.dtype:
+                        raise ValueError(f"{path}: {info.filename} holds {dtype} {shape}, "
+                                         f"the model needs {target.dtype} {target.shape}")
+                    arrays[info.filename[:-4]] = np.frombuffer(member.read(), dtype).reshape(shape)
+    except (zipfile.BadZipFile, EOFError, NotImplementedError) as exc:
+        raise ValueError(f"{path}: corrupt checkpoint ({exc})") from None
+    if arrays["format"] != want["format.npy"]:
+        raise ValueError(f"{path}: unsupported checkpoint format {arrays['format']}")
+    adam = optimizer is not None and "adam.step" in arrays
+    state = [arrays[f"adam.{k}.{p.name}"] for k in "mv" for p in optimizer.params] if adam else []
+    for t in tensors:
+        t.data = arrays[t.name].copy()
+    if adam:
+        optimizer.step_count = int(arrays["adam.step"])
         for buf, arr in zip(optimizer.m + optimizer.v, state):
             buf[...] = arr

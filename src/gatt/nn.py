@@ -113,22 +113,28 @@ class GBatchNorm:
                                weight_decay=False)
         self.beta = Parameter(np.zeros(channels), dtype=dtype, name=f"{name}.beta",
                               weight_decay=False)
-        self.running_mean = np.zeros(channels, dtype=T.DTYPES[dtype])
-        self.running_var = np.ones(channels, dtype=T.DTYPES[dtype])
+        # buffers: saved with the parameters, but they take no gradient
+        self.running_mean = Parameter(np.zeros(channels), dtype=dtype, name=f"{name}.running_mean")
+        self.running_var = Parameter(np.ones(channels), dtype=dtype, name=f"{name}.running_var")
+        for buf in self.buffers():
+            buf.requires_grad = False
 
     def forward(self, f, ctx):
         c = f.shape[1]
         stat_axes = (0, 2, 3, 4) if f.ndim == 5 else (0, 2, 3)
-        stats = None if ctx.training else (self.running_mean, self.running_var)
+        stats = None if ctx.training else (self.running_mean.data, self.running_var.data)
         out, mu, var = T.batch_norm(f, self.gamma, self.beta, stat_axes, BN_EPS, stats)
         if ctx.training:
             m = BN_MOMENTUM
-            self.running_mean = (1 - m) * self.running_mean + m * mu.reshape(c)
-            self.running_var = (1 - m) * self.running_var + m * var.reshape(c)
+            for buf, batch in zip(self.buffers(), (mu, var)):
+                buf.data[...] = (1 - m) * buf.data + m * batch.reshape(c)
         return out
 
     def params(self):
         return [self.gamma, self.beta]
+
+    def buffers(self):
+        return [self.running_mean, self.running_var]
 
 
 class PoseBias:
@@ -187,6 +193,10 @@ class Network:
         for layer in self.layers:
             out += layer.params()
         return out
+
+    def buffers(self):
+        """The BatchNorm running statistics, which a checkpoint saves beside params()."""
+        return [b for bn in self.layers if isinstance(bn, GBatchNorm) for b in bn.buffers()]
 
     def param_count(self):
         return sum(p.size for p in self.params())

@@ -792,7 +792,7 @@ def gradcheck_cases(seed=0):
 
     def loss_bn():
         # eval first, at fixed running stats: training updates them every call
-        bn.running_mean, bn.running_var = bn_stats
+        bn.running_mean.data[...], bn.running_var.data[...] = bn_stats
         ye = bn.forward(xb, ForwardCtx(training=False))
         y = bn.forward(xb, ForwardCtx(training=True))
         return T.add(T.reduce(T.mul(y, y)), T.reduce(T.mul(ye, ye)))

@@ -175,6 +175,8 @@ def input_checkpoint(tmp_path_factory):
     ["train", "--weight-decay", "-1"],
     ["train", "--lr-decay", "-1"],
     ["train", "--lr-decay", "0"],
+    ["train", "--dropout", "1.5"],
+    ["train", "--dropout", "nan"],
 ], ids=lambda argv: " ".join(argv))
 def test_out_of_range_arguments_exit_2(capsys, input_checkpoint, argv):
     # valid arguments first; the bad value comes last, so it wins over any earlier one
@@ -234,7 +236,11 @@ def test_train_writes_log_and_checkpoint(capsys, tmp_path):
         100.0 * (1.0 - float(rep["test_acc"])), abs=1e-6)
     log = (tmp_path / "train_log.txt").read_text()
     assert "final_val_acc=" in log and "epoch=0" in log
-    assert (tmp_path / "model.ckpt").read_bytes()[:4] == b"GATT"
+    with np.load(tmp_path / "model.ckpt") as ckpt:
+        assert ckpt["format"] == 2
+        # the BatchNorm statistics ride along; Adam state only for what takes a gradient
+        assert {"bn1.running_mean", "bn2.running_var", "adam.m.bn1.gamma"} <= set(ckpt.files)
+        assert "adam.m.bn1.running_mean" not in ckpt.files
 
 
 def test_train_is_deterministic(capsys, tmp_path):

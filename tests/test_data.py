@@ -1,6 +1,8 @@
 import gzip
+import io
 import os
 import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -394,7 +396,10 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
     want = [p.data.copy() for p in ps]
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, ps)
-    assert path.read_bytes()[:4] == b"GATT"
+    assert path.read_bytes()[:4] == b"PK\x03\x04"   # a zip archive, not a .npz-suffixed file
+    with zipfile.ZipFile(path) as zf:
+        assert sorted(zf.namelist()) == ["b.npy", "format.npy", "w.npy"]
+        assert all(info.compress_type == zipfile.ZIP_STORED for info in zf.infolist())
     fresh = _params(2)
     load_checkpoint(path, fresh)
     for p, w in zip(fresh, want):
@@ -419,34 +424,55 @@ def test_checkpoint_restores_adam_state(tmp_path):
         np.testing.assert_array_equal(a, b)
 
 
+def _version1_bytes(ps):
+    """The retired layout: "GATT", version 1, then name, dtype tag, shape and data."""
+    out = b"GATT" + struct.pack("<II", 1, len(ps))
+    for p in ps:
+        out += struct.pack("<H", len(p.name)) + p.name.encode()
+        out += struct.pack(f"<BB{p.data.ndim}I", p.data.dtype == np.float64, p.data.ndim,
+                           *p.data.shape) + p.data.tobytes()
+    return out + b"\x00"   # no optimizer state
+
+
+def _rewrite(raw, edit, save=np.savez):
+    """The archive `raw` with its members passed through `edit`, written by `save`."""
+    with np.load(io.BytesIO(raw)) as z:
+        members = {k: z[k] for k in z.files}
+    edit(members)
+    out = io.BytesIO()
+    save(out, **members)
+    return out.getvalue()
+
+
 def test_checkpoint_error_paths(tmp_path):
     ps = _params(7)
     path = tmp_path / "m.ckpt"
     save_checkpoint(path, ps)
+    bad = tmp_path / "bad.ckpt"
 
-    bad_magic = tmp_path / "bad_magic"
-    bad_magic.write_bytes(b"NOPE" + path.read_bytes()[4:])
-    with pytest.raises(ValueError, match="magic"):
-        load_checkpoint(bad_magic, _params(7))
+    bad.write_bytes(b"NOPE" + path.read_bytes()[4:])   # the first local header's magic
+    with pytest.raises(ValueError, match="corrupt"):
+        load_checkpoint(bad, _params(7))
 
-    bad_version = tmp_path / "bad_version"
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 99)
-    bad_version.write_bytes(bytes(raw))
-    with pytest.raises(ValueError, match="version"):
-        load_checkpoint(bad_version, _params(7))
+    bad.write_bytes(_rewrite(path.read_bytes(), lambda m: m.update(format=np.array(3))))
+    with pytest.raises(ValueError, match="format 3"):
+        load_checkpoint(bad, _params(7))
 
-    with pytest.raises(ValueError, match="parameters"):
+    bad.write_bytes(_version1_bytes(ps))
+    with pytest.raises(ValueError, match="not a checkpoint"):
+        load_checkpoint(bad, _params(7))
+
+    with pytest.raises(ValueError, match=r"unexpected \['b.npy'\]"):
         load_checkpoint(path, _params(7)[:1])
 
     renamed = _params(7)
     renamed[0].name = "other"
-    with pytest.raises(ValueError, match="order mismatch"):
+    with pytest.raises(ValueError, match=r"missing \['other.npy'\], unexpected \['w.npy'\]"):
         load_checkpoint(path, renamed)
 
     reshaped = _params(7)
     reshaped[0].data = np.zeros((3, 2))
-    with pytest.raises(ValueError, match="manifest"):
+    with pytest.raises(ValueError, match=r"w.npy holds float64 \(2, 3\)"):
         load_checkpoint(path, reshaped)
 
     truncated = tmp_path / "truncated"
@@ -491,26 +517,79 @@ def test_checkpoint_rejects_every_truncation(tmp_path):
         assert opt.step_count == 0
 
 
+def _assert_untouched(fresh, opt):
+    for p, q in zip(fresh, _params(9)):
+        np.testing.assert_array_equal(p.data, q.data)
+    assert opt.step_count == 0
+    assert not any(buf.any() for buf in opt.m + opt.v)
+
+
 def test_checkpoint_rejects_corrupt_fields(tmp_path):
     raw = _adam_checkpoint(tmp_path)
-    plain = tmp_path / "plain.ckpt"
-    save_checkpoint(plain, _params(8))
-    kind_at = len(plain.read_bytes()) - 1  # optimizer-kind byte
-    tag_at = 4 + 4 + 4 + 2 + 1             # dtype tag of parameter "w"
     path = tmp_path / "bad.ckpt"
 
     def rejects(data, match):
         path.write_bytes(bytes(data))
+        fresh = _params(9)
+        opt = Adam(fresh)
         with pytest.raises(ValueError, match=match):
-            load_checkpoint(path, _params(9), Adam(_params(9)))
+            load_checkpoint(path, fresh, opt)
+        _assert_untouched(fresh, opt)
 
-    bad = bytearray(raw)
-    bad[tag_at] = 7
-    rejects(bad, "dtype tag")
-    bad = bytearray(raw)
-    bad[kind_at] = 1  # the kind byte of the former SGD state
-    rejects(bad, "optimizer kind")
-    bad = bytearray(raw)
-    bad[kind_at + 11] = 3  # first Adam moment of "w" claims shape (3, 3)
-    rejects(bad, "optimizer state")
+    def drop(name):
+        return lambda m: m.pop(name)
+
+    def recast(name, shape, dtype):
+        return lambda m: m.update({name: np.zeros(shape, dtype)})
+
+    rejects(_rewrite(raw, recast("w", (2, 3), np.float32)), r"w.npy holds float32")
+    rejects(_rewrite(raw, recast("b", (4,), np.float32)), r"b.npy holds float32 \(4,\)")
+    rejects(_rewrite(raw, recast("adam.m.w", (3, 3), np.float64)), r"adam.m.w.npy holds")
+    rejects(_rewrite(raw, recast("adam.v.b", (3,), np.float64)), r"adam.v.b.npy holds float64")
+    rejects(_rewrite(raw, drop("adam.v.b")), r"missing \['adam.v.b.npy'\]")
+    rejects(_rewrite(raw, drop("adam.step")), r"unexpected \['adam.m.b.npy'")
+    rejects(_rewrite(raw, lambda m: m.update(extra=np.zeros(1))), r"unexpected \['extra.npy'\]")
+    rejects(_rewrite(raw, lambda m: None, np.savez_compressed), "compressed")
+    dup = io.BytesIO(raw)
+    with zipfile.ZipFile(dup, "a") as zf, pytest.warns(UserWarning, match="Duplicate name"):
+        zf.writestr("w.npy", zf.read("w.npy"))
+    rejects(dup.getvalue(), "distinct")
+    miscount = bytearray(raw)
+    miscount[-12] -= 1   # the end record's total member count
+    rejects(miscount, "end record counts")
     rejects(raw + b"\x00", "trailing")
+    flipped = bytearray(raw)
+    flipped[raw.index(b"adam.m.w.npy") + 200] ^= 1   # a payload byte of a stored member
+    rejects(flipped, "corrupt")
+    # the untouched archive loads
+    load_checkpoint(path.with_name("adam.ckpt"), _params(9), Adam(_params(9)))
+
+
+def test_checkpoint_bit_flips_are_rejected_or_harmless(tmp_path):
+    # flip bits 0 and 7 of every byte: zip metadata that no reader uses may
+    # change and load the same arrays, but nothing may load different numbers
+    raw = _adam_checkpoint(tmp_path)
+    ps = _params(8)
+    opt = Adam(ps)
+    load_checkpoint(tmp_path / "adam.ckpt", ps, opt)
+    want = [p.data for p in ps] + opt.m + opt.v
+    path = tmp_path / "flip.ckpt"
+    rejected = 0
+    for i in range(len(raw)):
+        for bit in (0, 7):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << bit
+            path.write_bytes(bytes(flipped))
+            fresh = _params(9)
+            fopt = Adam(fresh)
+            try:
+                load_checkpoint(path, fresh, fopt)
+            except ValueError:
+                _assert_untouched(fresh, fopt)
+                rejected += 1
+                continue
+            got = [p.data for p in fresh] + fopt.m + fopt.v
+            assert fopt.step_count == opt.step_count, (i, bit)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w), (i, bit)
+    assert rejected > len(raw)   # most flips land in CRC-checked payloads

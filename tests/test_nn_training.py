@@ -38,19 +38,31 @@ def test_batchnorm_training_stats_match_manual():
     want = (x - mu) / np.sqrt(var + 2e-5)
     np.testing.assert_allclose(out, want, atol=1e-12)
     # running stats moved one momentum step away from (0, 1)
-    np.testing.assert_allclose(bn.running_mean, 0.1 * mu.reshape(3), atol=1e-12)
-    np.testing.assert_allclose(bn.running_var, 0.9 + 0.1 * var.reshape(3),
+    np.testing.assert_allclose(bn.running_mean.data, 0.1 * mu.reshape(3), atol=1e-12)
+    np.testing.assert_allclose(bn.running_var.data, 0.9 + 0.1 * var.reshape(3),
                                atol=1e-12)
+
+
+def test_batchnorm_buffers_are_named_gradient_free_and_updated_in_place():
+    bn = GBatchNorm(3, dtype="f32", name="bn")
+    mean, var = bn.buffers()
+    assert [b.name for b in bn.buffers()] == ["bn.running_mean", "bn.running_var"]
+    assert not mean.requires_grad and not var.requires_grad
+    assert mean.data.dtype == var.data.dtype == np.float32
+    arrays = [b.data for b in bn.buffers()]
+    bn.forward(_feature(new_rng(2).standard_normal((2, 3, 4, 3, 3))), ForwardCtx(training=True))
+    assert all(b.data is a for b, a in zip(bn.buffers(), arrays))
+    assert mean.data.any()
 
 
 def test_batchnorm_eval_uses_running_stats():
     bn = GBatchNorm(2, dtype="f64", name="bn")
-    bn.running_mean = np.array([1.0, -1.0])
-    bn.running_var = np.array([4.0, 0.25])
+    bn.running_mean.data[...] = [1.0, -1.0]
+    bn.running_var.data[...] = [4.0, 0.25]
     x = new_rng(1).standard_normal((2, 2, 4, 3, 3))
     out = bn.forward(_feature(x), EVAL).data
-    want = (x - bn.running_mean.reshape(1, 2, 1, 1, 1)) / \
-        np.sqrt(bn.running_var.reshape(1, 2, 1, 1, 1) + 2e-5)
+    want = (x - bn.running_mean.data.reshape(1, 2, 1, 1, 1)) / \
+        np.sqrt(bn.running_var.data.reshape(1, 2, 1, 1, 1) + 2e-5)
     np.testing.assert_allclose(out, want, atol=1e-12)
 
 
@@ -117,8 +129,8 @@ def test_batchnorm_running_stats_follow_the_reference_moments():
     x = new_rng(6).standard_normal((4, 3, 2, 5, 5))
     _, mean, var = reference_batch_norm(Tensor(x), bn.gamma, bn.beta, (0, 2, 3, 4), BN_EPS)
     bn.forward(_feature(x), ForwardCtx(training=True))
-    np.testing.assert_array_equal(bn.running_mean, 0.9 * np.zeros(3) + 0.1 * mean.reshape(3))
-    np.testing.assert_array_equal(bn.running_var, 0.9 * np.ones(3) + 0.1 * var.reshape(3))
+    np.testing.assert_array_equal(bn.running_mean.data, 0.9 * np.zeros(3) + 0.1 * mean.reshape(3))
+    np.testing.assert_array_equal(bn.running_var.data, 0.9 * np.ones(3) + 0.1 * var.reshape(3))
 
 
 # ---------------------------------------------------------------------------
