@@ -110,11 +110,8 @@ def _rel_index(grp, hin, index_mode):
 # ---------------------------------------------------------------------------
 # the attentive group convolution, one output pose at a time
 
-_F64 = np.float64
-
-
 def _gate_np(z, residual_branch, eps):
-    """The gate on float64 arrays, clipped as T.sigmoid clips the storage dtype."""
+    """The gate on a numpy array, clipped as T.sigmoid clips the storage dtype."""
     s = T._logistic(z, eps)
     return 1.0 - s if residual_branch else s
 
@@ -164,7 +161,8 @@ class _PoseKernel:
     the two max routes, the gradient reaching a gated slice does not depend
     on c, so two GEMMs shared by all poses contract it with the im2col
     columns.  Max ties route to the first index in the flat (o, y, x) order
-    for alpha_C and (o, c) for alpha_X.  All arithmetic runs in float64.
+    for alpha_C and (o, c) for alpha_X.  All arithmetic runs in the storage
+    dtype: float32 slices, GEMMs and FFTs for a float32 net.
 
     With pooled maps the gated channel sum sum_c alpha_C R is one GEMV per
     (n, t), [1, C] @ [C, O*P] of the ungated slice.  When no backward will
@@ -179,8 +177,8 @@ class _PoseKernel:
     chunks of whole samples, each as large as fits a slice [nb, C, Hin, O, P]
     in T.POSE_CHUNK_BYTES (at least one sample); only the parameter
     gradients sum over the chunks.  The sample-independent state (the
-    float64 bank and its sums, the bottleneck matrices, the filter spectra)
-    is built once per block.  The record keeps no columns, and no padded
+    bank and its sums, the bottleneck matrices, the filter spectra) is
+    built once per block.  The record keeps no columns, and no padded
     copy of the input: a chunk pads and unfolds its samples (`_im2col`) in
     the forward and again in the backward, which folds the chunk's input
     gradient (`_col2im`) into one whole-input array and then frees the
@@ -202,15 +200,16 @@ class _PoseKernel:
         self.g = 1 if pool_out else o       # out-channel groups sharing one map
         self.pool_out = pool_out
         self.residual = residual_branch
-        self.eps = np.finfo(flat.data.dtype).epsneg     # the gates' clip, as in T.sigmoid
+        self.dtype = flat.data.dtype
+        self.eps = np.finfo(self.dtype).epsneg  # the gates' clip, as in T.sigmoid
         self.inputs = flat, bank, w1g, w2g, psis, bias
-        wb = bank.data.astype(_F64, copy=False).reshape(o, order, c, hin, kk)
+        wb = bank.data.reshape(o, order, c, hin, kk)
         self.wb = np.ascontiguousarray(wb.transpose(1, 2, 3, 0, 4))    # [H, C, Hin, O, K]
         self.w1 = self.w2 = self.fpsi = None
         if w1g is not None:
             mid = w1g.shape[1]
-            self.w1 = w1g.data.astype(_F64, copy=False).reshape(order, hin, mid, c)
-            self.w2 = w2g.data.astype(_F64, copy=False).reshape(order, hin, c, mid)
+            self.w1 = w1g.data.reshape(order, hin, mid, c)
+            self.w2 = w2g.data.reshape(order, hin, c, mid)
             # the mean of R = W X over (o, p) needs only the column sums of X
             self.wsum = self.wb.reshape(order, c, hin, self.g, o // self.g, kk).sum(axis=4)
         if psis is not None:
@@ -218,7 +217,7 @@ class _PoseKernel:
             # lag d of a circular correlation sits at index d mod L
             ks = psis.shape[-1]
             self.fshape = tuple(_fft_length(e + ks - 1) for e in (self.yo, self.xo))
-            psi = psis.data.astype(_F64, copy=False).reshape(order, 2, hin, ks, ks)
+            psi = psis.data.reshape(order, 2, hin, ks, ks)
             self.fpsi = np.fft.rfft2(psi, s=self.fshape)
             self.lag_out = np.ix_(*[(np.arange(e) - ks // 2) % ln
                                     for e, ln in zip((self.yo, self.xo), self.fshape)])
@@ -234,7 +233,7 @@ class _PoseKernel:
         """Give chunk ck its columns x5 [n, C, Hin, K, P] and their sums over p."""
         _, c, hin, o, kk, p = self.dims
         k, stride, pads_y, pads_x = self.geom
-        fp = T._pad64(self.inputs[0].data[ck.lo:ck.hi], pads_y, pads_x)
+        fp = T._pad(self.inputs[0].data[ck.lo:ck.hi], pads_y, pads_x, self.dtype)
         ck.x5 = _im2col(fp, k, stride, self.yo, self.xo).reshape(ck.hi - ck.lo, c, hin, kk, p)
         ck.xs = ck.x5.sum(axis=-1)          # [n, C, Hin, K]
 
@@ -243,10 +242,11 @@ class _PoseKernel:
     def forward(self, keep):
         """Output [N, O, H, P] before the bias, alpha_C per pose and alpha_X."""
         n, c, hin, o, kk, p = self.dims
-        order, g = self.order, self.g
-        res = np.empty((n, order, o, p))    # the output, laid out as [N, H, O, P]
-        alpha_c = [np.empty((n, c, hin, g)) for _ in range(order)] if self.w1 is not None else []
-        alpha_x = (np.empty((order, n, g, hin, self.yo, self.xo))
+        order, g, dt = self.order, self.g, self.dtype
+        res = np.empty((n, order, o, p), dt)    # the output, laid out as [N, H, O, P]
+        alpha_c = ([np.empty((n, c, hin, g), dt) for _ in range(order)]
+                   if self.w1 is not None else [])
+        alpha_x = (np.empty((order, n, g, hin, self.yo, self.xo), dt)
                    if self.fpsi is not None else None)
         for lo, hi in self.spans:
             ck = _Chunk(lo, hi)
@@ -261,10 +261,10 @@ class _PoseKernel:
         """Fill one chunk's share of the output res [n, H, O, P], alpha_C and alpha_X."""
         n = ck.hi - ck.lo
         _, c, hin, o, kk, p = self.dims
-        order, g = self.order, self.g
-        gcs = np.empty((n, hin, order, o, p))   # channel sums of the gated slices
-        s_x = np.empty((order, n, g, 2, hin, p)) if alpha_x is not None else None
-        r = np.empty((n, c, hin, o, p))         # the one live slice
+        order, g, dt = self.order, self.g, self.dtype
+        gcs = np.empty((n, hin, order, o, p), dt)   # channel sums of the gated slices
+        s_x = np.empty((order, n, g, 2, hin, p), dt) if alpha_x is not None else None
+        r = np.empty((n, c, hin, o, p), dt)         # the one live slice
         rv = r.reshape(n, c, hin, g, -1)
         lean = self.pool_out and not keep       # no routes: maxima from one max over o
         for h in range(order):
@@ -359,10 +359,10 @@ class _PoseKernel:
     def backward(self, dout):
         flat, bank, w1g, w2g, psis, bias = self.inputs
         n, c, hin, o, kk, p = self.dims
-        dout = dout.astype(_F64, copy=False).reshape(n, o, self.order, p)
+        dout = dout.reshape(n, o, self.order, p)
         if bias is not None and bias.requires_grad:
             T._accumulate(bias, dout.sum(axis=(0, 2, 3)), owned=True)
-        gx = np.empty(flat.shape) if flat.requires_grad else None
+        gx = np.empty(flat.shape, self.dtype) if flat.requires_grad else None
         sums = {}                               # parameter gradients, summed over chunks
         for i, ck in enumerate(self.chunks):
             self.chunks[i] = None
@@ -392,7 +392,7 @@ class _PoseKernel:
         shares of the parameter gradients (psi's as a cross-spectrum)."""
         n = ck.hi - ck.lo
         _, c, hin, o, kk, p = self.dims
-        order, g = self.order, self.g
+        order, g, dt = self.order, self.g, self.dtype
         part = {}
         # e[n, t, (h, o), p]: the part of dL/d(gated slice h) that is the same for every c
         if self.fpsi is None:
@@ -402,10 +402,10 @@ class _PoseKernel:
             e, routes, part["psi"] = self._spatial_backward(ck, dout.transpose(0, 2, 1, 3))
         q = np.matmul(e[:, None], ck.x5.swapaxes(-1, -2))          # [n, C, Hin, H*O, K]
         q = q.reshape(n, c, hin, order, o, kk)
-        dwb = part["bank"] = np.empty((order, c, hin, o, kk))
+        dwb = part["bank"] = np.empty((order, c, hin, o, kk), dt)
         if self.w1 is not None:
-            dw1 = part["w1"] = np.empty(self.w1.shape)
-            dw2 = part["w2"] = np.empty(self.w2.shape)
+            dw1 = part["w1"] = np.empty(self.w1.shape, dt)
+            dw2 = part["w2"] = np.empty(self.w2.shape, dt)
         dx5 = None                             # dL/dcols [n, C, Hin, K, P]
         if gx is not None:
             wt = self.wb.transpose(1, 2, 4, 0, 3)                   # [C, Hin, K, H, O]
@@ -413,9 +413,9 @@ class _PoseKernel:
                 acs = np.stack([st["ac"] for st in ck.poses], axis=-2)  # [n, C, Hin, H, g]
                 wt = wt * acs[:, :, :, None]
             dx5 = np.matmul(wt.reshape(wt.shape[:-2] + (order * o,)), e[:, None],
-                            out=np.empty((n, c, hin, kk, p)))   # C order, for the scatters
+                            out=np.empty((n, c, hin, kk, p), dt))   # C order, for the scatters
             del wt
-        const = np.zeros((n, c, hin, kk))      # dL/dcols terms constant over p
+        const = np.zeros((n, c, hin, kk), dt)  # dL/dcols terms constant over p
         for h in range(order):
             qh = q[:, :, :, h]                                      # [n, C, Hin, O, K]
             dac = None
@@ -597,10 +597,9 @@ def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
                        layer.padding, pool_out, residual_branch)
     res, alpha_c, alpha_x = kern.forward(keep)
     if bias is not None:
-        res += bias.data.astype(_F64, copy=False)[:, None, None]
+        res += bias.data[:, None, None]
     o = bank.shape[0] // grp.order
-    dtype = f.data.dtype
-    out = Tensor(res.reshape(n, o, grp.order, kern.yo, kern.xo).astype(dtype))
+    out = Tensor(res.reshape(n, o, grp.order, kern.yo, kern.xo))   # a view, in res's order
 
     def bwd():
         kern.backward(out.grad)
@@ -610,9 +609,10 @@ def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
     if alpha_c:
         ac = np.stack(alpha_c, axis=3)                              # [N, C, Hin, H, g]
         ac = ac[..., 0].transpose(0, 1, 3, 2) if pool_out else ac.transpose(0, 4, 1, 3, 2)
-        ac = Tensor(ac.astype(dtype))
+        ac = Tensor(ac)
     if alpha_x is not None:
-        ax = Tensor(alpha_x.transpose(1, 2, 0, 3, 4, 5).astype(dtype))  # [N, g, H, Hin, Yo, Xo]
+        # [N, g, H, Hin, Yo, Xo], a copy: the record's backward reads alpha_x
+        ax = Tensor(alpha_x.transpose(1, 2, 0, 3, 4, 5).copy(order="K"))
     return out, ac, ax
 
 

@@ -348,7 +348,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

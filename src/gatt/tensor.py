@@ -25,6 +25,11 @@ Numerical conventions, fixed for reproducibility:
   that away in practice, float64 storage keeps it.  conv2d's input
   gradient sums in another order than a col2im scatter would, so it is not
   bit-identical to one (about 1e-14 apart in float64).
+* the attentive block (gatt.attention) computes in the storage dtype: its
+  GEMMs, FFTs and per-pose slices are float32 for float32 storage.  Its
+  sums are short (k*k taps, C channels, |H_in| poses); in float32 it
+  matches the reference composition, whose convolutions accumulate in
+  float64, to 1e-5.
 * batch_norm's forward repeats the composed elementwise ops in the storage
   dtype, op for op, so its output is bit-identical to the composition.
 * reductions use numpy's deterministic reduction kernels; ``max`` ties are
@@ -500,19 +505,20 @@ def _conv_geometry(f, w, padding, stride):
             _pad_amounts(f.shape[3], k, stride, padding))
 
 
-def _pad64(a, pads_y, pads_x):
-    """a [N, C, Y, X] zero-padded by (before, after) pairs, as a new float64 array."""
+def _pad(a, pads_y, pads_x, dtype):
+    """a [N, C, Y, X] zero-padded by (before, after) pairs, as a new array of dtype."""
     n, c, y, x = a.shape
     (pt, pb), (pl, pr) = pads_y, pads_x
-    out = np.zeros((n, c, pt + y + pb, pl + x + pr))
+    out = np.zeros((n, c, pt + y + pb, pl + x + pr), dtype)
     out[:, :, pt:pt + y, pl:pl + x] = a
     return out
 
 
 # float64 bytes of the column buffer conv2d fills per chunk of whole samples
 CONV_CHUNK_BYTES = 2 << 20
-# float64 bytes of the per-pose response slice [nb, C, |H_in|, O, Y*X] the
-# attentive block (gatt.attention) holds per chunk of whole samples
+# bytes the per-pose response slice [nb, C, |H_in|, O, Y*X] of a chunk of
+# whole samples would take in float64; the attentive block (gatt.attention)
+# sizes its chunks by it in either dtype, so a float32 slice takes half
 POSE_CHUNK_BYTES = 8 << 20
 
 
@@ -573,7 +579,7 @@ def conv2d(f, w, padding="same", stride=1, bias=None):
         parents = (f, w, bias)
     blocks = (n, 1 if bias is None else bias.shape[0], -1, yo, xo)
     out = Tensor(np.empty((n, o, yo, xo), dtype=f.data.dtype))
-    _correlate(_pad64(f.data, (pt, pb), (pl, pr)),
+    _correlate(_pad(f.data, (pt, pb), (pl, pr), np.float64),
                w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo, out.data)
     if bias is not None:
         rows = out.data.reshape(blocks)
@@ -585,8 +591,8 @@ def conv2d(f, w, padding="same", stride=1, bias=None):
             _accumulate(bias, g.reshape(blocks).sum(axis=(0, 2, 3, 4)), owned=True)
         if w.requires_grad:
             gw = np.zeros((o, c * k * k))
-            for lo, hi, cols in _column_chunks(_pad64(f.data, (pt, pb), (pl, pr)), k,
-                                               stride, yo, xo):
+            for lo, hi, cols in _column_chunks(_pad(f.data, (pt, pb), (pl, pr), np.float64),
+                                               k, stride, yo, xo):
                 gc = np.ascontiguousarray(g[lo:hi].transpose(1, 0, 2, 3), dtype=np.float64)
                 gw += gc.reshape(o, -1) @ cols.T
             _accumulate(w, gw.reshape(w.shape), owned=True)

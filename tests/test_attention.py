@@ -445,8 +445,15 @@ def test_scatter_add_rejects_a_target_that_is_not_c_contiguous():
     assert not target.any()
 
 
-def test_fast_block_matches_reference_in_f32():
-    errs = attentive_oracle_errors("C4", seed=5, dtype="f32")
+@pytest.mark.parametrize("group_name", ["C4", "D4"])
+@pytest.mark.parametrize("variant", ["full", "channel", "spatial"])
+@pytest.mark.parametrize("pool_out", [True, False])
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("lifting", [False, True])
+def test_fast_block_matches_reference_in_f32(group_name, variant, pool_out, ties, lifting):
+    # the block computes in float32 storage; the reference composes taped ops
+    errs = attentive_oracle_errors(group_name, variant, pool_out, lifting=lifting, seed=5,
+                                   ties=ties, dtype="f32", batch=3)
     assert max(errs.values()) <= 1e-5, errs
     assert errs["tapeless_vs_taped"] == 0.0, errs
 

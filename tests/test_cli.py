@@ -302,6 +302,19 @@ def test_attend_truncated_checkpoint_exits_2(capsys, tmp_path):
     assert "truncated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("where", ["directory", "under_a_file"])
+def test_attend_unreadable_checkpoint_path_exits_2(capsys, tmp_path, where):
+    # a directory, or a path whose parent is a regular file, is a usage error
+    path = tmp_path
+    if where == "under_a_file":
+        (tmp_path / "plain").write_bytes(b"")
+        path = tmp_path / "plain" / "model.ckpt"
+    code = main(["attend", "--checkpoint", str(path), "--variant", "full",
+                 "--channels", "4", "--seed", "5"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

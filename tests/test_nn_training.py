@@ -266,29 +266,50 @@ def test_plain_digit_training_forward_tape_bytes():
     assert _tape_bytes(tape) <= 8_301_460
 
 
-_HASH_FORWARD = """
+_HASH_FULL_DIGIT = """
 import hashlib
 import numpy as np
+import gatt.tensor as T
+from gatt.autodiff import backward, new_rng
 from gatt.data import synth_shapes
-from gatt.nn import build_digit_net
+from gatt.nn import ForwardCtx, build_digit_net
+from gatt.tensor import Tape
+
+
+def digest(arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
 x, _ = synth_shapes(4, seed=3, size=28)
 logits = build_digit_net("C4", variant="full", dtype="f32", seed=0).forward(x)
-print(hashlib.sha256(np.ascontiguousarray(logits.data).tobytes()).hexdigest())
+x, y = synth_shapes(8, seed=4, size=28)
+net = build_digit_net("C4", variant="full", dtype="f32", seed=0)
+with Tape() as tape:
+    out = net.forward(x, ForwardCtx(training=True, rng=new_rng(5)))
+    backward(tape, T.softmax_cross_entropy(out, y))
+print(digest([logits.data]), digest([p.grad for p in net.params()]))
 """
 
 
 def test_full_digit_forward_is_independent_of_blas_threads():
-    # float32 storage: the float64 accumulations round back to the same bits
+    # float32 storage.  conv2d accumulates in float64 and rounds back; the
+    # attentive kernel computes in float32, and its 28x28 backward GEMMs
+    # ([40, 784] @ [784, 9] per sample, channel and pose) are large enough for
+    # OpenBLAS to thread.  The forward logits (batch 4) and a training step's
+    # parameter gradients (batch 8) must not depend on the thread count.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     hashes = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _HASH_FORWARD], env=env,
+        proc = subprocess.run([sys.executable, "-c", _HASH_FULL_DIGIT], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         hashes.append(proc.stdout.strip())
-    assert len(hashes[0]) == 64 and hashes[0] == hashes[1]
+    assert len(hashes[0]) == 2 * 64 + 1 and hashes[0] == hashes[1]
 
 
 # ---------------------------------------------------------------------------
