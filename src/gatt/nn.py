@@ -3,7 +3,10 @@
 Layers pass a feature map along as a plain Tensor [N, C, |H|, Y, X] until a
 pooling head collapses it to logits; a layer that needs the group holds it.
 An attentive GBlock passes on only the output of its attention function, not
-the maps it also returns.  Everything is built from the differentiable ops in
+the maps it also returns.  In the tiny and digit nets each batch norm
+applies the ReLU after it in its own tape record (GBatchNorm(relu=True)), so
+a conv block leaves two activations on the tape: the conv output and the
+rectified one.  Everything is built from the differentiable ops in
 gatt.tensor, so gradients come from the shared tape.
 """
 from __future__ import annotations
@@ -69,6 +72,9 @@ class GBlock:
 
 
 class ReLUG:
+    """ReLU for the nets without batch norm: the parity stacks and the
+    harness's random stacks."""
+
     def forward(self, f, ctx):
         return T.relu(f)
 
@@ -106,9 +112,13 @@ class GBatchNorm:
 
     Sharing the statistics (and the affine pair) over |H| keeps the layer
     equivariant: a transformed batch has the same per-channel moments.
+    With relu=True (every batch norm of the tiny and digit nets) the layer
+    also rectifies, in the same tape record (T.batch_norm(relu=True)), which
+    keeps only the rectified output.
     """
 
-    def __init__(self, channels, dtype="f32", name=""):
+    def __init__(self, channels, dtype="f32", name="", relu=False):
+        self.relu = relu
         self.gamma = Parameter(np.ones(channels), dtype=dtype, name=f"{name}.gamma",
                                weight_decay=False)
         self.beta = Parameter(np.zeros(channels), dtype=dtype, name=f"{name}.beta",
@@ -123,7 +133,8 @@ class GBatchNorm:
         c = f.shape[1]
         stat_axes = (0, 2, 3, 4) if f.ndim == 5 else (0, 2, 3)
         stats = None if ctx.training else (self.running_mean.data, self.running_var.data)
-        out, mu, var = T.batch_norm(f, self.gamma, self.beta, stat_axes, BN_EPS, stats)
+        out, mu, var = T.batch_norm(f, self.gamma, self.beta, stat_axes, BN_EPS, stats,
+                                    self.relu)
         if ctx.training:
             m = BN_MOMENTUM
             for buf, batch in zip(self.buffers(), (mu, var)):
@@ -237,8 +248,7 @@ def build_tiny_net(group_name="C4", variant="input", channels=8,
     layers = [
         GBlock(make_gconv_layer(rng, grp, 1, channels, 3, lifting=True,
                                 dtype=dtype, name="conv1")),
-        GBatchNorm(channels, dtype=dtype, name="bn1"),
-        ReLUG(),
+        GBatchNorm(channels, dtype=dtype, name="bn1", relu=True),
         MaxPoolG(),
     ]
     ch, sp = _attention_for(rng, variant, channels, grp.order, reduction_ratio,
@@ -248,8 +258,7 @@ def build_tiny_net(group_name="C4", variant="input", channels=8,
                                 name="conv2"),
                variant=variant, ch_params=ch, sp_params=sp,
                residual_branch=residual_branch, pool_out=pool_out),
-        GBatchNorm(channels, dtype=dtype, name="bn2"),
-        ReLUG(),
+        GBatchNorm(channels, dtype=dtype, name="bn2", relu=True),
     ]
     if dropout_rate:
         layers.append(GDropout(dropout_rate))
@@ -298,8 +307,7 @@ def build_digit_net(group_name="C4", variant="plain", channels=10,
     layers = [
         GBlock(make_gconv_layer(rng, grp, 1, channels, 3, lifting=True,
                                 dtype=dtype, name="conv1")),
-        GBatchNorm(channels, dtype=dtype, name="bn1"),
-        ReLUG(),
+        GBatchNorm(channels, dtype=dtype, name="bn1", relu=True),
     ]
     for i in range(2, 8):
         ch, sp = _attention_for(rng, variant, channels, grp.order, reduction_ratio,
@@ -308,7 +316,7 @@ def build_digit_net(group_name="C4", variant="plain", channels=10,
                                               dtype=dtype, name=f"conv{i}"),
                              variant=variant, ch_params=ch, sp_params=sp,
                              residual_branch=residual_branch, pool_out=pool_out))
-        layers += [GBatchNorm(channels, dtype=dtype, name=f"bn{i}"), ReLUG()]
+        layers.append(GBatchNorm(channels, dtype=dtype, name=f"bn{i}", relu=True))
         if i == 2:
             layers.append(MaxPoolG())
         if dropout_rate and i < 7:

@@ -13,8 +13,11 @@ chunked im2col columns, so no k*k-inflated copy of the batch is allocated
 or kept on the tape, and its record keeps the unpadded input, not a padded
 float64 copy; its input gradient is a transposed convolution.  max_pool2d
 pools fixed 2x2 windows at stride 2.  batch_norm is one record with a
-closed-form backward.  relu reads its backward mask from its output, and
-max_pool2d keeps its window offsets as uint8.
+closed-form backward that recomputes the normalised input instead of
+keeping it; with relu=True it also applies the ReLU that follows every
+batch norm of the product nets, in the same record, so the rectified output
+is the only activation it leaves on the tape.  relu reads its backward mask
+from its output, and max_pool2d keeps its window offsets as uint8.
 
 Numerical conventions, fixed for reproducibility:
 
@@ -31,7 +34,8 @@ Numerical conventions, fixed for reproducibility:
   matches the reference composition, whose convolutions accumulate in
   float64, to 1e-5.
 * batch_norm's forward repeats the composed elementwise ops in the storage
-  dtype, op for op, so its output is bit-identical to the composition.
+  dtype, op for op, so its output is bit-identical to the composition (and,
+  with relu=True, to the composition followed by relu).
 * reductions use numpy's deterministic reduction kernels; ``max`` ties are
   resolved to the lowest flat index, which also fixes gradient routing.
 * relu'(0) = 0.
@@ -341,7 +345,7 @@ def reduce(a, axes=None, mode="sum", keepdims=False):
 # ---------------------------------------------------------------------------
 # normalization
 
-def batch_norm(t, gamma, beta, axes, eps, stats=None):
+def batch_norm(t, gamma, beta, axes, eps, stats=None, relu=False):
     """(t - mean) / sqrt(var + eps) * gamma + beta as one tape record.
 
     mean and the biased variance run over `axes`: the batch's own with
@@ -349,26 +353,42 @@ def batch_norm(t, gamma, beta, axes, eps, stats=None):
     gamma, beta and the stats hold one value per position of the kept axes.
     Returns (out, mean, var), the moments as arrays of t's rank.  The forward
     repeats the composed ops in t's dtype, op for op (the oracle is
-    gatt.verify.reference_batch_norm); the backward is closed-form.
+    gatt.verify.reference_batch_norm); the backward is closed-form.  The
+    record keeps no normalised copy: the backward recomputes
+    xhat = (t - mean) / std from its input with the forward's ops.
+
+    With relu=True the same record also rectifies, as relu does, and keeps
+    only the rectified output; its backward masks out.grad by out > 0 first.
+    It is bit-identical to batch_norm followed by relu, forward and backward.
     """
     axes = _norm_axes(axes, t.ndim)
     kshape = tuple(1 if i in axes else s for i, s in enumerate(t.shape))
     dtype = t.data.dtype
     if stats is None:
         mean = t.data.mean(axis=axes, keepdims=True)
-        diff = t.data - mean
-        var = (diff * diff).mean(axis=axes, keepdims=True)
+        y = t.data - mean
+        var = (y * y).mean(axis=axes, keepdims=True)
     else:
-        mean, var = (np.asarray(s, dtype=dtype).reshape(kshape) for s in stats)
-        diff = t.data - mean
+        # copies: the backward reads mean again, after a training forward may
+        # have updated the running statistics in place
+        mean, var = (np.array(s, dtype=dtype).reshape(kshape) for s in stats)
+        y = t.data - mean
     std = np.sqrt(var + dtype.type(eps))
-    xhat = diff / std
-    del diff
     g_k = gamma.data.reshape(kshape)
-    out = Tensor(xhat * g_k + beta.data.reshape(kshape))
+    # the composed ops, each in place: y becomes xhat, then xhat * gamma + beta
+    y /= std
+    y *= g_k
+    y += beta.data.reshape(kshape)
+    if relu:        # relu's np.where(y > 0, y, 0): NaN and -0.0 become +0
+        np.copyto(y, 0, where=~(y > 0))
+    out = Tensor(y)
 
     def bwd():
         g = out.grad
+        if relu:
+            g = g * (out.data > 0)
+        xhat = t.data - mean
+        xhat /= std
         if beta.requires_grad:
             _accumulate(beta, g.sum(axis=axes).reshape(beta.shape), owned=True)
         if gamma.requires_grad:
@@ -523,15 +543,21 @@ POSE_CHUNK_BYTES = 8 << 20
 
 
 def _correlate(xp, wm, k, stride, yo, xo, out):
-    """out[n] = wm @ im2col(xp[n]): a float64 cross-correlation in chunks.
+    """out[n] = wm @ im2col(xp[n]): a float64 cross-correlation.
 
-    xp is the padded float64 input [N, C, Yp, Xp] and wm the filter matrix
-    [O, C*k*k]; out [N, O, Yo, Xo] receives the result in its own dtype.
-    Each chunk of whole samples is unfolded into one reused buffer of at
-    most CONV_CHUNK_BYTES (one sample if a sample is larger) as a
-    [C*k*k, nb*Yo*Xo] matrix and takes a single GEMM.
+    xp is the padded input [N, C, Yp, Xp], float64 unless k = 1, and wm the
+    float64 filter matrix [O, C*k*k]; out [N, O, Yo, Xo] receives the result
+    in its own dtype.  A 1x1 stride-1 correlation unfolds nothing: it is one
+    float64 matmul over the batch.  Otherwise each chunk of whole samples is
+    unfolded into one reused buffer of at most CONV_CHUNK_BYTES (one sample
+    if a sample is larger) as a [C*k*k, nb*Yo*Xo] matrix and takes a single
+    GEMM.
     """
     o = wm.shape[0]
+    if k == 1 and stride == 1:
+        x64 = xp.reshape(xp.shape[0], -1, yo * xo).astype(np.float64, copy=False)
+        out[...] = np.matmul(wm, x64).reshape(out.shape)
+        return
     for lo, hi, cols in _column_chunks(xp, k, stride, yo, xo):
         res = np.matmul(wm, cols).reshape(o, hi - lo, yo, xo)
         out[lo:hi] = res.transpose(1, 0, 2, 3)
@@ -579,8 +605,9 @@ def conv2d(f, w, padding="same", stride=1, bias=None):
         parents = (f, w, bias)
     blocks = (n, 1 if bias is None else bias.shape[0], -1, yo, xo)
     out = Tensor(np.empty((n, o, yo, xo), dtype=f.data.dtype))
-    _correlate(_pad(f.data, (pt, pb), (pl, pr), np.float64),
-               w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo, out.data)
+    # a 1x1 filter needs no padding, and its columns are a float64 copy anyway
+    xp = f.data if k == 1 else _pad(f.data, (pt, pb), (pl, pr), np.float64)
+    _correlate(xp, w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo, out.data)
     if bias is not None:
         rows = out.data.reshape(blocks)
         rows += bias.data[:, None, None, None]

@@ -798,6 +798,21 @@ def gradcheck_cases(seed=0):
         return T.add(T.reduce(T.mul(y, y)), T.reduce(T.mul(ye, ye)))
     cases.append(("batchnorm", [xb, bn.gamma, bn.beta], loss_bn))
 
+    rng = new_rng(seed + 12)
+    bnr = GBatchNorm(3, dtype="f64", name="bnr", relu=True)
+    xr = _p(rng, (2, 3, 4, 3, 3), "xr")
+    bnr_stats = (rng.standard_normal(3) * 0.3, 0.5 + rng.random(3))
+    # a fixed weight per output entry, so that a gradient the mask should
+    # have zeroed changes the loss's slope
+    wr = Tensor(rng.standard_normal(xr.shape))
+
+    def loss_bn_relu():
+        bnr.running_mean.data[...], bnr.running_var.data[...] = bnr_stats
+        ye = bnr.forward(xr, ForwardCtx(training=False))
+        y = bnr.forward(xr, ForwardCtx(training=True))
+        return T.add(T.reduce(T.mul(y, wr)), T.reduce(T.mul(ye, wr)))
+    cases.append(("batchnorm_relu", [xr, bnr.gamma, bnr.beta], loss_bn_relu))
+
     rng = new_rng(seed + 10)
     xd = _p(rng, (3, 8), "xd")
 

@@ -124,6 +124,52 @@ def test_fused_batch_norm_matches_reference_oracle(training, shape, axes):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape,axes", [((4, 3, 2, 5, 5), (0, 2, 3, 4)),
+                                        ((3, 3, 4, 4), (0, 2, 3))])
+def test_batch_norm_relu_matches_unfused_oracle(training, shape, axes):
+    # the oracle is the unfused composition: reference_batch_norm, then relu;
+    # the eval case changes the stats arrays between forward and backward
+    rng = new_rng(8)
+    data = rng.standard_normal(shape)
+    data[:, 0, ..., ::3] = 0.0             # exact zeros; channel 0 has mean 0 in eval
+    data[0, 1, ..., 2] = np.nan            # NaNs in channel 1
+    gamma = Parameter(rng.normal(1.0, 0.3, 3), dtype="f64")
+    beta = Parameter(rng.normal(0.0, 0.3, 3), dtype="f64")
+    gamma.data[2] = 0.0                    # channel 2 comes out exactly 0 (relu'(0) = 0)
+    beta.data[[0, 2]] = 0.0
+    x = Parameter(data, dtype="f64")
+    probe = Tensor(rng.standard_normal(shape))
+
+    def fused(*args):
+        return T.batch_norm(*args, relu=True)
+
+    def oracle(*args):
+        out, mean, var = reference_batch_norm(*args)
+        return T.relu(out), mean, var
+
+    results = []
+    for norm in (fused, oracle):
+        stats = None if training else (np.array([0.0, 0.2, -0.4]), np.array([1.5, 0.7, 1.1]))
+        with Tape() as tape:
+            out, mean, var = norm(x, gamma, beta, axes, 2e-5, stats)
+            moments = (mean.copy(), var.copy())
+            if stats is not None:   # as a training forward updates the running stats
+                for s in stats:
+                    s += 1.0
+            backward(tape, T.reduce(T.mul(out, probe)))
+        results.append((out.data, moments, (x.grad, gamma.grad, beta.grad)))
+        zero_grads([x, gamma, beta])
+    (out, moments, grads), (ref_out, ref_moments, ref_grads) = results
+    assert (out == 0).any() and (out > 0).any() and not np.isnan(out).any()
+    assert out.tobytes() == ref_out.tobytes()
+    for got, want in zip(moments, ref_moments):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for got, want in zip(grads, ref_grads):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
 def test_batchnorm_running_stats_follow_the_reference_moments():
     bn = GBatchNorm(3, dtype="f64", name="bn")
     x = new_rng(6).standard_normal((4, 3, 2, 5, 5))
@@ -256,14 +302,16 @@ def _tape_bytes(tape):
 
 def test_plain_digit_training_forward_tape_bytes():
     # a group conv keeps no padded float64 input, transposed copy or bias-add
-    # output, relu no mask, dropout a bool mask and max pooling uint8 offsets:
-    # 8,301,460 bytes, against 15,981,460 when it kept all of them
+    # output, batch norm and its relu one record with neither xhat nor the
+    # unrectified output, dropout a bool mask and max pooling uint8 offsets:
+    # 5,040,300 bytes, against 8,301,460 with batch norm and relu apart and
+    # 15,981,460 when the conv kept all of its copies
     net = build_digit_net("C4", variant="plain", dtype="f32", seed=0)
     x = new_rng(1).standard_normal((4, 1, 28, 28)).astype(np.float32)
     with Tape() as tape:
         T.softmax_cross_entropy(net.forward(x, ForwardCtx(training=True, rng=new_rng(2))),
                                 np.arange(4))
-    assert _tape_bytes(tape) <= 8_301_460
+    assert _tape_bytes(tape) <= 5_040_300
 
 
 _HASH_FULL_DIGIT = """
@@ -285,12 +333,15 @@ def digest(arrays):
 
 x, _ = synth_shapes(4, seed=3, size=28)
 logits = build_digit_net("C4", variant="full", dtype="f32", seed=0).forward(x)
-x, y = synth_shapes(8, seed=4, size=28)
-net = build_digit_net("C4", variant="full", dtype="f32", seed=0)
-with Tape() as tape:
-    out = net.forward(x, ForwardCtx(training=True, rng=new_rng(5)))
-    backward(tape, T.softmax_cross_entropy(out, y))
-print(digest([logits.data]), digest([p.grad for p in net.params()]))
+grads = []
+for variant, batch in (("full", 8), ("plain", 32)):
+    x, y = synth_shapes(batch, seed=4, size=28)
+    net = build_digit_net("C4", variant=variant, dtype="f32", seed=0)
+    with Tape() as tape:
+        out = net.forward(x, ForwardCtx(training=True, rng=new_rng(5)))
+        backward(tape, T.softmax_cross_entropy(out, y))
+    grads.append(digest([p.grad for p in net.params()]))
+print(digest([logits.data]), *grads)
 """
 
 
@@ -298,8 +349,10 @@ def test_full_digit_forward_is_independent_of_blas_threads():
     # float32 storage.  conv2d accumulates in float64 and rounds back; the
     # attentive kernel computes in float32, and its 28x28 backward GEMMs
     # ([40, 784] @ [784, 9] per sample, channel and pose) are large enough for
-    # OpenBLAS to thread.  The forward logits (batch 4) and a training step's
-    # parameter gradients (batch 8) must not depend on the thread count.
+    # OpenBLAS to thread.  The forward logits (batch 4) and the parameter
+    # gradients of a training step of the full net (batch 8) and of the plain
+    # net (batch 32, whose weight-gradient GEMMs such as [40, 784 * 32] @
+    # [784 * 32, 360] thread too) must not depend on the thread count.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     hashes = []
@@ -309,7 +362,7 @@ def test_full_digit_forward_is_independent_of_blas_threads():
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         hashes.append(proc.stdout.strip())
-    assert len(hashes[0]) == 2 * 64 + 1 and hashes[0] == hashes[1]
+    assert len(hashes[0]) == 3 * 64 + 2 and hashes[0] == hashes[1]
 
 
 # ---------------------------------------------------------------------------

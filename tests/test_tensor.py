@@ -223,18 +223,20 @@ def test_conv2d_bias_matches_loops_plus_bias(blocks, padding, stride):
 
 def test_conv2d_tape_keeps_no_columns():
     # the record holds its operands and its output and nothing else: no
-    # padded, float64 or k*k-inflated copy of the input
+    # padded, float64 or k*k-inflated copy of the input, whether the filter
+    # is 3x3 (unfolded in chunks) or 1x1 (one matmul)
     rng = np.random.default_rng(35)
     f = Parameter(rng.standard_normal((4, 3, 10, 10)), dtype="f32")
-    w = Parameter(rng.standard_normal((6, 3, 3, 3)), dtype="f32")
     b = Parameter(rng.standard_normal(2), dtype="f32")
-    with Tape() as tape:
-        out = T.conv2d(f, w, bias=b)
-    (bwd, _), = tape.records
-    held = [cell.cell_contents for cell in bwd.__closure__]
-    held = [v.data if isinstance(v, Tensor) else v for v in held
-            if isinstance(v, (Tensor, np.ndarray))]
-    assert {id(a) for a in held} == {id(t.data) for t in (f, w, b, out)}
+    for k in (3, 1):
+        w = Parameter(rng.standard_normal((6, 3, k, k)), dtype="f32")
+        with Tape() as tape:
+            out = T.conv2d(f, w, bias=b)
+        (bwd, _), = tape.records
+        held = [cell.cell_contents for cell in bwd.__closure__]
+        held = [v.data if isinstance(v, Tensor) else v for v in held
+                if isinstance(v, (Tensor, np.ndarray))]
+        assert {id(a) for a in held} == {id(t.data) for t in (f, w, b, out)}
 
 
 # ---------------------------------------------------------------------------
