@@ -185,7 +185,7 @@ class _PoseKernel:
     chunk's state.
     """
 
-    def __init__(self, flat, bank, w1g, w2g, psis, bias, order, hin, stride, padding,
+    def __init__(self, flat, bank, w1g, w2g, psis, order, hin, stride, padding,
                  pool_out, residual_branch):
         k, (pt, pb, self.yo), (pl, pr, self.xo) = T._conv_geometry(flat, bank, padding, stride)
         self.geom = k, stride, (pt, pb), (pl, pr)
@@ -202,7 +202,7 @@ class _PoseKernel:
         self.residual = residual_branch
         self.dtype = flat.data.dtype
         self.eps = np.finfo(self.dtype).epsneg  # the gates' clip, as in T.sigmoid
-        self.inputs = flat, bank, w1g, w2g, psis, bias
+        self.inputs = flat, bank, w1g, w2g, psis
         wb = bank.data.reshape(o, order, c, hin, kk)
         self.wb = np.ascontiguousarray(wb.transpose(1, 2, 3, 0, 4))    # [H, C, Hin, O, K]
         self.w1 = self.w2 = self.fpsi = None
@@ -240,7 +240,7 @@ class _PoseKernel:
     # -- forward --------------------------------------------------------------
 
     def forward(self, keep):
-        """Output [N, O, H, P] before the bias, alpha_C per pose and alpha_X."""
+        """Output [N, O, H, P], alpha_C per pose and alpha_X."""
         n, c, hin, o, kk, p = self.dims
         order, g, dt = self.order, self.g, self.dtype
         res = np.empty((n, order, o, p), dt)    # the output, laid out as [N, H, O, P]
@@ -357,11 +357,9 @@ class _PoseKernel:
     # -- backward -------------------------------------------------------------
 
     def backward(self, dout):
-        flat, bank, w1g, w2g, psis, bias = self.inputs
+        flat, bank, w1g, w2g, psis = self.inputs
         n, c, hin, o, kk, p = self.dims
         dout = dout.reshape(n, o, self.order, p)
-        if bias is not None and bias.requires_grad:
-            T._accumulate(bias, dout.sum(axis=(0, 2, 3)), owned=True)
         gx = np.empty(flat.shape, self.dtype) if flat.requires_grad else None
         sums = {}                               # parameter gradients, summed over chunks
         for i, ck in enumerate(self.chunks):
@@ -561,10 +559,9 @@ def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
 
     Each per-pair response (output pose h, input channel c, input pose t) is
     scaled by alpha_C, then by alpha_X (computed from the channel-gated
-    responses); the result is summed over input channels and poses and the
-    shared per-channel bias added.  A map whose parameters are not given is
-    left out and returned as None; at least one must be given.  The whole
-    block is one tape record.
+    responses); the result is summed over input channels and poses.  A map
+    whose parameters are not given is left out and returned as None; at
+    least one must be given.  The whole block is one tape record.
 
     alpha_C is [N, C, |H|, |H_in|] ([N, O, C, |H|, |H_in|] with
     pool_out=False); alpha_X is [N, 1, |H|, |H_in|, Yo, Xo] (an out-channel
@@ -590,14 +587,11 @@ def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
         psis = orbit(grp, sp_params.psi)                            # [H, 1, 2, Hin, k, k]
     flat = T.reshape(f, (n, c * hin, y, x))
     bank = filter_bank(layer)
-    bias = layer.bias
-    parents = [t for t in (flat, bank, w1g, w2g, psis, bias) if t is not None]
+    parents = [t for t in (flat, bank, w1g, w2g, psis) if t is not None]
     keep = T.active_tape() is not None and any(t.requires_grad for t in parents)
-    kern = _PoseKernel(flat, bank, w1g, w2g, psis, bias, grp.order, hin, layer.stride,
+    kern = _PoseKernel(flat, bank, w1g, w2g, psis, grp.order, hin, layer.stride,
                        layer.padding, pool_out, residual_branch)
     res, alpha_c, alpha_x = kern.forward(keep)
-    if bias is not None:
-        res += bias.data[:, None, None]
     o = bank.shape[0] // grp.order
     out = Tensor(res.reshape(n, o, grp.order, kern.yo, kern.xo))   # a view, in res's order
 

@@ -227,13 +227,14 @@ def cmd_attend(args):
     report, maps = alpha_x_consistency(net, x, index, tolerance=tol)
     report["arch"] = arch
     report["variant"] = cfg.variant
+    # montages before any output: a panel that does not fit the input is a
+    # usage error, which must leave nothing printed or written
+    grp = net.group
+    montages = [attention_montage(transform_array(grp, h, x)[0, 0], alpha_panels(maps[h]))
+                for h in range(grp.order)] if args.out else []
     emit(report, args.out, "attend")
-    if args.out:
-        grp = net.group
-        for h in range(grp.order):
-            xin = transform_array(grp, h, x)
-            montage = attention_montage(xin[0, 0], alpha_panels(maps[h]))
-            write_pgm(Path(args.out) / f"attend_h{h}.pgm", montage)
+    for h, montage in enumerate(montages):
+        write_pgm(Path(args.out) / f"attend_h{h}.pgm", montage)
     return 0 if report["pass"] else 1
 
 

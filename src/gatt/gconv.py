@@ -7,15 +7,15 @@ it supplies one.  Filters are [O, C, |H_in|, k, k] with odd square k.
 A group convolution decomposes into |H| spatial convolutions: for each output
 pose h the filter is transformed by h (spatial index map plus a permutation of
 its |H_in| axis) and cross-correlated with the input, summing over input
-channels and input poses.  The bias is a single value per output channel,
-shared across the |H| axis; a pose-dependent bias would break equivariance.
+channels and input poses.  No convolution carries a bias: in the product
+nets every one but the classifier head feeds a batch norm, whose mean
+subtraction cancels a per-channel constant, and the head's bias is added to
+the logits instead (gatt.nn.SpatialMeanL).
 """
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
-from .autodiff import Parameter, he_init
+from .autodiff import he_init
 from .groups import orbit_index
 from .tensor import Tensor
 
@@ -23,10 +23,10 @@ class GConvLayer:
     """Weights for one lifting or group convolution layer.
 
     `weight` is [O, C, |H_in|, k, k] with |H_in| = 1 for a lifting layer and
-    |H| for group-to-group layers.  `bias` is per out-channel or None.
+    |H| for group-to-group layers.
     """
 
-    def __init__(self, group, weight, bias=None, stride=1, padding="same"):
+    def __init__(self, group, weight, stride=1, padding="same"):
         if weight.ndim != 5:
             raise ValueError("gconv weight must be [O, C, |H_in|, k, k]")
         hin, k, k2 = weight.shape[2:]
@@ -34,19 +34,13 @@ class GConvLayer:
             raise ValueError(f"filter pose axis {hin} not in {{1, {group.order}}}")
         if k != k2 or k % 2 == 0:
             raise ValueError(f"filter must be odd and square, got {(k, k2)}")
-        if bias is not None and bias.shape != (weight.shape[0],):
-            raise ValueError("bias must be one value per output channel")
         self.group = group
         self.weight = weight
-        self.bias = bias
         self.stride = stride
         self.padding = padding
 
     def params(self):
-        out = [self.weight]
-        if self.bias is not None:
-            out.append(self.bias)
-        return out
+        return [self.weight]
 
 
 def make_gconv_layer(rng, group, in_channels, out_channels, kernel=3, lifting=False,
@@ -55,9 +49,7 @@ def make_gconv_layer(rng, group, in_channels, out_channels, kernel=3, lifting=Fa
     fan_in = in_channels * hin * kernel * kernel
     w = he_init(rng, (out_channels, in_channels, hin, kernel, kernel), fan_in,
                 dtype=dtype, name=f"{name}.weight")
-    b = Parameter(np.zeros(out_channels), dtype=dtype, name=f"{name}.bias",
-                  weight_decay=False)
-    return GConvLayer(group, w, b, stride=stride, padding=padding)
+    return GConvLayer(group, w, stride=stride, padding=padding)
 
 
 def filter_bank(layer):
@@ -96,14 +88,13 @@ def group_conv(f: Tensor, layer) -> Tensor:
 
     The input's pose extent must match the filter's |H_in|: a planar map for
     a lifting layer, a full group axis otherwise.  It is one conv2d with the
-    (o, h)-ordered filter bank, which adds the bias to each filter's |H|
-    rows, so its output is already [N, O, |H|, Y, X] in memory.
+    (o, h)-ordered filter bank, so its output is already [N, O, |H|, Y, X]
+    in memory.
     """
     _check_input(f, layer)
     n, c, hin, y, x = f.shape
     flat = T.reshape(f, (n, c * hin, y, x))
-    out = T.conv2d(flat, filter_bank(layer), padding=layer.padding, stride=layer.stride,
-                   bias=layer.bias)
+    out = T.conv2d(flat, filter_bank(layer), padding=layer.padding, stride=layer.stride)
     return T.reshape(out, (n, layer.weight.shape[0], layer.group.order) + out.shape[2:])
 
 

@@ -2,11 +2,12 @@
 
 Layers pass a feature map along as a plain Tensor [N, C, |H|, Y, X] until a
 pooling head collapses it to logits; a layer that needs the group holds it.
-An attentive GBlock passes on only the output of its attention function, not
-the maps it also returns.  In the tiny and digit nets each batch norm
-applies the ReLU after it in its own tape record (GBatchNorm(relu=True)), so
-a conv block leaves two activations on the tape: the conv output and the
-rectified one.  Everything is built from the differentiable ops in
+A GBlock passes on only the output of its forward_maps, not the attention
+maps it also returns.  In the tiny and digit nets each batch norm applies
+the ReLU after it in its own tape record (GBatchNorm(relu=True)), so a conv
+block leaves two activations on the tape: the conv output and the rectified
+one.  No convolution has a bias; the classifier's sits on the logits
+(SpatialMeanL).  Everything is built from the differentiable ops in
 gatt.tensor, so gradients come from the shared tape.
 """
 from __future__ import annotations
@@ -50,18 +51,21 @@ class GBlock:
         self.pool_out = pool_out
         self.index_mode = index_mode
 
-    def forward(self, f, ctx):
+    def forward_maps(self, f):
+        """(output, alpha_C, alpha_X) of the block's variant; the maps are
+        None for `plain` and carry no gradient."""
         if self.variant == "plain":
-            return group_conv(f, self.layer)
+            return group_conv(f, self.layer), None, None
         if self.variant == "input":
-            gated, _, _ = input_attention(f, self.layer.group, self.ch_params,
-                                          self.sp_params, residual_branch=self.residual_branch)
-            return group_conv(gated, self.layer)
-        out, _, _ = attentive_group_conv(
-            f, self.layer, self.ch_params, self.sp_params,
-            residual_branch=self.residual_branch, pool_out=self.pool_out,
-            index_mode=self.index_mode)
-        return out
+            gated, ac, ax = input_attention(f, self.layer.group, self.ch_params,
+                                            self.sp_params, residual_branch=self.residual_branch)
+            return group_conv(gated, self.layer), ac, ax
+        return attentive_group_conv(f, self.layer, self.ch_params, self.sp_params,
+                                    residual_branch=self.residual_branch,
+                                    pool_out=self.pool_out, index_mode=self.index_mode)
+
+    def forward(self, f, ctx):
+        return self.forward_maps(f)[0]
 
     def params(self):
         out = list(self.layer.params())
@@ -176,11 +180,23 @@ class GroupPoolL:
 
 
 class SpatialMeanL:
+    """Spatial mean of the pose-pooled head output plus the per-class bias
+    `head.bias`, zero at init.
+
+    The head convolution carries no bias: a per-channel constant shared over
+    the poses commutes with the pose max-pool and the spatial mean, so adding
+    it to the logits gives the same function.
+    """
+
+    def __init__(self, classes, dtype):
+        self.bias = Parameter(np.zeros(classes), dtype=dtype, name="head.bias",
+                              weight_decay=False)
+
     def forward(self, t, ctx):
-        return T.reduce(t, axes=(2, 3), mode="mean")
+        return T.add(T.reduce(t, axes=(2, 3), mode="mean"), self.bias)
 
     def params(self):
-        return []
+        return [self.bias]
 
 
 class Network:
@@ -265,7 +281,7 @@ def build_tiny_net(group_name="C4", variant="input", channels=8,
     layers += [
         GBlock(make_gconv_layer(rng, grp, channels, 4, 1, dtype=dtype, name="head")),
         GroupPoolL(grp),
-        SpatialMeanL(),
+        SpatialMeanL(4, dtype),
     ]
     return Network(grp, layers)
 
@@ -301,7 +317,8 @@ def build_parity_nets(dtype="f32", seed=0):
 def build_digit_net(group_name="C4", variant="plain", channels=10,
                     reduction_ratio=2, att_kernel=7, dtype="f32", seed=0,
                     residual_branch=True, pool_out=True, dropout_rate=0.3):
-    """Seven-layer 10-way digit classifier (28x28 inputs), ~22k weights at width 10."""
+    """Seven-layer 10-way digit classifier (28x28 inputs), 22,240 parameters
+    for the plain variant at width 10."""
     grp = make_group(group_name)
     rng = new_rng(seed)
     layers = [
@@ -324,6 +341,6 @@ def build_digit_net(group_name="C4", variant="plain", channels=10,
     layers += [
         GBlock(make_gconv_layer(rng, grp, channels, 10, 1, dtype=dtype, name="head")),
         GroupPoolL(grp),
-        SpatialMeanL(),
+        SpatialMeanL(10, dtype),
     ]
     return Network(grp, layers)

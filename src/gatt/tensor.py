@@ -8,7 +8,7 @@ the record list is already a topological order of the data-flow graph and
 output's intermediate gradient are freed as soon as the record has run, so
 a tape is consumed by one backward.
 
-conv2d is the one planar convolution, with an optional bias.  It works on
+conv2d is the one planar convolution, without a bias.  It works on
 chunked im2col columns, so no k*k-inflated copy of the batch is allocated
 or kept on the tape, and its record keeps the unpadded input, not a padded
 float64 copy; its input gradient is a transposed convolution.  max_pool2d
@@ -578,48 +578,35 @@ def _column_chunks(xp, k, stride, yo, xo):
         yield lo, hi, cols.reshape(ckk, (hi - lo) * p)
 
 
-def conv2d(f, w, padding="same", stride=1, bias=None):
-    """Channel-summing cross-correlation: out(y) = sum_c sum_x f_c(x) w_c(x - y),
-    plus a bias.
+def conv2d(f, w, padding="same", stride=1):
+    """Channel-summing cross-correlation: out(y) = sum_c sum_x f_c(x) w_c(x - y).
 
     `same` zero-pads to ceil(extent / stride) outputs; `valid` takes only fully
-    covered positions.  `bias`, if given, is a vector of B values with B
-    dividing the O output rows: entry b is added to the block of O/B
-    consecutive rows b*O/B .. (b+1)*O/B - 1, in the storage dtype.
-    Accumulation runs in float64 over chunked columns (see `_correlate`);
-    the tape keeps only the unpadded input f, which the previous record
-    already holds.  The weight gradient pads f again and recomputes each
-    chunk's columns; the input gradient is a transposed convolution: the
-    output gradient, dilated by the stride and padded so that the result
-    lands on the input's extent, is correlated with the flipped,
-    channel-transposed filter.
+    covered positions.  Accumulation runs in float64 over chunked columns
+    (see `_correlate`); the tape keeps only the unpadded input f, which the
+    previous record already holds.  The weight gradient pads f again, by the
+    forward's rule, and recomputes each chunk's columns; the input gradient
+    is a transposed convolution: the output gradient, dilated by the stride
+    and padded so that the result lands on the input's extent, is
+    correlated with the flipped, channel-transposed filter.
     """
     k, (pt, pb, yo), (pl, pr, xo) = _conv_geometry(f, w, padding, stride)
     n, c, y, x = f.shape
     o = w.shape[0]
-    parents = (f, w)
-    if bias is not None:
-        _check_same_dtype(f, bias)
-        if bias.ndim != 1 or o % bias.shape[0]:
-            raise ValueError(f"bias of shape {bias.shape} does not divide {o} output rows")
-        parents = (f, w, bias)
-    blocks = (n, 1 if bias is None else bias.shape[0], -1, yo, xo)
+
+    def padded():
+        # a 1x1 filter needs no padding, and its columns are a float64 copy anyway
+        return f.data if k == 1 else _pad(f.data, (pt, pb), (pl, pr), np.float64)
+
     out = Tensor(np.empty((n, o, yo, xo), dtype=f.data.dtype))
-    # a 1x1 filter needs no padding, and its columns are a float64 copy anyway
-    xp = f.data if k == 1 else _pad(f.data, (pt, pb), (pl, pr), np.float64)
-    _correlate(xp, w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo, out.data)
-    if bias is not None:
-        rows = out.data.reshape(blocks)
-        rows += bias.data[:, None, None, None]
+    _correlate(padded(), w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo,
+               out.data)
 
     def bwd():
         g = out.grad
-        if bias is not None and bias.requires_grad:
-            _accumulate(bias, g.reshape(blocks).sum(axis=(0, 2, 3, 4)), owned=True)
         if w.requires_grad:
             gw = np.zeros((o, c * k * k))
-            for lo, hi, cols in _column_chunks(_pad(f.data, (pt, pb), (pl, pr), np.float64),
-                                               k, stride, yo, xo):
+            for lo, hi, cols in _column_chunks(padded(), k, stride, yo, xo):
                 gc = np.ascontiguousarray(g[lo:hi].transpose(1, 0, 2, 3), dtype=np.float64)
                 gw += gc.reshape(o, -1) @ cols.T
             _accumulate(w, gw.reshape(w.shape), owned=True)
@@ -636,7 +623,7 @@ def conv2d(f, w, padding="same", stride=1, bias=None):
             _correlate(gd, wt.reshape(c, o * k * k), k, 1, y, x, gf)
             _accumulate(f, gf, owned=True)
 
-    _record(out, parents, bwd)
+    _record(out, (f, w), bwd)
     return out
 
 

@@ -65,7 +65,7 @@ def crop_interior(arr, margin):
     """Drop a border of the last two axes.
 
     Translation comparisons use this: the band a shift vacates holds the
-    layer's resting output (bias, or a gate's value at zero response) rather
+    layer's resting output (a gate's value at zero response, say) rather
     than zeros, so only the common interior is meaningful.
     """
     if margin <= 0:
@@ -113,10 +113,6 @@ def random_stack(group_name="C4", variant="plain", depth=2, seed=0, dtype="f64",
             block_variant = "plain"
         conv = make_gconv_layer(rng, grp, widths[i], widths[i + 1], kernel=3,
                                 lifting=lifting, dtype=dtype, name=f"b{i}")
-        # randomize the (shared, equivariance-preserving) biases so the sweep
-        # would catch transforms that forget to carry them
-        conv.bias.data = conv.bias.data + rng.normal(0.0, 0.3, conv.bias.shape).astype(
-            conv.bias.data.dtype)
         ch, sp = _attention_for(rng, block_variant, widths[i],
                                 1 if lifting else grp.order, 2, 5, dtype, f"b{i}")
         layers.append(GBlock(conv, variant=block_variant, ch_params=ch,
@@ -135,10 +131,14 @@ def stack_equivariance_report(net, x, tolerance=1e-10, halo=0):
     `x` must be a planar ndarray [N, C, Y, X] whose support clears the
     boundary by at least max(shift) + the stack's receptive halo; then both
     comparisons are exact up to float noise.  Rotations compare full planes
-    (zero padding is rotation symmetric).  Translations crop shift + `halo`:
-    nonzero biases give every layer output a constant background, and the
-    following convolutions' padding carves that background into boundary
-    bands that sit at fixed positions rather than shifting with the data.
+    (zero padding is rotation symmetric).  Translations crop shift + `halo`.
+    The stacks carry no bias, so their output is zero off the receptive
+    field of the data and shifts with it; the crop keeps the comparison from
+    resting on that.  A layer with a nonzero resting output, such as the
+    negative control's per-pose bias, gives the output a constant background
+    that a shift's vacated band replaces with zeros and that the following
+    convolutions' padding carves into bands at fixed positions; the interior
+    compared is out of reach of both.
     """
     grp = net.group
     ctx = ForwardCtx(training=False)
@@ -269,7 +269,7 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
 # ---------------------------------------------------------------------------
 # literal double-sum convolution oracle
 
-def naive_group_conv(x, grp, weight, bias=None, stride=1, padding="same"):
+def naive_group_conv(x, grp, weight, stride=1, padding="same"):
     """Direct evaluation: out(g) = sum over (x~, t~) of f(x~, t~) w(g^-1 (x~, t~)).
 
     Works entirely through the affine group algebra and the raw weight array,
@@ -299,15 +299,13 @@ def naive_group_conv(x, grp, weight, bias=None, stride=1, padding="same"):
                    np.where(inside, du + r, 0), np.where(inside, dv + r, 0)]
             wg = np.where(inside, wg, 0.0)                     # [O, C, Yo, Xo, Y, X]
             out[:, :, h] += np.einsum("ncyx,ocpqyx->nopq", x[:, :, t], wg)
-    if bias is not None:
-        out += np.asarray(bias, dtype=np.float64).reshape(1, o, 1, 1, 1)
     return out
 
 
 def conv_oracle_report(seed=0, tolerance=1e-12):
-    """Compare group_conv (lifting and group-to-group, with nonzero biases)
-    against the double-sum oracle on C4 and D4 at extents 4, 5 and 6, and the
-    fused attentive block against its rank-7 reference."""
+    """Compare group_conv (lifting and group-to-group) against the double-sum
+    oracle on C4 and D4 at extents 4, 5 and 6, and the fused attentive block
+    against its rank-7 reference."""
     worst = 0.0
     cases = 0
     report = {}
@@ -323,11 +321,8 @@ def conv_oracle_report(seed=0, tolerance=1e-12):
                                              name="oracle")
                     hin = 1 if lifting else grp.order
                     x = rng.standard_normal((1, 2, hin, size, size))
-                    # nonzero biases, so a bias spread over the wrong rows shows
-                    layer.bias.data = layer.bias.data + rng.normal(0.0, 0.3, 2)
                     got = group_conv(Tensor(x), layer).data
-                    want = naive_group_conv(x, grp, layer.weight.data,
-                                            layer.bias.data, stride=stride,
+                    want = naive_group_conv(x, grp, layer.weight.data, stride=stride,
                                             padding=padding)
                     err = max_abs(got, want)
                     report[f"err_{gname}_s{size}_{'lift' if lifting else 'gc'}"
@@ -357,9 +352,9 @@ def intermediate_responses(f: Tensor, layer):
 
     Entry [n, o, c, h, t] is the spatial cross-correlation of input slice
     (c, t) with slice (c, t) of the h-transformed filter; summing over
-    (C, |H_in|) and adding the bias reproduces the layer output.  It is one
-    conv2d whose filter is block-diagonal over the input channels (c, t):
-    output channel (o, h, c, t) sees only input channel (c, t).
+    (C, |H_in|) reproduces the layer output.  It is one conv2d whose filter
+    is block-diagonal over the input channels (c, t): output channel
+    (o, h, c, t) sees only input channel (c, t).
     """
     _check_input(f, layer)
     n, c, hin, y, x = f.shape
@@ -520,8 +515,8 @@ def reference_attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=N
                                    index_mode="relative"):
     """Oracle of attention.attentive_group_conv: (output map, alpha_C, alpha_X).
 
-    Gates the per-pair responses by alpha_C and alpha_X, reduces over input
-    channels and poses, and adds the shared per-channel bias.
+    Gates the per-pair responses by alpha_C and alpha_X and reduces over
+    input channels and poses.
     """
     alpha_c, alpha_x, mod = reference_attention_maps(
         f, layer, ch_params, sp_params, residual_branch=residual_branch, pool_out=pool_out,
@@ -531,8 +526,6 @@ def reference_attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=N
         n, o, hh, hin, y, x = alpha_x.shape
         mod = T.mul(mod, T.reshape(alpha_x, (n, o, 1, hh, hin, y, x)))
     out = T.reduce(mod, axes=(2, 4), mode="sum")  # [N, O, H, Y, X]
-    if layer.bias is not None:
-        out = T.add(out, T.reshape(layer.bias, (1, layer.bias.shape[0], 1, 1, 1)))
     return out, alpha_c, alpha_x
 
 
@@ -555,7 +548,6 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
     hin = 1 if lifting else grp.order
     layer = make_gconv_layer(rng, grp, 4, 3, kernel=3, lifting=lifting, stride=stride,
                              padding=padding, dtype=dtype, name="conv")
-    layer.bias.data = layer.bias.data + rng.normal(0.0, 0.3, 3).astype(layer.bias.data.dtype)
     ch, sp = _attention_for(rng, variant, 4, hin, 2, 3, dtype, "att")
     x = rng.standard_normal((batch, 4, hin, 7, 7))
     if ties:
@@ -883,14 +875,7 @@ def block_alpha_x(net, x, index):
     if not isinstance(blk, GBlock) or blk.sp_params is None:
         raise ValueError(f"layer {index} has no spatial attention")
     f = Network(net.group, net.layers[:index]).forward(x)
-    if blk.variant == "input":
-        _, _, ax = input_attention(f, blk.layer.group, blk.ch_params, blk.sp_params,
-                                   residual_branch=blk.residual_branch)
-        return ax.data  # [N, 1, Hf, Y, X]
-    _, _, ax = attentive_group_conv(f, blk.layer, blk.ch_params, blk.sp_params,
-                                    residual_branch=blk.residual_branch,
-                                    pool_out=blk.pool_out, index_mode=blk.index_mode)
-    return ax.data  # [N, 1|O, H, Hin, Y, X]
+    return blk.forward_maps(f)[2].data  # input: [N, 1, Hf, Y, X], else [N, 1|O, H, Hin, Y, X]
 
 
 def alpha_x_consistency(net, x, index, tolerance=1e-4):

@@ -132,7 +132,7 @@ def test_a7_digit_benchmark_wiring_and_optional_full_run(tmp_path):
     net = build_digit_net("C4", variant="plain", dtype="f32", seed=0)
     x = synth_shapes(2, seed=0, size=28)[0]
     logits = net.forward(Tensor(x), ForwardCtx(training=False))
-    ok = logits.data.shape == (2, 10) and net.param_count() == 22310
+    ok = logits.data.shape == (2, 10) and net.param_count() == 22240
     with pytest.raises(FileNotFoundError):
         make_rotmnist(str(tmp_path))
     scoreboard("digit-benchmark-wiring", ok,

@@ -215,9 +215,8 @@ def test_zero_parameter_attention_quarters_the_response():
     f = _feature(x)
     got = attentive_group_conv(f, layer, ch, sp)[0].data
     plain = group_conv(f, layer).data
-    bias = layer.bias.data.reshape(1, -1, 1, 1, 1)
-    # both gates sit at 0.5, so the pre-bias response is quartered
-    np.testing.assert_allclose(got, 0.25 * (plain - bias) + bias, atol=1e-13)
+    # both gates sit at 0.5, so the response is quartered
+    np.testing.assert_allclose(got, 0.25 * plain, atol=1e-13)
 
 
 def test_spatial_map_sees_channel_modulated_responses():
@@ -387,7 +386,7 @@ def test_spatial_attention_shape_mismatch():
 def test_fast_block_matches_reference_oracle(group_name, variant):
     # output, both maps and every gradient, on plain and tie-heavy inputs; the
     # output and maps again with no tape, bit-identical to the taped forward's
-    keys = {"out", "grad_x", "grad_weight", "grad_bias", "tapeless_out", "tapeless_vs_taped"}
+    keys = {"out", "grad_x", "grad_weight", "tapeless_out", "tapeless_vs_taped"}
     if variant != "spatial":
         keys |= {"alpha_c", "grad_w1", "grad_w2", "tapeless_alpha_c"}
     if variant != "channel":

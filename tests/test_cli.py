@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gatt.autodiff import Parameter, new_rng
 from gatt.cli import main
-from gatt.data import read_pgm
+from gatt.data import load_checkpoint, read_pgm, save_checkpoint, write_pgm
+from gatt.nn import build_tiny_net
 
 
 def run_cli(capsys, *args):
@@ -300,6 +302,41 @@ def test_attend_truncated_checkpoint_exits_2(capsys, tmp_path):
                  "--channels", "4", "--seed", "5"])
     assert code == 2
     assert "truncated" in capsys.readouterr().err
+
+
+def test_attend_panel_misfit_exits_2_before_any_output(capsys, tmp_path):
+    # a 15x15 input pools to 7x7 maps, which do not tile it: a usage error
+    # found before the report is printed or attend.txt written
+    run_cli(capsys, *_train_args(tmp_path, "--variant", "full"))
+    image, out = tmp_path / "odd.pgm", tmp_path / "maps"
+    write_pgm(image, new_rng(0).random((15, 15)))
+    code = main(["attend", "--checkpoint", str(tmp_path / "model.ckpt"), "--variant", "full",
+                 "--channels", "4", "--seed", "5", "--image", str(image), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "does not divide" in captured.err
+    assert not (out / "attend.txt").exists()
+
+
+def test_checkpoint_with_conv_biases_is_rejected(capsys, tmp_path):
+    # a checkpoint of a net whose convolutions had biases holds convN.bias
+    # members: the loader names them, assigns nothing, and attend exits 2
+    old = build_tiny_net("C4", variant="full", channels=4, seed=6)
+    conv_biases = [Parameter(np.ones(4), dtype="f32", name=f"conv{i}.bias") for i in (1, 2)]
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, old.params() + old.buffers() + conv_biases)
+    net = build_tiny_net("C4", variant="full", channels=4, seed=5)
+    tensors = net.params() + net.buffers()
+    before = [t.data.copy() for t in tensors]
+    with pytest.raises(ValueError, match="conv2.bias"):
+        load_checkpoint(path, tensors)
+    for t, data in zip(tensors, before):
+        np.testing.assert_array_equal(t.data, data)
+    code = main(["attend", "--checkpoint", str(path), "--variant", "full",
+                 "--channels", "4", "--seed", "5"])
+    assert code == 2
+    assert "conv2.bias" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where", ["directory", "under_a_file"])

@@ -25,8 +25,7 @@ def test_c1_lift_is_plain_conv2d():
     layer = make_gconv_layer(rng, grp, 2, 3, kernel=3, lifting=True, dtype="f64")
     x = new_rng(1).standard_normal((2, 2, 6, 6))
     out = group_conv(_feature(x[:, :, None]), layer).data
-    want = T.conv2d(Tensor(x), T.reshape(layer.weight, (3, 2, 3, 3))).data \
-        + layer.bias.data.reshape(1, 3, 1, 1)
+    want = T.conv2d(Tensor(x), T.reshape(layer.weight, (3, 2, 3, 3))).data
     np.testing.assert_array_equal(out[:, :, 0], want)
 
 
@@ -39,8 +38,7 @@ def test_c1_group_layer_degenerates_to_lifting():
     assert layer.weight.shape[2] == 1
     x = new_rng(3).standard_normal((1, 2, 1, 5, 5))
     out = group_conv(_feature(x), layer).data
-    want = T.conv2d(Tensor(x[:, :, 0]), T.reshape(layer.weight, (3, 2, 3, 3))).data \
-        + layer.bias.data.reshape(1, 3, 1, 1)
+    want = T.conv2d(Tensor(x[:, :, 0]), T.reshape(layer.weight, (3, 2, 3, 3))).data
     np.testing.assert_array_equal(out[:, :, 0], want)
 
 
@@ -86,7 +84,7 @@ def test_gconv_matches_double_sum(group_name, lifting):
     hin = 1 if lifting else grp.order
     x = new_rng(9).standard_normal((1, 2, hin, 5, 5))
     got = group_conv(_feature(x), layer).data
-    want = naive_group_conv(x, grp, layer.weight.data, layer.bias.data)
+    want = naive_group_conv(x, grp, layer.weight.data)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -96,13 +94,13 @@ def test_gconv_stride2_matches_double_sum():
                              dtype="f64")
     x = new_rng(11).standard_normal((1, 2, 4, 6, 6))
     got = group_conv(_feature(x), layer).data
-    want = naive_group_conv(x, grp, layer.weight.data, layer.bias.data, stride=2)
+    want = naive_group_conv(x, grp, layer.weight.data, stride=2)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def _per_term_output(x, grp, w, h, yo, xo, stride, padding):
-    """out[:, :, h, yo, xo] of the bias-free correlation, one
-    invert_affine/compose_affine call per term of the double sum."""
+    """out[:, :, h, yo, xo] of the correlation, one invert_affine /
+    compose_affine call per term of the double sum."""
     _, _, hin, ysz, xsz = x.shape
     k = w.shape[-1]
     r = k // 2
@@ -144,8 +142,8 @@ def test_naive_group_conv_matches_per_term_sum(group_name, lifting, stride, padd
 
 @pytest.mark.parametrize("lifting", [True, False])
 def test_group_conv_records_only_reshape_gather_and_conv2d(lifting):
-    # the (o, h) bank puts the output in [N, O, |H|, Y, X] order and conv2d
-    # adds the bias, so no transpose or add copies the output
+    # the (o, h) bank puts the output in [N, O, |H|, Y, X] order, so no
+    # transpose copies the output
     grp = make_group("D4")
     layer = make_gconv_layer(new_rng(19), grp, 2, 3, lifting=lifting)
     f = Parameter(np.ones((1, 2, 1 if lifting else grp.order, 5, 5)), dtype="f32")
@@ -153,19 +151,6 @@ def test_group_conv_records_only_reshape_gather_and_conv2d(lifting):
         group_conv(f, layer)
     ops = {fn.__qualname__.split(".")[0] for fn, _ in tape.records}
     assert ops == {"reshape", "gather_axis", "conv2d"}
-
-
-def test_conv_oracle_flags_bias_spread_over_the_wrong_rows(monkeypatch):
-    # negative control: tiling the per-channel bias over the (o, h) rows adds
-    # channel (r mod O)'s bias to row r instead of channel (r div |H|)'s
-    conv2d = T.conv2d
-
-    def tiled(f, w, padding="same", stride=1, bias=None):
-        if bias is not None:
-            bias = Tensor(np.tile(bias.data, w.shape[0] // bias.shape[0]))
-        return conv2d(f, w, padding=padding, stride=stride, bias=bias)
-    monkeypatch.setattr(T, "conv2d", tiled)
-    assert not conv_oracle_report()["pass"]
 
 
 def test_conv_oracle_flags_inverted_filter_orbit(monkeypatch):
@@ -208,7 +193,7 @@ def test_intermediate_responses_sum_reproduces_layer():
     f = _feature(x)
     resp = intermediate_responses(f, layer).data  # [N, O, C, H, Hin, Y, X]
     assert resp.shape == (2, 2, 3, 8, 8, 6, 6)
-    summed = resp.sum(axis=(2, 4)) + layer.bias.data.reshape(1, 2, 1, 1, 1)
+    summed = resp.sum(axis=(2, 4))
     full = group_conv(f, layer).data
     np.testing.assert_allclose(summed, full, atol=1e-13)
 
@@ -221,7 +206,7 @@ def test_intermediate_responses_lifting():
     f = _feature(x)
     resp = intermediate_responses(f, layer).data
     assert resp.shape == (1, 3, 2, 4, 1, 5, 5)
-    summed = resp.sum(axis=(2, 4)) + layer.bias.data.reshape(1, 3, 1, 1, 1)
+    summed = resp.sum(axis=(2, 4))
     np.testing.assert_allclose(summed, group_conv(f, layer).data, atol=1e-13)
 
 
@@ -280,9 +265,6 @@ def test_layer_shape_validation():
         GConvLayer(grp, Tensor(np.zeros((2, 2, 3, 3))))  # rank 4 weight
     with pytest.raises(ValueError):
         GConvLayer(grp, Tensor(np.zeros((2, 2, 3, 3, 3))))  # pose axis 3
-    with pytest.raises(ValueError):
-        GConvLayer(grp, Tensor(np.zeros((2, 2, 4, 3, 3))),
-                   bias=Tensor(np.zeros(3)))  # bias extent != out channels
 
 
 def test_gconv_layer_requires_odd_square_filter():

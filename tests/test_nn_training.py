@@ -11,12 +11,12 @@ from gatt.autodiff import Parameter, backward, new_rng, zero_grads
 from gatt.data import synth_shapes
 from gatt.gconv import make_gconv_layer
 from gatt.groups import make_group, transform_array
-from gatt.nn import (BN_EPS, ForwardCtx, GBatchNorm, GBlock, GDropout, GroupPoolL,
-                     MaxPoolG, Network, PoseBias, ReLUG, SpatialMeanL,
+from gatt.nn import (BN_EPS, VARIANTS, ForwardCtx, GBatchNorm, GBlock, GDropout,
+                     GroupPoolL, MaxPoolG, Network, PoseBias, ReLUG, SpatialMeanL,
                      build_digit_net, build_parity_nets, build_tiny_net)
 from gatt.tensor import Tape, Tensor
 from gatt.training import accuracy, fit, minibatch_order, predict
-from gatt.verify import reference_batch_norm
+from gatt.verify import random_stack, reference_batch_norm
 
 GRP = make_group("C4")
 EVAL = ForwardCtx(training=False)
@@ -216,7 +216,7 @@ def test_group_pool_and_spatial_mean_layers():
     x = new_rng(8).standard_normal((2, 3, 4, 5, 5))
     pooled = GroupPoolL(GRP).forward(_feature(x), EVAL)
     np.testing.assert_array_equal(pooled.data, x.max(axis=2))
-    mean = SpatialMeanL().forward(pooled, EVAL)
+    mean = SpatialMeanL(3, "f64").forward(pooled, EVAL)     # head.bias is zero at init
     np.testing.assert_allclose(mean.data, x.max(axis=2).mean(axis=(2, 3)),
                                atol=1e-14)
 
@@ -238,15 +238,56 @@ def test_gblock_validates_variant():
         GBlock(layer, variant="cbam")
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_gblock_forward_maps_dispatch(variant):
+    # one dispatch: forward passes on forward_maps' output, and a map is None
+    # exactly when the variant has no attention of its kind
+    net = build_tiny_net("C4", variant=variant, channels=4, dtype="f64", seed=2)
+    x = new_rng(3).standard_normal((2, 1, 16, 16))
+    f = Network(GRP, net.layers[:3]).forward(x, EVAL)
+    out, ac, ax = net.layers[3].forward_maps(f)
+    np.testing.assert_array_equal(out.data, net.layers[3].forward(f, EVAL).data)
+    assert (ac is None) == (variant in ("plain", "spatial"))
+    assert (ax is None) == (variant in ("plain", "channel"))
+
+
+def _product_nets():
+    return ([build_tiny_net("C4", variant=v) for v in VARIANTS]
+            + [build_digit_net("D4", variant=v) for v in ("plain", "full", "input")])
+
+
+def test_no_convolution_has_a_bias():
+    # batch norm cancels a conv bias, and the head's sits on the logits
+    stacks = [random_stack("C4", v, depth=3) for v in VARIANTS]
+    for net in _product_nets() + list(build_parity_nets()) + stacks:
+        for layer in net.layers:
+            if isinstance(layer, GBlock):
+                assert not hasattr(layer.layer, "bias")
+                assert layer.layer.params() == [layer.layer.weight]
+    for net in _product_nets():
+        assert [p.name for p in net.params() if p.name.endswith(".bias")] == ["head.bias"]
+
+
+@pytest.mark.parametrize("build,size", [(build_tiny_net, 16), (build_digit_net, 28)])
+def test_head_bias_shifts_every_logit(build, size):
+    net = build("C4", variant="input", dtype="f64", seed=4)
+    x = new_rng(5).standard_normal((2, 1, size, size))
+    base = net.forward(x, EVAL).data
+    head, = [p for p in net.params() if p.name == "head.bias"]
+    b = new_rng(6).standard_normal(head.shape)
+    head.data[...] = b
+    np.testing.assert_array_equal(net.forward(x, EVAL).data, base + b)
+
+
 # ---------------------------------------------------------------------------
 # reference builders
 
 def test_tiny_net_parameter_count_frozen():
-    assert build_tiny_net("C4", variant="input").param_count() == 3204
+    assert build_tiny_net("C4", variant="input").param_count() == 3188
 
 
 def test_digit_net_parameter_count_frozen():
-    assert build_digit_net("C4", variant="plain").param_count() == 22310
+    assert build_digit_net("C4", variant="plain").param_count() == 22240
 
 
 def test_builder_variant_parameter_deltas():
@@ -428,7 +469,7 @@ def test_predict_and_accuracy():
 
 
 def test_attentive_variant_tracks_plain_baseline():
-    """At a matched parameter budget (3204 vs 3199), the fully attentive net's
+    """At a matched parameter budget (3188 vs 3181), the fully attentive net's
     test error stays within 2 points of the plain net's on every seed.
 
     Slowest test in the file: trains six small nets, about two minutes.
