@@ -110,9 +110,9 @@ def _rel_index(grp, hin, index_mode):
 # ---------------------------------------------------------------------------
 # the attentive group convolution, one output pose at a time
 
-def _gate_np(z, residual_branch, eps):
-    """The gate on a numpy array, clipped as T.sigmoid clips the storage dtype."""
-    s = T._logistic(z, eps)
+def _gate_np(z, residual_branch):
+    """The gate on a numpy array, clipped as T.sigmoid clips: z holds the storage dtype."""
+    s = T._logistic(z)
     return 1.0 - s if residual_branch else s
 
 
@@ -201,7 +201,6 @@ class _PoseKernel:
         self.pool_out = pool_out
         self.residual = residual_branch
         self.dtype = flat.data.dtype
-        self.eps = np.finfo(self.dtype).epsneg  # the gates' clip, as in T.sigmoid
         self.inputs = flat, bank, w1g, w2g, psis
         wb = bank.data.reshape(o, order, c, hin, kk)
         self.wb = np.ascontiguousarray(wb.transpose(1, 2, 3, 0, 4))    # [H, C, Hin, O, K]
@@ -299,7 +298,7 @@ class _PoseKernel:
         fs = np.fft.rfft2(s_x.reshape(order, n, g, 2, hin, self.yo, self.xo), s=self.fshape)
         q = np.fft.irfft2((fs * np.conj(self.fpsi)[:, None, None]).sum(axis=3),
                           s=self.fshape)
-        alpha_x[...] = _gate_np(q[(...,) + self.lag_out], self.residual, self.eps)
+        alpha_x[...] = _gate_np(q[(...,) + self.lag_out], self.residual)
         axt = alpha_x.reshape(order, n, g, hin, p).transpose(1, 3, 0, 2, 4)  # [n, Hin, H, g, P]
         if keep:
             ck.gcs, ck.axt, ck.fs = gcs, axt, fs
@@ -323,7 +322,7 @@ class _PoseKernel:
         sb = s.transpose(3, 2, 0, 1, 4).reshape(hin, c, 2 * n * g)  # [Hin, C, (2, n, g)]
         u = np.matmul(self.w1[h], sb)
         z = np.matmul(self.w2[h], np.maximum(u, 0.0)).reshape(hin, c, 2, n * g).sum(axis=2)
-        ac = _gate_np(z, self.residual, self.eps).reshape(hin, c, n, g).transpose(2, 1, 0, 3)
+        ac = _gate_np(z, self.residual).reshape(hin, c, n, g).transpose(2, 1, 0, 3)
         st.update(sb=sb, u=u, ac=ac)
         return ac                                                   # [n, C, Hin, g]
 

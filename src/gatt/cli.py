@@ -208,7 +208,8 @@ def cmd_attend(args):
     cfg = _resolve_config(args)
     arch = args.arch or "tiny"
     net = _build_net(cfg, arch, 0.0, args.channels)
-    if cfg.variant not in ("input", "full", "spatial"):
+    blocks = attentive_block_indices(net)
+    if not blocks:
         raise ConfigError(f"variant {cfg.variant!r} produces no spatial attention map")
     load_checkpoint(args.checkpoint, net.params() + net.buffers())
     if args.image:
@@ -219,9 +220,6 @@ def cmd_attend(args):
         x = xs[args.sample_index:args.sample_index + 1]
     if cfg.dtype == "f64":
         x = x.astype(np.float64)
-    blocks = attentive_block_indices(net)
-    if not blocks:
-        raise ConfigError("network has no attentive layer")
     index = args.layer if args.layer is not None else blocks[0]
     tol = args.tolerance if args.tolerance is not None else _default_tolerance(cfg.dtype)
     report, maps = alpha_x_consistency(net, x, index, tolerance=tol)

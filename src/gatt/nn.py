@@ -3,9 +3,9 @@
 Layers pass a feature map along as a plain Tensor [N, C, |H|, Y, X] until a
 pooling head collapses it to logits; a layer that needs the group holds it.
 A GBlock passes on only the output of its forward_maps, not the attention
-maps it also returns.  In the tiny and digit nets each batch norm applies
-the ReLU after it in its own tape record (GBatchNorm(relu=True)), so a conv
-block leaves two activations on the tape: the conv output and the rectified
+maps it also returns.  Each batch norm applies the ReLU that follows it
+in its own tape record (GBatchNorm), so a conv block of the tiny and digit
+nets leaves two activations on the tape: the conv output and the rectified
 one.  No convolution has a bias; the classifier's sits on the logits
 (SpatialMeanL).  Everything is built from the differentiable ops in
 gatt.tensor, so gradients come from the shared tape.
@@ -112,17 +112,16 @@ class GDropout:
 
 
 class GBatchNorm:
-    """Per-channel batch norm with statistics shared across the pose axis.
+    """Per-channel batch norm of a map [N, C, |H|, Y, X] with statistics
+    shared across the pose axis, followed by a ReLU.
 
     Sharing the statistics (and the affine pair) over |H| keeps the layer
-    equivariant: a transformed batch has the same per-channel moments.
-    With relu=True (every batch norm of the tiny and digit nets) the layer
-    also rectifies, in the same tape record (T.batch_norm(relu=True)), which
-    keeps only the rectified output.
+    equivariant: a transformed batch has the same per-channel moments.  The
+    layer rectifies in the same tape record (T.batch_norm), which keeps only
+    the rectified output.
     """
 
-    def __init__(self, channels, dtype="f32", name="", relu=False):
-        self.relu = relu
+    def __init__(self, channels, dtype="f32", name=""):
         self.gamma = Parameter(np.ones(channels), dtype=dtype, name=f"{name}.gamma",
                                weight_decay=False)
         self.beta = Parameter(np.zeros(channels), dtype=dtype, name=f"{name}.beta",
@@ -135,10 +134,8 @@ class GBatchNorm:
 
     def forward(self, f, ctx):
         c = f.shape[1]
-        stat_axes = (0, 2, 3, 4) if f.ndim == 5 else (0, 2, 3)
         stats = None if ctx.training else (self.running_mean.data, self.running_var.data)
-        out, mu, var = T.batch_norm(f, self.gamma, self.beta, stat_axes, BN_EPS, stats,
-                                    self.relu)
+        out, mu, var = T.batch_norm(f, self.gamma, self.beta, (0, 2, 3, 4), BN_EPS, stats)
         if ctx.training:
             m = BN_MOMENTUM
             for buf, batch in zip(self.buffers(), (mu, var)):
@@ -264,7 +261,7 @@ def build_tiny_net(group_name="C4", variant="input", channels=8,
     layers = [
         GBlock(make_gconv_layer(rng, grp, 1, channels, 3, lifting=True,
                                 dtype=dtype, name="conv1")),
-        GBatchNorm(channels, dtype=dtype, name="bn1", relu=True),
+        GBatchNorm(channels, dtype=dtype, name="bn1"),
         MaxPoolG(),
     ]
     ch, sp = _attention_for(rng, variant, channels, grp.order, reduction_ratio,
@@ -274,7 +271,7 @@ def build_tiny_net(group_name="C4", variant="input", channels=8,
                                 name="conv2"),
                variant=variant, ch_params=ch, sp_params=sp,
                residual_branch=residual_branch, pool_out=pool_out),
-        GBatchNorm(channels, dtype=dtype, name="bn2", relu=True),
+        GBatchNorm(channels, dtype=dtype, name="bn2"),
     ]
     if dropout_rate:
         layers.append(GDropout(dropout_rate))
@@ -324,7 +321,7 @@ def build_digit_net(group_name="C4", variant="plain", channels=10,
     layers = [
         GBlock(make_gconv_layer(rng, grp, 1, channels, 3, lifting=True,
                                 dtype=dtype, name="conv1")),
-        GBatchNorm(channels, dtype=dtype, name="bn1", relu=True),
+        GBatchNorm(channels, dtype=dtype, name="bn1"),
     ]
     for i in range(2, 8):
         ch, sp = _attention_for(rng, variant, channels, grp.order, reduction_ratio,
@@ -333,7 +330,7 @@ def build_digit_net(group_name="C4", variant="plain", channels=10,
                                               dtype=dtype, name=f"conv{i}"),
                              variant=variant, ch_params=ch, sp_params=sp,
                              residual_branch=residual_branch, pool_out=pool_out))
-        layers.append(GBatchNorm(channels, dtype=dtype, name=f"bn{i}", relu=True))
+        layers.append(GBatchNorm(channels, dtype=dtype, name=f"bn{i}"))
         if i == 2:
             layers.append(MaxPoolG())
         if dropout_rate and i < 7:

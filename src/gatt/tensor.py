@@ -14,14 +14,14 @@ or kept on the tape, and its record keeps the unpadded input, not a padded
 float64 copy; its input gradient is a transposed convolution.  max_pool2d
 pools fixed 2x2 windows at stride 2.  batch_norm is one record with a
 closed-form backward that recomputes the normalised input instead of
-keeping it; with relu=True it also applies the ReLU that follows every
-batch norm of the product nets, in the same record, so the rectified output
-is the only activation it leaves on the tape.  relu reads its backward mask
-from its output, and max_pool2d keeps its window offsets as uint8.
+keeping it; it also applies the ReLU that follows every batch norm of the
+product nets, in the same record, so the rectified output is the only
+activation it leaves on the tape.  relu reads its backward mask from its
+output, and max_pool2d keeps its window offsets as uint8.
 
 Numerical conventions, fixed for reproducibility:
 
-* conv2d / bmm accumulate in float64 internally regardless of the
+* conv2d accumulates in float64 internally regardless of the
   storage dtype, then cast back.  With identical inputs this makes results
   bit-reproducible across runs at a fixed BLAS thread count.  A threaded
   GEMM may sum in another order; casting back to float32 storage rounds
@@ -33,9 +33,9 @@ Numerical conventions, fixed for reproducibility:
   sums are short (k*k taps, C channels, |H_in| poses); in float32 it
   matches the reference composition, whose convolutions accumulate in
   float64, to 1e-5.
-* batch_norm's forward repeats the composed elementwise ops in the storage
-  dtype, op for op, so its output is bit-identical to the composition (and,
-  with relu=True, to the composition followed by relu).
+* batch_norm's forward repeats the composed elementwise ops and the relu
+  in the storage dtype, op for op, so its output is bit-identical to the
+  composition.
 * reductions use numpy's deterministic reduction kernels; ``max`` ties are
   resolved to the lowest flat index, which also fixes gradient routing.
 * relu'(0) = 0.
@@ -230,16 +230,15 @@ def relu(a):
     return out
 
 
-def _logistic(z, eps=None):
+def _logistic(z):
     """1 / (1 + exp(-z)) via tanh, clipped to [eps, 1 - eps].
 
-    eps defaults to the dtype's epsneg (2^-53 in float64, 2^-24 in float32),
-    the smallest clip at which neither s nor 1 - s rounds to 0 or 1.
+    eps is the dtype's epsneg (2^-53 in float64, 2^-24 in float32), the
+    smallest clip at which neither s nor 1 - s rounds to 0 or 1.
     """
     half = z.dtype.type(0.5)
     s = half * (np.tanh(half * z) + z.dtype.type(1.0))
-    if eps is None:
-        eps = np.finfo(z.dtype).epsneg
+    eps = np.finfo(z.dtype).epsneg
     return np.clip(s, eps, 1 - eps)
 
 
@@ -345,8 +344,8 @@ def reduce(a, axes=None, mode="sum", keepdims=False):
 # ---------------------------------------------------------------------------
 # normalization
 
-def batch_norm(t, gamma, beta, axes, eps, stats=None, relu=False):
-    """(t - mean) / sqrt(var + eps) * gamma + beta as one tape record.
+def batch_norm(t, gamma, beta, axes, eps, stats=None):
+    """relu((t - mean) / sqrt(var + eps) * gamma + beta) as one tape record.
 
     mean and the biased variance run over `axes`: the batch's own with
     stats=None (training), else the constants stats = (mean, var) (eval).
@@ -355,11 +354,9 @@ def batch_norm(t, gamma, beta, axes, eps, stats=None, relu=False):
     repeats the composed ops in t's dtype, op for op (the oracle is
     gatt.verify.reference_batch_norm); the backward is closed-form.  The
     record keeps no normalised copy: the backward recomputes
-    xhat = (t - mean) / std from its input with the forward's ops.
-
-    With relu=True the same record also rectifies, as relu does, and keeps
-    only the rectified output; its backward masks out.grad by out > 0 first.
-    It is bit-identical to batch_norm followed by relu, forward and backward.
+    xhat = (t - mean) / std from its input with the forward's ops.  It
+    rectifies as relu does and keeps only the rectified output; its backward
+    masks out.grad by out > 0 first.
     """
     axes = _norm_axes(axes, t.ndim)
     kshape = tuple(1 if i in axes else s for i, s in enumerate(t.shape))
@@ -379,14 +376,11 @@ def batch_norm(t, gamma, beta, axes, eps, stats=None, relu=False):
     y /= std
     y *= g_k
     y += beta.data.reshape(kshape)
-    if relu:        # relu's np.where(y > 0, y, 0): NaN and -0.0 become +0
-        np.copyto(y, 0, where=~(y > 0))
+    np.copyto(y, 0, where=~(y > 0))     # relu's np.where(y > 0, y, 0): NaN and -0.0 become +0
     out = Tensor(y)
 
     def bwd():
-        g = out.grad
-        if relu:
-            g = g * (out.data > 0)
+        g = out.grad * (out.data > 0)
         xhat = t.data - mean
         xhat /= std
         if beta.requires_grad:
@@ -468,29 +462,6 @@ def gather_axis(a, axis, idx):
             _accumulate(a, ga, owned=True)
 
     _record(out, (a,), bwd)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# batched matrix product (float64 accumulation)
-
-def bmm(a, b):
-    """Batched matmul [..., M, K] @ [..., K, N]; batch axes broadcast."""
-    _check_same_dtype(a, b)
-    a64 = a.data.astype(np.float64, copy=False)
-    b64 = b.data.astype(np.float64, copy=False)
-    out = Tensor(np.matmul(a64, b64).astype(a.data.dtype))
-
-    def bwd():
-        g = out.grad.astype(np.float64, copy=False)
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b64, -1, -2))
-            _accumulate(a, _unbroadcast(ga, a.shape), owned=True)
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a64, -1, -2), g)
-            _accumulate(b, _unbroadcast(gb, b.shape), owned=True)
-
-    _record(out, (a, b), bwd)
     return out
 
 

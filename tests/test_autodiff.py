@@ -85,7 +85,7 @@ def test_gradcheck_cases_cover_every_op(monkeypatch):
         monkeypatch.setattr(T, name, spy(name, getattr(T, name)))
     for _, _, loss_fn in gradcheck_cases():
         loss_fn()
-    assert {"conv2d", "sub", "bmm", "softmax_cross_entropy"} <= ops
+    assert {"conv2d", "sub", "batch_norm", "softmax_cross_entropy"} <= ops
     assert ops - called == set()
 
 

@@ -305,7 +305,7 @@ def test_attend_truncated_checkpoint_exits_2(capsys, tmp_path):
 
 
 def test_attend_panel_misfit_exits_2_before_any_output(capsys, tmp_path):
-    # a 15x15 input pools to 7x7 maps, which do not tile it: a usage error
+    # the 2x2 pooling cannot halve a 15x15 input exactly: a usage error
     # found before the report is printed or attend.txt written
     run_cli(capsys, *_train_args(tmp_path, "--variant", "full"))
     image, out = tmp_path / "odd.pgm", tmp_path / "maps"
@@ -317,6 +317,19 @@ def test_attend_panel_misfit_exits_2_before_any_output(capsys, tmp_path):
     assert captured.out == ""
     assert "does not divide" in captured.err
     assert not (out / "attend.txt").exists()
+
+
+def test_attend_unpoolable_extent_exits_2_without_out(capsys, tmp_path, input_checkpoint):
+    # no map of a 15x15 input obeys the relabeling law after 2x2 pooling, so
+    # its consistency error is a usage error, not a property failure
+    image = tmp_path / "odd.pgm"
+    write_pgm(image, new_rng(0).random((15, 15)))
+    code = main(["attend", "--checkpoint", input_checkpoint, "--variant", "input",
+                 "--channels", "4", "--seed", "5", "--image", str(image)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "does not divide" in captured.err
 
 
 def test_checkpoint_with_conv_biases_is_rejected(capsys, tmp_path):

@@ -16,7 +16,7 @@ from gatt.nn import (BN_EPS, VARIANTS, ForwardCtx, GBatchNorm, GBlock, GDropout,
                      build_digit_net, build_parity_nets, build_tiny_net)
 from gatt.tensor import Tape, Tensor
 from gatt.training import accuracy, fit, minibatch_order, predict
-from gatt.verify import random_stack, reference_batch_norm
+from gatt.verify import random_stack, reference_batch_norm, stack_suite
 
 GRP = make_group("C4")
 EVAL = ForwardCtx(training=False)
@@ -35,7 +35,7 @@ def test_batchnorm_training_stats_match_manual():
     out = bn.forward(_feature(x), ForwardCtx(training=True)).data
     mu = x.mean(axis=(0, 2, 3, 4), keepdims=True)
     var = ((x - mu) ** 2).mean(axis=(0, 2, 3, 4), keepdims=True)
-    want = (x - mu) / np.sqrt(var + 2e-5)
+    want = np.maximum((x - mu) / np.sqrt(var + 2e-5), 0.0)
     np.testing.assert_allclose(out, want, atol=1e-12)
     # running stats moved one momentum step away from (0, 1)
     np.testing.assert_allclose(bn.running_mean.data, 0.1 * mu.reshape(3), atol=1e-12)
@@ -63,16 +63,18 @@ def test_batchnorm_eval_uses_running_stats():
     out = bn.forward(_feature(x), EVAL).data
     want = (x - bn.running_mean.data.reshape(1, 2, 1, 1, 1)) / \
         np.sqrt(bn.running_var.data.reshape(1, 2, 1, 1, 1) + 2e-5)
-    np.testing.assert_allclose(out, want, atol=1e-12)
+    np.testing.assert_allclose(out, np.maximum(want, 0.0), atol=1e-12)
 
 
 def test_batchnorm_affine_pair_applies_per_channel():
     bn = GBatchNorm(2, dtype="f64", name="bn")
     bn.gamma.data = np.array([2.0, 3.0])
-    bn.beta.data = np.array([-1.0, 1.0])
-    x = np.zeros((1, 2, 1, 2, 2))
+    bn.beta.data = np.array([0.5, 1.0])
+    x = np.ones((1, 2, 1, 2, 2))
     out = bn.forward(_feature(x), EVAL).data
-    assert np.allclose(out[0, 0], -1.0) and np.allclose(out[0, 1], 1.0)
+    # at the initial running stats (0, 1) the output is gamma / sqrt(1 + eps) + beta > 0
+    want = np.array([2.0, 3.0]) / np.sqrt(1.0 + 2e-5) + np.array([0.5, 1.0])
+    np.testing.assert_allclose(out, want.reshape(1, 2, 1, 1, 1) * x, atol=1e-12)
 
 
 def test_batchnorm_equivariant_in_training_mode():
@@ -87,15 +89,6 @@ def test_batchnorm_equivariant_in_training_mode():
                           ForwardCtx(training=True)).data
         np.testing.assert_allclose(got, transform_array(GRP, h, base, pose_axes=(2,)),
                                    atol=1e-13)
-
-
-def test_batchnorm_planar_input():
-    bn = GBatchNorm(2, dtype="f64", name="bn")
-    x = new_rng(3).standard_normal((3, 2, 4, 4))
-    out = bn.forward(Tensor(x), ForwardCtx(training=True)).data
-    mu = x.mean(axis=(0, 2, 3), keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-    np.testing.assert_allclose(out, (x - mu) / np.sqrt(var + 2e-5), atol=1e-12)
 
 
 @pytest.mark.parametrize("training", [True, False])
@@ -128,8 +121,9 @@ def test_fused_batch_norm_matches_reference_oracle(training, shape, axes):
 @pytest.mark.parametrize("shape,axes", [((4, 3, 2, 5, 5), (0, 2, 3, 4)),
                                         ((3, 3, 4, 4), (0, 2, 3))])
 def test_batch_norm_relu_matches_unfused_oracle(training, shape, axes):
-    # the oracle is the unfused composition: reference_batch_norm, then relu;
-    # the eval case changes the stats arrays between forward and backward
+    # the oracle is the unfused composition, reference_batch_norm; zeros and
+    # NaNs meet the relu, and the eval case changes the stats arrays between
+    # forward and backward
     rng = new_rng(8)
     data = rng.standard_normal(shape)
     data[:, 0, ..., ::3] = 0.0             # exact zeros; channel 0 has mean 0 in eval
@@ -140,16 +134,8 @@ def test_batch_norm_relu_matches_unfused_oracle(training, shape, axes):
     beta.data[[0, 2]] = 0.0
     x = Parameter(data, dtype="f64")
     probe = Tensor(rng.standard_normal(shape))
-
-    def fused(*args):
-        return T.batch_norm(*args, relu=True)
-
-    def oracle(*args):
-        out, mean, var = reference_batch_norm(*args)
-        return T.relu(out), mean, var
-
     results = []
-    for norm in (fused, oracle):
+    for norm in (T.batch_norm, reference_batch_norm):
         stats = None if training else (np.array([0.0, 0.2, -0.4]), np.array([1.5, 0.7, 1.1]))
         with Tape() as tape:
             out, mean, var = norm(x, gamma, beta, axes, 2e-5, stats)
@@ -200,6 +186,34 @@ def test_pose_bias_breaks_equivariance():
     got = net.forward(Tensor(transform_array(GRP, 1, x)), EVAL).data
     err = np.abs(got - transform_array(GRP, 1, base, pose_axes=(2,))).max()
     assert err > 0.1
+
+
+class OuterBand:
+    """Adds 1 to the outer 3-pixel band of every plane: symmetric under the
+    group's rotations and reflections, but fixed while the data shifts."""
+
+    def forward(self, f, ctx):
+        band = np.ones(f.shape[-2:])
+        band[3:-3, 3:-3] = 0.0
+        return T.add(f, Tensor(band.astype(f.data.dtype)))
+
+    def params(self):
+        return []
+
+
+def test_stack_suite_compares_full_planes_under_translation(monkeypatch):
+    # the band lies inside stack_suite's input margin, away from the data, so
+    # only a comparison of full shifted planes sees it; every rotation commutes
+    def banded(*args, **kwargs):
+        net = random_stack(*args, **kwargs)
+        return Network(net.group, net.layers + [OuterBand()])
+
+    monkeypatch.setattr("gatt.verify.random_stack", banded)
+    summary, reports = stack_suite("D4", "full", max_depth=2, trials=2)
+    assert not summary["pass"]
+    for rep in reports:
+        assert max(rep[f"err_h{h}"] for h in range(8)) <= 1e-10
+        assert min(v for k, v in rep.items() if k.startswith("err_shift")) == 1.0
 
 
 def test_heads_collapse_to_invariant_logits():

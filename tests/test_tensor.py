@@ -191,6 +191,19 @@ def test_conv2d_float32_matches_loops():
     assert out.dtype == df.dtype == dw.dtype == np.float32
 
 
+def test_f32_conv2d_accumulates_in_f64():
+    # a float32 conv sums its products in float64 and rounds once, so it
+    # equals the float64 loop rounded to float32 bit for bit; summing in
+    # float32 would round after every term
+    rng = np.random.default_rng(36)
+    f = rng.standard_normal((2, 24, 5, 5)).astype(np.float32)
+    for k in (1, 3):
+        w = rng.standard_normal((3, 24, k, k)).astype(np.float32)
+        out = T.conv2d(Tensor(f), Tensor(w)).data
+        assert out.dtype == np.float32
+        np.testing.assert_array_equal(out, loop_conv2d(f, w).astype(np.float32))
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_1x1_pads_in_neither_pass(monkeypatch, stride):
     # a 1x1 filter's pads are zero: the forward and the weight gradient both
@@ -326,38 +339,6 @@ def test_max_pool2d_window_too_large():
     for shape in ((1, 1, 1, 4), (1, 1, 4, 1)):
         with pytest.raises(ValueError, match="extents >= 2"):
             T.max_pool2d(Tensor(np.zeros(shape)))
-
-
-# ---------------------------------------------------------------------------
-# matmul family
-
-def test_matmul_matches_einsum():
-    # plain 2-D operands, as the input-attention bottleneck uses them
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((4, 5))
-    b = rng.standard_normal((5, 3))
-    got = T.bmm(Tensor(a), Tensor(b)).data
-    np.testing.assert_allclose(got, np.einsum("ik,kj->ij", a, b), atol=1e-12)
-
-
-def test_bmm_broadcasts_batch_axes():
-    rng = np.random.default_rng(14)
-    a = rng.standard_normal((2, 3, 4))
-    b = rng.standard_normal((1, 4, 5))
-    got = T.bmm(Tensor(a), Tensor(b)).data
-    want = np.einsum("nik,kj->nij", a, b[0])
-    np.testing.assert_allclose(got, want, atol=1e-12)
-    assert got.shape == (2, 3, 5)
-
-
-def test_f32_matmul_accumulates_in_f64():
-    # catastrophic cancellation survives because products are summed in f64
-    big = np.float32(4096.0)
-    a = np.array([[big, 1.0, -big]], dtype=np.float32)
-    b = np.array([[big], [1.0], [big]], dtype=np.float32)
-    # f32 accumulation would lose the +1 against 4096^2 = 2^24; f64 keeps it
-    got = float(T.bmm(Tensor(a), Tensor(b)).data[0, 0])
-    assert got == 1.0
 
 
 # ---------------------------------------------------------------------------
