@@ -232,7 +232,7 @@ class _PoseKernel:
         """Give chunk ck its columns x5 [n, C, Hin, K, P] and their sums over p."""
         _, c, hin, o, kk, p = self.dims
         k, stride, pads_y, pads_x = self.geom
-        fp = T._pad(self.inputs[0].data[ck.lo:ck.hi], pads_y, pads_x, self.dtype)
+        fp = T._pad(self.inputs[0].data[ck.lo:ck.hi], pads_y, pads_x)
         ck.x5 = _im2col(fp, k, stride, self.yo, self.xo).reshape(ck.hi - ck.lo, c, hin, kk, p)
         ck.xs = ck.x5.sum(axis=-1)          # [n, C, Hin, K]
 

@@ -351,6 +351,9 @@ def main(argv=None):
             PermissionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:     # train's non-finite loss or gradient
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ a tape is consumed by one backward.
 conv2d is the one planar convolution, without a bias.  It works on
 chunked im2col columns, so no k*k-inflated copy of the batch is allocated
 or kept on the tape, and its record keeps the unpadded input, not a padded
-float64 copy; its input gradient is a transposed convolution.  max_pool2d
+copy; its input gradient is a transposed convolution.  max_pool2d
 pools fixed 2x2 windows at stride 2.  batch_norm is one record with a
 closed-form backward that recomputes the normalised input instead of
 keeping it; it also applies the ReLU that follows every batch norm of the
@@ -21,13 +21,13 @@ output, and max_pool2d keeps its window offsets as uint8.
 
 Numerical conventions, fixed for reproducibility:
 
-* conv2d accumulates in float64 internally regardless of the
-  storage dtype, then cast back.  With identical inputs this makes results
-  bit-reproducible across runs at a fixed BLAS thread count.  A threaded
-  GEMM may sum in another order; casting back to float32 storage rounds
-  that away in practice, float64 storage keeps it.  conv2d's input
-  gradient sums in another order than a col2im scatter would, so it is not
-  bit-identical to one (about 1e-14 apart in float64).
+* conv2d's forward and weight gradient accumulate in float64, then cast
+  back; its pads and input gradient (an sgemm for float32) stay in the
+  storage dtype.  Results are bit-reproducible across runs at a fixed BLAS
+  thread count.  A threaded GEMM may sum in another order; casting back to
+  float32 storage rounds that away in practice, float64 storage keeps it,
+  and the float32 input-gradient sums measured thread-independent.  The
+  input gradient is about 1e-14 (float64) from a col2im scatter's sums.
 * the attentive block (gatt.attention) computes in the storage dtype: its
   GEMMs, FFTs and per-pose slices are float32 for float32 storage.  Its
   sums are short (k*k taps, C channels, |H_in| poses); in float32 it
@@ -496,16 +496,16 @@ def _conv_geometry(f, w, padding, stride):
             _pad_amounts(f.shape[3], k, stride, padding))
 
 
-def _pad(a, pads_y, pads_x, dtype):
-    """a [N, C, Y, X] zero-padded by (before, after) pairs, as a new array of dtype."""
+def _pad(a, pads_y, pads_x):
+    """a [N, C, Y, X] zero-padded by (before, after) pairs, as a new array of a's dtype."""
     n, c, y, x = a.shape
     (pt, pb), (pl, pr) = pads_y, pads_x
-    out = np.zeros((n, c, pt + y + pb, pl + x + pr), dtype)
+    out = np.zeros((n, c, pt + y + pb, pl + x + pr), a.dtype)
     out[:, :, pt:pt + y, pl:pl + x] = a
     return out
 
 
-# float64 bytes of the column buffer conv2d fills per chunk of whole samples
+# bytes of conv2d's column buffer per chunk of whole samples, in its GEMM's dtype
 CONV_CHUNK_BYTES = 2 << 20
 # bytes the per-pose response slice [nb, C, |H_in|, O, Y*X] of a chunk of
 # whole samples would take in float64; the attentive block (gatt.attention)
@@ -514,32 +514,31 @@ POSE_CHUNK_BYTES = 8 << 20
 
 
 def _correlate(xp, wm, k, stride, yo, xo, out):
-    """out[n] = wm @ im2col(xp[n]): a float64 cross-correlation.
+    """out[n] = wm @ im2col(xp[n]): a cross-correlation in wm's dtype.
 
-    xp is the padded input [N, C, Yp, Xp], float64 unless k = 1, and wm the
-    float64 filter matrix [O, C*k*k]; out [N, O, Yo, Xo] receives the result
-    in its own dtype.  A 1x1 stride-1 correlation unfolds nothing: it is one
-    float64 matmul over the batch.  Otherwise each chunk of whole samples is
-    unfolded into one reused buffer of at most CONV_CHUNK_BYTES (one sample
-    if a sample is larger) as a [C*k*k, nb*Yo*Xo] matrix and takes a single
-    GEMM.
+    xp is the padded input [N, C, Yp, Xp], cast to wm's dtype, and wm the
+    filter matrix [O, C*k*k]; out [N, O, Yo, Xo] receives the result in its
+    own dtype.  A 1x1 stride-1 correlation unfolds nothing: it is one matmul
+    over the batch.  Otherwise each chunk of whole samples is unfolded into
+    one reused buffer of at most CONV_CHUNK_BYTES (one sample if a sample is
+    larger) as a [C*k*k, nb*Yo*Xo] matrix and takes a single GEMM.
     """
     o = wm.shape[0]
     if k == 1 and stride == 1:
-        x64 = xp.reshape(xp.shape[0], -1, yo * xo).astype(np.float64, copy=False)
-        out[...] = np.matmul(wm, x64).reshape(out.shape)
+        xm = xp.reshape(xp.shape[0], -1, yo * xo).astype(wm.dtype, copy=False)
+        out[...] = np.matmul(wm, xm).reshape(out.shape)
         return
-    for lo, hi, cols in _column_chunks(xp, k, stride, yo, xo):
+    for lo, hi, cols in _column_chunks(xp, k, stride, yo, xo, wm.dtype):
         res = np.matmul(wm, cols).reshape(o, hi - lo, yo, xo)
         out[lo:hi] = res.transpose(1, 0, 2, 3)
 
 
-def _column_chunks(xp, k, stride, yo, xo):
-    """Yield (lo, hi, cols): samples [lo, hi) of xp unfolded to [C*k*k, (hi-lo)*Yo*Xo]."""
+def _column_chunks(xp, k, stride, yo, xo, dtype):
+    """Yield (lo, hi, cols): samples [lo, hi) of xp unfolded to [C*k*k, (hi-lo)*Yo*Xo] of dtype."""
     n, c = xp.shape[:2]
     ckk, p = c * k * k, yo * xo
-    nb = max(1, min(n, CONV_CHUNK_BYTES // (8 * ckk * p)))
-    buf = np.empty(ckk * nb * p)
+    nb = max(1, min(n, CONV_CHUNK_BYTES // (np.dtype(dtype).itemsize * ckk * p)))
+    buf = np.empty(ckk * nb * p, dtype)
     win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
     win = win.transpose(1, 4, 5, 0, 2, 3)                          # [C, k, k, N, Yo, Xo]
     for lo in range(0, n, nb):
@@ -552,22 +551,21 @@ def _column_chunks(xp, k, stride, yo, xo):
 def conv2d(f, w, padding="same", stride=1):
     """Channel-summing cross-correlation: out(y) = sum_c sum_x f_c(x) w_c(x - y).
 
-    `same` zero-pads to ceil(extent / stride) outputs; `valid` takes only fully
-    covered positions.  Accumulation runs in float64 over chunked columns
-    (see `_correlate`); the tape keeps only the unpadded input f, which the
-    previous record already holds.  The weight gradient pads f again, by the
-    forward's rule, and recomputes each chunk's columns; the input gradient
-    is a transposed convolution: the output gradient, dilated by the stride
-    and padded so that the result lands on the input's extent, is
-    correlated with the flipped, channel-transposed filter.
+    `same` zero-pads (in f's dtype) to ceil(extent / stride) outputs; `valid`
+    takes only fully covered positions.  The forward and the weight gradient
+    run float64 GEMMs over chunked columns (see `_correlate`); the tape keeps
+    only the unpadded input f, which the previous record already holds.  The
+    weight gradient pads f again and recomputes each chunk's columns; the
+    input gradient, in f's dtype, is a transposed convolution: the output
+    gradient, dilated by the stride and padded so that the result lands on
+    the input's extent, correlated with the flipped, channel-transposed filter.
     """
     k, (pt, pb, yo), (pl, pr, xo) = _conv_geometry(f, w, padding, stride)
     n, c, y, x = f.shape
     o = w.shape[0]
 
-    def padded():
-        # a 1x1 filter needs no padding, and its columns are a float64 copy anyway
-        return f.data if k == 1 else _pad(f.data, (pt, pb), (pl, pr), np.float64)
+    def padded():       # a 1x1 filter needs no padding
+        return f.data if k == 1 else _pad(f.data, (pt, pb), (pl, pr))
 
     out = Tensor(np.empty((n, o, yo, xo), dtype=f.data.dtype))
     _correlate(padded(), w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo,
@@ -577,7 +575,7 @@ def conv2d(f, w, padding="same", stride=1):
         g = out.grad
         if w.requires_grad:
             gw = np.zeros((o, c * k * k))
-            for lo, hi, cols in _column_chunks(padded(), k, stride, yo, xo):
+            for lo, hi, cols in _column_chunks(padded(), k, stride, yo, xo, np.float64):
                 gc = np.ascontiguousarray(g[lo:hi].transpose(1, 0, 2, 3), dtype=np.float64)
                 gw += gc.reshape(o, -1) @ cols.T
             _accumulate(w, gw.reshape(w.shape), owned=True)
@@ -586,12 +584,12 @@ def conv2d(f, w, padding="same", stride=1):
             # input's row r sits at padded row r+pt, so k-1-pt leading zeros put
             # the taps of input row r at rows r .. r+k-1 of the dilated gradient
             ty, tx = k - 1 - pt, k - 1 - pl
-            gd = np.zeros((n, o, y + k - 1, x + k - 1))
+            gd = np.zeros((n, o, y + k - 1, x + k - 1), f.data.dtype)
             gd[:, :, ty:ty + (yo - 1) * stride + 1:stride,
                tx:tx + (xo - 1) * stride + 1:stride] = g
-            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).astype(np.float64)
+            wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
             gf = np.empty(f.shape, dtype=f.data.dtype)
-            _correlate(gd, wt.reshape(c, o * k * k), k, 1, y, x, gf)
+            _correlate(gd, wt, k, 1, y, x, gf)
             _accumulate(f, gf, owned=True)
 
     _record(out, (f, w), bwd)

@@ -41,6 +41,10 @@ def fit(net, train_xy, val_xy=None, epochs=10, batch=128, lr=0.001,
 
     The rate is multiplied by 0.1 from each epoch listed in `lr_decay_epochs`
     on.  `log`, if given, receives one preformatted key=value line per epoch.
+    A non-finite minibatch loss or parameter gradient raises
+    FloatingPointError before its update.  A NaN input sample need not reach
+    the loss: batch norm spreads it over its channels and the ReLU maps NaN
+    to 0, but the gradients of the layers before it turn NaN.
     """
     x, y = train_xy
     params = net.params()
@@ -55,13 +59,20 @@ def fit(net, train_xy, val_xy=None, epochs=10, batch=128, lr=0.001,
         t0 = time.monotonic()
         total_loss = 0.0
         total_hit = 0
-        for idx in minibatch_order(shuffle_rng, x.shape[0], batch):
+        for step, idx in enumerate(minibatch_order(shuffle_rng, x.shape[0], batch)):
             xb = Tensor(x[idx])
             yb = y[idx]
             with Tape() as tape:
                 logits = net.forward(xb, ctx)
                 loss = T.softmax_cross_entropy(logits, yb)
+                if not np.isfinite(loss.data):
+                    raise FloatingPointError(f"non-finite training loss {float(loss.data)} "
+                                             f"at epoch {epoch} step {step}")
                 backward(tape, loss)
+            for p in params:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise FloatingPointError(f"non-finite gradient of {p.name} "
+                                             f"at epoch {epoch} step {step}")
             opt.step()
             zero_grads(params)
             total_loss += float(loss.data) * idx.size

@@ -61,18 +61,6 @@ def max_abs(a, b):
                                - np.asarray(b, dtype=np.float64))))
 
 
-def crop_interior(arr, margin):
-    """Drop a border of the last two axes.
-
-    Translation comparisons use this: the band a shift vacates holds the
-    layer's resting output (a gate's value at zero response, say) rather
-    than zeros, so only the common interior is meaningful.
-    """
-    if margin <= 0:
-        return arr
-    return arr[..., margin:arr.shape[-2] - margin, margin:arr.shape[-1] - margin]
-
-
 # ---------------------------------------------------------------------------
 # random stacks and the end-to-end equivariance sweep
 
@@ -97,11 +85,7 @@ def random_stack(group_name="C4", variant="plain", depth=2, seed=0, dtype="f64",
         raise ValueError(f"unknown variant {variant!r}")
     if negative_control not in (None, "per-h-bias", "broken-w-indexing"):
         raise ValueError(f"unknown negative control {negative_control!r}")
-    index_mode = "relative"
-    if negative_control == "broken-w-indexing":
-        if variant not in ("full", "channel"):
-            raise ValueError("broken-w-indexing needs a channel-attentive variant")
-        index_mode = "absolute"
+    index_mode = "absolute" if negative_control == "broken-w-indexing" else "relative"
     grp = make_group(group_name)
     rng = new_rng(seed)
     widths = [2] + [_STACK_WIDTHS[i % len(_STACK_WIDTHS)] for i in range(depth)]
@@ -115,6 +99,8 @@ def random_stack(group_name="C4", variant="plain", depth=2, seed=0, dtype="f64",
                                 lifting=lifting, dtype=dtype, name=f"b{i}")
         ch, sp = _attention_for(rng, block_variant, widths[i],
                                 1 if lifting else grp.order, 2, 5, dtype, f"b{i}")
+        if index_mode == "absolute" and ch is None:
+            raise ValueError("broken-w-indexing needs channel attention in every block")
         layers.append(GBlock(conv, variant=block_variant, ch_params=ch,
                              sp_params=sp, index_mode=index_mode))
         if i + 1 < depth:
@@ -243,11 +229,13 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
         report[f"err_alpha_c_h{h}"] = errs_c[-1]
         report[f"err_alpha_x_h{h}"] = errs_x[-1]
     for dy, dx in RELABEL_SHIFTS:
-        crop = max(abs(dy), abs(dx))
+        # the band a shift vacates holds the gate's value at zero response,
+        # not zeros: alpha_X is compared on the interior both maps share
+        c = max(abs(dy), abs(dx))
+        inner = (..., slice(c, -c), slice(c, -c))
         ac_s, ax_s = maps(shift_plane(x, dy, dx))
         errs_c.append(max_abs(ac_s, ac0))
-        errs_x.append(max_abs(crop_interior(ax_s, crop),
-                              crop_interior(shift_plane(ax0, dy, dx), crop)))
+        errs_x.append(max_abs(ax_s[inner], shift_plane(ax0, dy, dx)[inner]))
         report[f"err_alpha_c_shift_{dy}_{dx}"] = errs_c[-1]
         report[f"err_alpha_x_shift_{dy}_{dx}"] = errs_x[-1]
     report["max_err_alpha_c"] = max(errs_c)

@@ -9,7 +9,8 @@ import pytest
 
 from gatt.autodiff import Parameter, new_rng
 from gatt.cli import main
-from gatt.data import load_checkpoint, read_pgm, save_checkpoint, write_pgm
+from gatt.data import (load_checkpoint, read_pgm, save_checkpoint, synth_shapes,
+                       write_pgm)
 from gatt.nn import build_tiny_net
 
 
@@ -61,6 +62,16 @@ def test_check_equivariance_detects_broken_indexing(capsys):
                         "--depth", "2", "--trials", "2", "--dtype", "f64")
     assert code == 0
     assert rep["detected"] == "true"
+
+
+@pytest.mark.parametrize("variant", ["plain", "input", "spatial"])
+def test_broken_indexing_control_needs_channel_attention_in_every_block(capsys, variant):
+    # plain and spatial blocks hold no channel attention, nor does the input
+    # variant's lifting block: the control has nothing to break (exit 2)
+    code = main(["check-equivariance", "--variant", variant, "--negative-control",
+                 "broken-w-indexing", "--depth", "2", "--trials", "1", "--dtype", "f64"])
+    assert code == 2
+    assert "broken-w-indexing needs channel attention" in capsys.readouterr().err
 
 
 def test_thm1_oracle_passes(capsys):
@@ -243,6 +254,18 @@ def test_train_writes_log_and_checkpoint(capsys, tmp_path):
         # the BatchNorm statistics ride along; Adam state only for what takes a gradient
         assert {"bn1.running_mean", "bn2.running_var", "adam.m.bn1.gamma"} <= set(ckpt.files)
         assert "adam.m.bn1.running_mean" not in ckpt.files
+
+
+def test_train_exits_1_on_a_nan_input(capsys, monkeypatch):
+    def nan_shapes(n, seed):
+        x, y = synth_shapes(n, seed=seed)
+        x[:, :, 0, 0] = np.nan
+        return x, y
+    monkeypatch.setattr("gatt.cli.synth_shapes", nan_shapes)
+    code = main(["train", "--data", "synth", "--train-size", "32", "--channels", "4"])
+    assert code == 1
+    assert capsys.readouterr().err == \
+        "error: non-finite gradient of conv1.weight at epoch 0 step 0\n"
 
 
 def test_train_is_deterministic(capsys, tmp_path):

@@ -369,39 +369,12 @@ def test_plain_digit_training_forward_tape_bytes():
     assert _tape_bytes(tape) <= 5_040_300
 
 
-_HASH_FULL_DIGIT = """
-import hashlib
-import numpy as np
-import gatt.tensor as T
-from gatt.autodiff import backward, new_rng
-from gatt.data import synth_shapes
-from gatt.nn import ForwardCtx, build_digit_net
-from gatt.tensor import Tape
-
-
-def digest(arrays):
-    h = hashlib.sha256()
-    for a in arrays:
-        h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()
-
-
-x, _ = synth_shapes(4, seed=3, size=28)
-logits = build_digit_net("C4", variant="full", dtype="f32", seed=0).forward(x)
-grads = []
-for variant, batch in (("full", 8), ("plain", 32)):
-    x, y = synth_shapes(batch, seed=4, size=28)
-    net = build_digit_net("C4", variant=variant, dtype="f32", seed=0)
-    with Tape() as tape:
-        out = net.forward(x, ForwardCtx(training=True, rng=new_rng(5)))
-        backward(tape, T.softmax_cross_entropy(out, y))
-    grads.append(digest([p.grad for p in net.params()]))
-print(digest([logits.data]), *grads)
-"""
+DIGIT_STEP_DIGESTS = Path(__file__).resolve().parent / "digit_step_digests.py"
 
 
 def test_full_digit_forward_is_independent_of_blas_threads():
-    # float32 storage.  conv2d accumulates in float64 and rounds back; the
+    # float32 storage.  conv2d's forward and weight gradient accumulate in
+    # float64 and round back, its input gradient is an sgemm; the
     # attentive kernel computes in float32, and its 28x28 backward GEMMs
     # ([40, 784] @ [784, 9] per sample, channel and pose) are large enough for
     # OpenBLAS to thread.  The forward logits (batch 4) and the parameter
@@ -413,7 +386,7 @@ def test_full_digit_forward_is_independent_of_blas_threads():
     hashes = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-c", _HASH_FULL_DIGIT], env=env,
+        proc = subprocess.run([sys.executable, str(DIGIT_STEP_DIGESTS)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         hashes.append(proc.stdout.strip())
@@ -456,6 +429,35 @@ def test_fit_zero_lr_leaves_parameters_fixed():
     # (it need not sit at chance: an untrained net's argmax still correlates
     # with glyph geometry, so class-conditional accuracy can dip below 25%)
     assert accuracy(net, *synth_shapes(512, seed=2)) < 0.5
+
+
+def test_fit_stops_on_a_non_finite_gradient():
+    # a NaN input sample does not reach the loss: batch norm spreads it over
+    # its channels and the ReLU maps NaN to 0.  The first conv's gradient
+    # turns NaN, and fit raises, naming the epoch and the step, before Adam
+    # takes that step
+    x, y = synth_shapes(64, seed=6)
+    order = minibatch_order(new_rng(3 * 2 + 1), 64, 32)     # fit's shuffle at seed 3
+    for step in (0, 1):
+        xs = x.copy()
+        xs[order[step][0], 0, 3, 3] = np.nan
+        net = build_tiny_net("C4", variant="plain", channels=4, seed=3)
+        before = [p.data.copy() for p in net.params()]
+        with pytest.raises(FloatingPointError,
+                           match=f"^non-finite gradient of conv1.weight at epoch 0 step {step}$"):
+            fit(net, (xs, y), epochs=2, batch=32, seed=3)
+        moved = [not np.array_equal(a, p.data) for a, p in zip(before, net.params())]
+        assert any(moved) == (step == 1)
+        assert all(np.isfinite(p.data).all() for p in net.params())
+
+
+def test_fit_stops_on_a_non_finite_loss():
+    # a NaN classifier bias reaches every logit, so the loss itself is NaN
+    net = build_tiny_net("C4", variant="plain", channels=4, seed=3)
+    net.params()[-1].data[0] = np.nan
+    with pytest.raises(FloatingPointError,
+                       match="^non-finite training loss nan at epoch 0 step 0$"):
+        fit(net, synth_shapes(32, seed=6), epochs=1, batch=32, seed=3)
 
 
 def test_fit_reports_validation_and_decay():

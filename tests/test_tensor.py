@@ -204,10 +204,62 @@ def test_f32_conv2d_accumulates_in_f64():
         np.testing.assert_array_equal(out, loop_conv2d(f, w).astype(np.float32))
 
 
+def test_f32_conv2d_weight_gradient_accumulates_in_f64():
+    # the weight gradient, like the forward, sums its products in float64 and
+    # rounds once, so it equals the float64 loop's rounded to float32 bit for
+    # bit; summing in float32 would round after every term
+    rng = np.random.default_rng(37)
+    f = rng.standard_normal((2, 24, 5, 5)).astype(np.float32)
+    g = rng.standard_normal((2, 3, 5, 5)).astype(np.float32)
+    for k in (1, 3):
+        w = rng.standard_normal((3, 24, k, k)).astype(np.float32)
+        _, _, dw = _conv_with_grads(f, w, g, "same", 1)
+        assert dw.dtype == np.float32
+        np.testing.assert_array_equal(dw, loop_conv2d_grads(f, w, g)[1].astype(np.float32))
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+def test_f32_conv2d_input_gradient_runs_in_f32(monkeypatch, stride):
+    # the forward's GEMM reads a float64 filter matrix, the input gradient's
+    # a float32 one: an sgemm, which matches the float64 loops to float32
+    # rounding
+    rng = np.random.default_rng(38)
+    f = rng.standard_normal((3, 6, 7, 8)).astype(np.float32)
+    w = rng.standard_normal((4, 6, 3, 3)).astype(np.float32)
+    gemm_dtypes = []
+    correlate = T._correlate
+
+    def recording(xp, wm, *args):
+        gemm_dtypes.append(wm.dtype)
+        correlate(xp, wm, *args)
+
+    monkeypatch.setattr(T, "_correlate", recording)
+    g = rng.standard_normal(T.conv2d(Tensor(f), Tensor(w), "same", stride).shape)
+    gemm_dtypes.clear()
+    _, df, _ = _conv_with_grads(f, w, g, "same", stride)
+    assert gemm_dtypes == [np.float64, np.float32] and df.dtype == np.float32
+    want_df, _ = loop_conv2d_grads(f, w, g.astype(np.float32), "same", stride)
+    np.testing.assert_allclose(df, want_df, rtol=0, atol=1e-5)
+
+
+def test_conv2d_chunk_budget_is_bytes_in_the_gemm_dtype(monkeypatch):
+    # CONV_CHUNK_BYTES bounds the column buffer in the dtype of the GEMM that
+    # reads it, so a float32 chunk holds twice the samples of a float64 one
+    xp = np.random.default_rng(39).standard_normal((9, 3, 8, 8)).astype(np.float32)
+    ckk, p = 3 * 3 * 3, 6 * 6
+    monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 8 * ckk * p)
+    sizes = {}
+    for dtype in (np.float64, np.float32):
+        chunks = list(T._column_chunks(xp, 3, 1, 6, 6, dtype))
+        assert all(cols.dtype == dtype for _, _, cols in chunks)
+        sizes[dtype] = [hi - lo for lo, hi, _ in chunks]
+    assert sizes[np.float64] == [2, 2, 2, 2, 1] and sizes[np.float32] == [4, 4, 1]
+
+
 @pytest.mark.parametrize("stride", [1, 2])
 def test_conv2d_1x1_pads_in_neither_pass(monkeypatch, stride):
     # a 1x1 filter's pads are zero: the forward and the weight gradient both
-    # unfold the input itself, not a padded float64 copy of it
+    # unfold the input itself, not a padded copy of it
     rng = np.random.default_rng(34)
     f = rng.standard_normal((3, 4, 7, 6)).astype(np.float32)
     w = rng.standard_normal((2, 4, 1, 1)).astype(np.float32)
