@@ -9,9 +9,9 @@ Under a shift of the input by a group element, both maps then move by the
 joint relabeling of (h, t) plus the spatial index map, which is exactly the
 law a group feature map follows.
 
-The gate on the pre-activation z is sigmoid(z), or 1 - sigmoid(z) when the
-residual branch form is enabled (the default); both keep maps strictly
-inside (0, 1), also where the logistic function saturates.
+The gate on the pre-activation z is 1 - sigmoid(z) = sigmoid(-z), which
+keeps maps strictly inside (0, 1), also where the logistic function
+saturates.
 
 Each attention kind is one function that returns its output and its maps:
 `attentive_group_conv` (the fused block, one tape record) and
@@ -87,10 +87,6 @@ def residual_gate(z):
     return T.sub(one, T.sigmoid(z))
 
 
-def _gate(z, residual_branch):
-    return residual_gate(z) if residual_branch else T.sigmoid(z)
-
-
 def _rel_index(grp, hin, index_mode):
     """Matrix index per (output pose, input pose).
 
@@ -110,16 +106,14 @@ def _rel_index(grp, hin, index_mode):
 # ---------------------------------------------------------------------------
 # the attentive group convolution, one output pose at a time
 
-def _gate_np(z, residual_branch):
-    """The gate on a numpy array, clipped as T.sigmoid clips: z holds the storage dtype."""
-    s = T._logistic(z)
-    return 1.0 - s if residual_branch else s
+def _gate_np(z):
+    """residual_gate on a numpy array of the storage dtype, clipped as T.sigmoid clips."""
+    return 1.0 - T._logistic(z)
 
 
-def _gate_slope(alpha, residual_branch):
+def _gate_slope(alpha):
     """d alpha / d z, written in terms of the gate's output."""
-    d = alpha * (1.0 - alpha)
-    return -d if residual_branch else d
+    return -(alpha * (1.0 - alpha))
 
 
 def _im2col(fp, k, stride, yo, xo):
@@ -185,8 +179,7 @@ class _PoseKernel:
     chunk's state.
     """
 
-    def __init__(self, flat, bank, w1g, w2g, psis, order, hin, stride, padding,
-                 pool_out, residual_branch):
+    def __init__(self, flat, bank, w1g, w2g, psis, order, hin, stride, padding, pool_out):
         k, (pt, pb, self.yo), (pl, pr, self.xo) = T._conv_geometry(flat, bank, padding, stride)
         self.geom = k, stride, (pt, pb), (pl, pr)
         n, ct = flat.shape[:2]
@@ -199,7 +192,6 @@ class _PoseKernel:
         self.order = order
         self.g = 1 if pool_out else o       # out-channel groups sharing one map
         self.pool_out = pool_out
-        self.residual = residual_branch
         self.dtype = flat.data.dtype
         self.inputs = flat, bank, w1g, w2g, psis
         wb = bank.data.reshape(o, order, c, hin, kk)
@@ -298,7 +290,7 @@ class _PoseKernel:
         fs = np.fft.rfft2(s_x.reshape(order, n, g, 2, hin, self.yo, self.xo), s=self.fshape)
         q = np.fft.irfft2((fs * np.conj(self.fpsi)[:, None, None]).sum(axis=3),
                           s=self.fshape)
-        alpha_x[...] = _gate_np(q[(...,) + self.lag_out], self.residual)
+        alpha_x[...] = _gate_np(q[(...,) + self.lag_out])
         axt = alpha_x.reshape(order, n, g, hin, p).transpose(1, 3, 0, 2, 4)  # [n, Hin, H, g, P]
         if keep:
             ck.gcs, ck.axt, ck.fs = gcs, axt, fs
@@ -322,7 +314,7 @@ class _PoseKernel:
         sb = s.transpose(3, 2, 0, 1, 4).reshape(hin, c, 2 * n * g)  # [Hin, C, (2, n, g)]
         u = np.matmul(self.w1[h], sb)
         z = np.matmul(self.w2[h], np.maximum(u, 0.0)).reshape(hin, c, 2, n * g).sum(axis=2)
-        ac = _gate_np(z, self.residual).reshape(hin, c, n, g).transpose(2, 1, 0, 3)
+        ac = _gate_np(z).reshape(hin, c, n, g).transpose(2, 1, 0, 3)
         st.update(sb=sb, u=u, ac=ac)
         return ac                                                   # [n, C, Hin, g]
 
@@ -446,7 +438,7 @@ class _PoseKernel:
         prod = ck.gcs * dh[:, None]                                 # [n, Hin, H, O, P]
         dax = prod.sum(axis=3, keepdims=True) if self.pool_out else prod
         e = dh[:, None] * ck.axt
-        dq = (dax * _gate_slope(ck.axt, self.residual)).transpose(2, 0, 3, 1, 4)
+        dq = (dax * _gate_slope(ck.axt)).transpose(2, 0, 3, 1, 4)
         fdq = np.fft.rfft2(dq.reshape(order, n, g, hin, self.yo, self.xo), s=self.fshape)
         r0 = psis.shape[-1] // 2
         ds = np.fft.irfft2(fdq[:, :, :, None] * self.fpsi[:, None, None], s=self.fshape)[
@@ -472,11 +464,19 @@ class _PoseKernel:
             ac = np.take(st["ac"], at)
             _scatter_add(dac, at, dmax * st["mx"] / ac)
             val = dmax * ac
-        # per (n, t, g, k, p): the cell of dL/dcols and of dL/dbank it feeds
-        ki = np.arange(kk)[:, None]
-        xi = _flat_index(ck.x5.shape, ni, cm, ti, 0, np.arange(p))[..., None, :] + ki * p
-        wi = _flat_index(dwb.shape, cm, ti, om, 0)[..., None, :] + ki
-        val = val[..., None, :]
+        # indexed per (n, t, g, k, p)
+        at = (ni[..., None], cm[..., None, :], ti[..., None], om[..., None, :],
+              np.arange(kk)[:, None], np.arange(p))
+        self._route_back(ck, h, at, val[..., None, :], dwb, dx5)
+
+    def _route_back(self, ck, h, at, val, dwb, dx5):
+        """Send dL/dR = val at the routes R[at], at = (n, c, t, o, k, p) as
+        broadcastable index arrays, into dL/dbank and dL/dcols: each (route, k)
+        is one term bank[c, t, o, k] cols[n, c, t, k, p] of R."""
+        ni, ci, ti, oi, ki, pi = at
+        # k enters last, so only one add spans every (route, k)
+        xi = _flat_index(ck.x5.shape, ni, ci, ti, 0, pi) + ki * ck.x5.shape[-1]
+        wi = _flat_index(dwb.shape, ci, ti, oi, 0) + ki
         _scatter_add(dwb, wi, val * np.take(ck.x5, xi))
         if dx5 is not None:
             _scatter_add(dx5, xi, val * np.take(self.wb[h], wi))
@@ -487,9 +487,8 @@ class _PoseKernel:
         _, c, hin, o, kk, p = self.dims
         g, rep = self.g, o // self.g
         st = ck.poses[h]
-        w = self.wb[h]                                              # [C, Hin, O, K]
         a = st["ac"].transpose(2, 1, 0, 3).reshape(hin, c, n * g)
-        dz = dac.transpose(2, 1, 0, 3).reshape(hin, c, n * g) * _gate_slope(a, self.residual)
+        dz = dac.transpose(2, 1, 0, 3).reshape(hin, c, n * g) * _gate_slope(a)
         dv = np.concatenate((dz, dz), axis=-1)      # both branches add into z
         u = st["u"]
         dw2[h] = np.matmul(dv, np.maximum(u, 0.0).swapaxes(-1, -2))
@@ -501,17 +500,12 @@ class _PoseKernel:
         span = rep * p
         dwb += np.einsum("nctg,nctk->ctgk", dsa, ck.xs).repeat(rep, axis=2) / span
         const += np.einsum("nctg,ctgk->nctk", dsa, self.wsum[h]) / span
-        # max statistic: routed to the first (o, p) reaching it
-        am = st["am"]
-        ci = np.arange(c)[:, None, None]
-        ti = np.arange(hin)[:, None]
-        ki = np.arange(kk)
-        xi = _flat_index(ck.x5.shape, np.arange(n)[:, None, None, None], ci, ti, 0,
-                         am % p)[..., None] + ki * p
-        wi = _flat_index(dwb.shape, ci, ti, am // p + np.arange(g) * rep, 0)[..., None] + ki
-        _scatter_add(dwb, wi, dsm[..., None] * np.take(ck.x5, xi))
-        if dx5 is not None:
-            _scatter_add(dx5, xi, dsm[..., None] * np.take(w, wi))
+        # max statistic: routed to the first (o, p) reaching it; indexed per (n, c, t, g, k)
+        am = st["am"][..., None]
+        at = (np.arange(n)[:, None, None, None, None], np.arange(c)[:, None, None, None],
+              np.arange(hin)[:, None, None], am // p + np.arange(g)[:, None] * rep,
+              np.arange(kk), am % p)
+        self._route_back(ck, h, at, dsm[..., None], dwb, dx5)
 
 
 def _fft_length(n):
@@ -552,7 +546,7 @@ def _scatter_add(target, idx, val):
 
 
 def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
-                         residual_branch=True, pool_out=True, index_mode="relative"):
+                         pool_out=True, index_mode="relative"):
     """Group convolution with its per-pair responses modulated by attention;
     returns (output, alpha_C, alpha_X).
 
@@ -589,7 +583,7 @@ def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
     parents = [t for t in (flat, bank, w1g, w2g, psis) if t is not None]
     keep = T.active_tape() is not None and any(t.requires_grad for t in parents)
     kern = _PoseKernel(flat, bank, w1g, w2g, psis, grp.order, hin, layer.stride,
-                       layer.padding, pool_out, residual_branch)
+                       layer.padding, pool_out)
     res, alpha_c, alpha_x = kern.forward(keep)
     o = bank.shape[0] // grp.order
     out = Tensor(res.reshape(n, o, grp.order, kern.yo, kern.xo))   # a view, in res's order
@@ -621,7 +615,7 @@ def _pose_conv(s, w, grp):
 
 
 def input_attention(f: Tensor, group, ch_params: ChannelAttentionParams,
-                    sp_params: SpatialAttentionParams, residual_branch=True):
+                    sp_params: SpatialAttentionParams):
     """Gate a feature map itself before a standard group convolution; returns
     (gated map, alpha_C [N, C, Hf], alpha_X [N, 1, Hf, Y, X]).
 
@@ -644,12 +638,12 @@ def input_attention(f: Tensor, group, ch_params: ChannelAttentionParams,
     s = T.reshape(s, (2 * n, c, hf, 1, 1))
     z = _pose_conv(T.relu(_pose_conv(s, ch_params.w1, grp)), ch_params.w2, grp)
     z = T.reduce(T.reshape(z, (2, n, c, hf, 1, 1)), axes=(0,))     # both branches add
-    alpha_c = _gate(z, residual_branch)                             # [N, C, Hf, 1, 1]
+    alpha_c = residual_gate(z)                                      # [N, C, Hf, 1, 1]
     f1 = T.mul(f, alpha_c)
 
     # spatial branch: 2-channel stats, gated full group convolution
     s_x = T.stack([T.reduce(f1, axes=(1,), mode=m) for m in ("mean", "max")],
                   axis=1)                                           # [N, 2, Hf, Y, X]
-    alpha_x = _gate(group_conv(s_x, GConvLayer(grp, sp_params.psi)), residual_branch)
+    alpha_x = residual_gate(group_conv(s_x, GConvLayer(grp, sp_params.psi)))
     return (T.mul(f1, alpha_x), Tensor(alpha_c.data.reshape(n, c, hf)),
             Tensor(alpha_x.data))

@@ -84,7 +84,6 @@ def cmd_thm1_oracle(args):
         rep = attention_relabel_report(cfg.group_name, seed=cfg.seed,
                                        dtype=cfg.dtype, lifting=lifting,
                                        index_mode=index_mode,
-                                       residual_branch=cfg.residual_branch,
                                        pool_out=cfg.pool_out_channels,
                                        tolerance=tol,
                                        att_kernel=cfg.filter_size)
@@ -143,7 +142,6 @@ def _build_net(cfg, arch, dropout_rate, channels):
     kwargs = dict(group_name=cfg.group_name, variant=cfg.variant,
                   reduction_ratio=cfg.reduction_ratio, att_kernel=cfg.filter_size,
                   dtype=cfg.dtype, seed=cfg.seed,
-                  residual_branch=cfg.residual_branch,
                   pool_out=cfg.pool_out_channels, dropout_rate=dropout_rate)
     if channels is not None:
         kwargs["channels"] = channels

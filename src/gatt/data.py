@@ -331,7 +331,6 @@ class RunConfig:
     batch: int = 128
     seed: int = 0
     dtype: str = "f32"
-    residual_branch: bool = True
     pool_out_channels: bool = True
 
     @property
@@ -358,7 +357,6 @@ _CONFIG_PARSERS = {
     "batch": lambda v, k, ln: _int(v, k, ln, minimum=1),
     "seed": lambda v, k, ln: _int(v, k, ln),
     "dtype": lambda v, k, ln: _choice(v, k, ln, ("f32", "f64")),
-    "residual_branch": _parse_bool,
     "pool_out_channels": _parse_bool,
 }
 

@@ -39,15 +39,13 @@ class GBlock:
     """One lifting or group convolution, optionally gated by attention."""
 
     def __init__(self, layer: GConvLayer, variant="plain", ch_params=None,
-                 sp_params=None, residual_branch=True, pool_out=True,
-                 index_mode="relative"):
+                 sp_params=None, pool_out=True, index_mode="relative"):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         self.layer = layer
         self.variant = variant
         self.ch_params = ch_params
         self.sp_params = sp_params
-        self.residual_branch = residual_branch
         self.pool_out = pool_out
         self.index_mode = index_mode
 
@@ -57,11 +55,9 @@ class GBlock:
         if self.variant == "plain":
             return group_conv(f, self.layer), None, None
         if self.variant == "input":
-            gated, ac, ax = input_attention(f, self.layer.group, self.ch_params,
-                                            self.sp_params, residual_branch=self.residual_branch)
+            gated, ac, ax = input_attention(f, self.layer.group, self.ch_params, self.sp_params)
             return group_conv(gated, self.layer), ac, ax
         return attentive_group_conv(f, self.layer, self.ch_params, self.sp_params,
-                                    residual_branch=self.residual_branch,
                                     pool_out=self.pool_out, index_mode=self.index_mode)
 
     def forward(self, f, ctx):
@@ -250,7 +246,7 @@ def _attention_for(rng, variant, in_channels, in_poses, reduction_ratio, kernel,
 
 def build_tiny_net(group_name="C4", variant="input", channels=8,
                    reduction_ratio=2, att_kernel=7, dtype="f32", seed=0,
-                   residual_branch=True, pool_out=True, dropout_rate=0.0):
+                   pool_out=True, dropout_rate=0.0):
     """Two gconv layers plus a 1x1 head to the 4 glyph classes; fits 16x16 inputs.
 
     Attention (any variant) sits on the second, group-to-group layer; the
@@ -269,8 +265,7 @@ def build_tiny_net(group_name="C4", variant="input", channels=8,
     layers += [
         GBlock(make_gconv_layer(rng, grp, channels, channels, 3, dtype=dtype,
                                 name="conv2"),
-               variant=variant, ch_params=ch, sp_params=sp,
-               residual_branch=residual_branch, pool_out=pool_out),
+               variant=variant, ch_params=ch, sp_params=sp, pool_out=pool_out),
         GBatchNorm(channels, dtype=dtype, name="bn2"),
     ]
     if dropout_rate:
@@ -313,7 +308,7 @@ def build_parity_nets(dtype="f32", seed=0):
 
 def build_digit_net(group_name="C4", variant="plain", channels=10,
                     reduction_ratio=2, att_kernel=7, dtype="f32", seed=0,
-                    residual_branch=True, pool_out=True, dropout_rate=0.3):
+                    pool_out=True, dropout_rate=0.3):
     """Seven-layer 10-way digit classifier (28x28 inputs), 22,240 parameters
     for the plain variant at width 10."""
     grp = make_group(group_name)
@@ -329,7 +324,7 @@ def build_digit_net(group_name="C4", variant="plain", channels=10,
         layers.append(GBlock(make_gconv_layer(rng, grp, channels, channels, 3,
                                               dtype=dtype, name=f"conv{i}"),
                              variant=variant, ch_params=ch, sp_params=sp,
-                             residual_branch=residual_branch, pool_out=pool_out))
+                             pool_out=pool_out))
         layers.append(GBatchNorm(channels, dtype=dtype, name=f"bn{i}"))
         if i == 2:
             layers.append(MaxPoolG())

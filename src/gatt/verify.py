@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor as T
-from .attention import _gate, _rel_index, attentive_group_conv, input_attention
+from .attention import _rel_index, attentive_group_conv, input_attention, residual_gate
 from .autodiff import (FD_STEP, Parameter, backward, dropout, finite_diff_grad,
                        grad_rel_err, new_rng, zero_grads)
 from .gconv import _check_input, filter_bank, group_conv, make_gconv_layer
@@ -183,8 +183,8 @@ def stack_suite(group_name="C4", variant="plain", max_depth=3, trials=5, seed=0,
 # attention-map relabeling law
 
 def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False,
-                             index_mode="relative", residual_branch=True,
-                             pool_out=True, tolerance=1e-10, att_kernel=5):
+                             index_mode="relative", pool_out=True, tolerance=1e-10,
+                             att_kernel=5):
     """Check that both attention maps of a transformed input are the
     index-relabeled maps of the original input.
 
@@ -209,7 +209,6 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
 
     def maps(arr):
         _, ac, ax = attentive_group_conv(Tensor(np.ascontiguousarray(arr)), layer, ch, sp,
-                                         residual_branch=residual_branch,
                                          pool_out=pool_out, index_mode=index_mode)
         return ac.data, ax.data
 
@@ -378,8 +377,7 @@ def spatial_stats(ftilde, pool_out=True):
     return T.stack([mean, mx], axis=1 if pool_out else 2)
 
 
-def channel_attention(s_avg, s_max, params, grp, residual_branch=True,
-                      index_mode="relative"):
+def channel_attention(s_avg, s_max, params, grp, index_mode="relative"):
     """Shared two-layer bottleneck on the average and max descriptors.
 
     For each pose pair (h, t) the matrices at relative pose h^-1 t are applied
@@ -415,11 +413,11 @@ def channel_attention(s_avg, s_max, params, grp, residual_branch=True,
     s = T.reshape(s, (-1, ht * params.channels, 1, 1))
     z = T.conv2d(T.relu(T.conv2d(s, block_diag(params.w1))), block_diag(params.w2))
     z = T.reduce(T.reshape(z, (2,) + lead + (hh, hin, params.channels)), axes=0)
-    alpha = _gate(z, residual_branch)           # [*lead, H, Hin, C]
+    alpha = residual_gate(z)                    # [*lead, H, Hin, C]
     return T.transpose(alpha, tuple(range(nl)) + (nl + 2, nl, nl + 1))
 
 
-def spatial_attention(s_x, params, grp, residual_branch=True):
+def spatial_attention(s_x, params, grp):
     """Per-pose-pair spatial gating from the 2-channel stat map.
 
     For output pose h, each input-pose slice t of the stats is correlated
@@ -450,7 +448,7 @@ def spatial_attention(s_x, params, grp, residual_branch=True):
     diag = T.mul(psis, Tensor(mask.astype(psis.data.dtype)))    # [h, t, s, h', t', k, k]
     diag = T.reshape(diag, (hh * hin, 2 * hh * hin, k, k))
     resp = T.conv2d(T.reshape(s_x, (n, 2 * hh * hin, y, x)), diag, padding="same")
-    alpha = _gate(T.reshape(resp, (n, 1, hh, hin, y, x)), residual_branch)
+    alpha = residual_gate(T.reshape(resp, (n, 1, hh, hin, y, x)))
     if folded is not None:
         nn, o = folded
         alpha = T.reshape(alpha, (nn, o) + alpha.shape[2:])  # [N, O, H, Hin, Y, X]
@@ -458,7 +456,7 @@ def spatial_attention(s_x, params, grp, residual_branch=True):
 
 
 def reference_attention_maps(f: Tensor, layer, ch_params=None, sp_params=None,
-                             residual_branch=True, pool_out=True, index_mode="relative"):
+                             pool_out=True, index_mode="relative"):
     """(alpha_C, alpha_X, channel-gated responses) from the rank-7 tensor.
 
     The gated responses are the per-pair responses times alpha_C, or the
@@ -473,7 +471,7 @@ def reference_attention_maps(f: Tensor, layer, ch_params=None, sp_params=None,
     if ch_params is not None:
         s_avg, s_max = channel_stats(ftilde, pool_out=pool_out)
         alpha_c = channel_attention(s_avg, s_max, ch_params, layer.group,
-                                    residual_branch=residual_branch, index_mode=index_mode)
+                                    index_mode=index_mode)
         if alpha_c.ndim == 4:  # [N, C, H, Hin] -> [N, 1, C, H, Hin, 1, 1]
             n, c, hh, hin = alpha_c.shape
             expand = T.reshape(alpha_c, (n, 1, c, hh, hin, 1, 1))
@@ -482,22 +480,19 @@ def reference_attention_maps(f: Tensor, layer, ch_params=None, sp_params=None,
         gated = T.mul(ftilde, expand)
     if sp_params is not None:
         s_x = spatial_stats(gated, pool_out=pool_out)
-        alpha_x = spatial_attention(s_x, sp_params, layer.group,
-                                    residual_branch=residual_branch)
+        alpha_x = spatial_attention(s_x, sp_params, layer.group)
     return alpha_c, alpha_x, gated
 
 
 def reference_attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
-                                   residual_branch=True, pool_out=True,
-                                   index_mode="relative"):
+                                   pool_out=True, index_mode="relative"):
     """Oracle of attention.attentive_group_conv: (output map, alpha_C, alpha_X).
 
     Gates the per-pair responses by alpha_C and alpha_X and reduces over
     input channels and poses.
     """
     alpha_c, alpha_x, mod = reference_attention_maps(
-        f, layer, ch_params, sp_params, residual_branch=residual_branch, pool_out=pool_out,
-        index_mode=index_mode)
+        f, layer, ch_params, sp_params, pool_out=pool_out, index_mode=index_mode)
     if alpha_x is not None:
         # [N, 1|O, H, Hin, Y, X] -> a singleton channel axis after 1|O
         n, o, hh, hin, y, x = alpha_x.shape
@@ -507,8 +502,8 @@ def reference_attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=N
 
 
 def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
-                            residual_branch=True, lifting=False, stride=1, padding="same",
-                            seed=0, ties=False, dtype="f64", batch=2):
+                            lifting=False, stride=1, padding="same", seed=0, ties=False,
+                            dtype="f64", batch=2):
     """Fast block against reference_attentive_group_conv on one small layer.
 
     Returns max|fast - reference| / max(1, max|reference|) for the output,
@@ -533,7 +528,6 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
         x[..., :2, :] = 0.0
     xp = Parameter(x, dtype=dtype, name="x")
     params = [xp] + layer.params() + (ch.params() if ch else []) + (sp.params() if sp else [])
-    kwargs = dict(residual_branch=residual_branch, pool_out=pool_out)
 
     def values(out, *maps):
         got = {"out": out.data}
@@ -545,7 +539,7 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
     results = []
     for block in (attentive_group_conv, reference_attentive_group_conv):
         with Tape() as tape:
-            out, *maps = block(xp, layer, ch, sp, **kwargs)
+            out, *maps = block(xp, layer, ch, sp, pool_out=pool_out)
             if probe is None:
                 probe = Tensor(new_rng(seed + 1).standard_normal(out.shape).astype(
                     out.data.dtype))
@@ -555,7 +549,7 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
         results.append(got)
         zero_grads(params)
     # with no tape the block keeps no record and takes its maxima without routes
-    tapeless = values(*attentive_group_conv(xp, layer, ch, sp, **kwargs))
+    tapeless = values(*attentive_group_conv(xp, layer, ch, sp, pool_out=pool_out))
     fast, ref = results
     if fast.keys() != ref.keys():
         raise AssertionError(f"fast block reports {sorted(fast)}, reference {sorted(ref)}")

@@ -102,8 +102,7 @@ def test_channel_attention_matches_manual():
     ft = intermediate_responses(_feature(x), layer).data
     s_avg = ft.mean(axis=(1, 5, 6))
     s_max = ft.max(axis=(1, 5, 6))
-    got = channel_attention(Tensor(s_avg), Tensor(s_max), ch, GRP,
-                            residual_branch=True).data
+    got = channel_attention(Tensor(s_avg), Tensor(s_max), ch, GRP).data
     w1, w2 = ch.w1.data, ch.w2.data
     n, c, hh, hin = s_avg.shape
     want = np.zeros_like(got)
@@ -147,7 +146,7 @@ def test_spatial_attention_matches_manual():
     layer, ch, sp, x = _setup(att_kernel=3)
     ft = intermediate_responses(_feature(x), layer).data
     s_x = spatial_stats(Tensor(ft), pool_out=True)
-    got = spatial_attention(s_x, sp, GRP, residual_branch=True).data
+    got = spatial_attention(s_x, sp, GRP).data
     n, _, hh, hin, y, xs = s_x.shape
     want = np.zeros((n, 1, hh, hin, y, xs))
     for h in range(hh):
@@ -169,7 +168,7 @@ def test_spatial_response_is_a_two_channel_conv_per_pose_pair(monkeypatch, pool_
     grp = make_group("D4")
     layer, ch, sp, x = _setup(seed=4, channels=2, out_channels=2, group=grp)
     s_x = spatial_stats(intermediate_responses(_feature(x), layer), pool_out=pool_out)
-    monkeypatch.setattr(V, "_gate", lambda z, residual_branch: z)
+    monkeypatch.setattr(V, "residual_gate", lambda z: z)
     got = spatial_attention(s_x, sp, grp).data
     stats = s_x.data if pool_out else s_x.data.reshape((-1,) + s_x.shape[2:])
     got = got.reshape((stats.shape[0], 1) + got.shape[-4:])
@@ -188,16 +187,15 @@ def test_attention_maps_in_open_unit_interval():
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 10 ** 6), residual=st.booleans())
-@example(seed=187624, residual=False)   # a channel gate saturates here
-def test_attention_maps_bounded_property(seed, residual):
+@given(seed=st.integers(0, 10 ** 6))
+@example(seed=187624)   # a channel gate saturates here
+def test_attention_maps_bounded_property(seed):
     rng = new_rng(seed)
     layer = make_gconv_layer(rng, GRP, 2, 2, kernel=3, dtype="f64")
     ch = make_channel_attention(rng, GRP.order, 2, 2, dtype="f64")
     sp = make_spatial_attention(rng, GRP.order, kernel=3, dtype="f64")
     x = rng.standard_normal((1, 2, 4, 5, 5)) * 3.0
-    _, ac, ax = attentive_group_conv(_feature(x), layer, ch, sp,
-                                     residual_branch=residual)
+    _, ac, ax = attentive_group_conv(_feature(x), layer, ch, sp)
     assert 0.0 < ac.data.min() and ac.data.max() < 1.0
     assert 0.0 < ax.data.min() and ax.data.max() < 1.0
 
@@ -230,10 +228,10 @@ def test_spatial_map_sees_channel_modulated_responses():
     mod = ft.data * ac.data.reshape(n, 1, c, hh, hin, 1, 1)
     np.testing.assert_array_equal(gated.data, mod)
     s_x = spatial_stats(Tensor(mod), pool_out=True)
-    again = spatial_attention(s_x, sp, GRP, residual_branch=True).data
+    again = spatial_attention(s_x, sp, GRP).data
     np.testing.assert_array_equal(ax.data, again)
     raw_s_x = spatial_stats(ft, pool_out=True)
-    from_raw = spatial_attention(raw_s_x, sp, GRP, residual_branch=True).data
+    from_raw = spatial_attention(raw_s_x, sp, GRP).data
     assert np.abs(ax.data - from_raw).max() > 1e-3
 
 
@@ -393,17 +391,17 @@ def test_fast_block_matches_reference_oracle(group_name, variant):
         keys |= {"alpha_x", "grad_psi", "tapeless_alpha_x"}
     cases = 0
     for pool_out in (True, False):
-        for residual in (True, False):
-            for lifting in (False, True):
-                for stride, padding in ((1, "same"), (2, "same"), (1, "valid")):
-                    errs = attentive_oracle_errors(group_name, variant, pool_out, residual,
-                                                   lifting, stride, padding, seed=cases,
-                                                   ties=cases % 2 == 1)
-                    assert set(errs) == keys
-                    assert max(errs.values()) <= 1e-10, errs
-                    assert errs["tapeless_vs_taped"] == 0.0, errs
-                    cases += 1
-    assert cases == 24
+        for lifting in (False, True):
+            for stride, padding in ((1, "same"), (2, "same"), (1, "valid")):
+                seed = 12 * (not pool_out) + cases % 6     # seeds 0-5 and 12-17
+                errs = attentive_oracle_errors(group_name, variant, pool_out, lifting,
+                                               stride, padding, seed=seed,
+                                               ties=seed % 2 == 1)
+                assert set(errs) == keys
+                assert max(errs.values()) <= 1e-10, errs
+                assert errs["tapeless_vs_taped"] == 0.0, errs
+                cases += 1
+    assert cases == 12
 
 
 @pytest.mark.parametrize("group_name", ["C4", "D4"])

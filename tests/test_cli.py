@@ -130,12 +130,14 @@ def test_gradcheck_command(capsys):
 # usage and config errors
 
 def test_unknown_config_key_exits_2(capsys, tmp_path):
+    # residual_branch is no key: the sigmoid gate it selected is a sign flip of w2 and psi
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("learning_rate = 0.1\n")
-    code = main(["gradcheck", "--config", str(cfg)])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "unknown key" in err
+    for text in ("learning_rate = 0.1\n", "residual_branch = true\n"):
+        cfg.write_text(text)
+        code = main(["gradcheck", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2, text
+        assert "unknown key" in err, text
 
 
 def test_missing_config_file_exits_2(capsys, tmp_path):
@@ -287,17 +289,23 @@ def test_train_config_file_with_cli_override(capsys, tmp_path):
 
 
 def test_attend_round_trip(capsys, tmp_path):
-    code, _ = run_cli(capsys, *_train_args(tmp_path, "--variant", "input"))
-    assert code == 0
-    code, rep = run_cli(capsys, "attend", "--checkpoint",
-                        str(tmp_path / "model.ckpt"), "--variant", "input",
-                        "--channels", "4", "--seed", "5", "--out", str(tmp_path))
-    assert code == 0
-    assert rep["pass"] == "true"
-    assert float(rep["max_err"]) <= 1e-4
-    for h in range(4):
-        montage = read_pgm(tmp_path / f"attend_h{h}.pgm")
-        assert montage.shape[0] == 16 * 8  # input extent x the montage's 8x upsample
+    # input attention, and full attention with per-out-channel maps, which
+    # only the pool_out_channels key reaches
+    per_out = tmp_path / "per_out.cfg"
+    per_out.write_text("pool_out_channels = no\n")
+    for variant, config in (("input", []), ("full", ["--config", str(per_out)])):
+        out = tmp_path / variant
+        code, _ = run_cli(capsys, *_train_args(out, "--variant", variant, *config))
+        assert code == 0, variant
+        code, rep = run_cli(capsys, "attend", "--checkpoint", str(out / "model.ckpt"),
+                            "--variant", variant, "--channels", "4", "--seed", "5",
+                            "--out", str(out), *config)
+        assert code == 0, variant
+        assert rep["pass"] == "true", variant
+        assert float(rep["max_err"]) <= 1e-4, variant
+        for h in range(4):
+            montage = read_pgm(out / f"attend_h{h}.pgm")
+            assert montage.shape[0] == 16 * 8  # input extent x the montage's 8x upsample
 
 
 def test_attend_plain_variant_exits_2(capsys, tmp_path):

@@ -331,7 +331,6 @@ epochs = 3
 batch = 64
 seed = 11
 dtype = f64
-residual_branch = false
 pool_out_channels = no
 """)
     cfg = load_config(p)
@@ -339,7 +338,7 @@ pool_out_channels = no
     assert cfg.filter_size == 5 and cfg.reduction_ratio == 4
     assert cfg.lr == pytest.approx(0.01) and cfg.epochs == 3 and cfg.batch == 64
     assert cfg.seed == 11 and cfg.dtype == "f64"
-    assert cfg.residual_branch is False and cfg.pool_out_channels is False
+    assert cfg.pool_out_channels is False
 
 
 @pytest.mark.parametrize("text,match", [
@@ -358,7 +357,7 @@ pool_out_channels = no
     ("group = p8", "line 1: group must be one of"),
     ("dtype = f16", "line 1: dtype"),
     ("variant = cbam", "line 1: variant"),
-    ("residual_branch = maybe", "line 1: residual_branch expects a boolean"),
+    ("pool_out_channels = maybe", "line 1: pool_out_channels expects a boolean"),
     ("just a line", "line 1: expected key=value"),
 ])
 def test_config_rejects_bad_lines(text, match):
