@@ -116,21 +116,22 @@ def _gate_slope(alpha):
     return -(alpha * (1.0 - alpha))
 
 
-def _im2col(fp, k, stride, yo, xo):
-    """The padded samples fp [n, C, Yp, Xp] unfolded to columns [n, C*k*k, Yo*Xo]."""
-    win = sliding_window_view(fp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    n, c = win.shape[:2]
+def _im2col(fp, k):
+    """The padded samples fp [n, C, Yo+k-1, Xo+k-1] unfolded to columns [n, C*k*k, Yo*Xo]."""
+    win = sliding_window_view(fp, (k, k), axis=(2, 3))
+    n, c, yo, xo = win.shape[:4]
     return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * k * k, yo * xo)
 
 
-def _col2im(gcols, pad_shape, k, stride, yo, xo):
+def _col2im(gcols, pad_shape, k):
     """Adjoint of _im2col: sum column gradients back onto the padded samples."""
     n, c, yp, xp = pad_shape
+    yo, xo = yp - k + 1, xp - k + 1
     g = np.zeros(pad_shape, dtype=gcols.dtype)
     gw = gcols.reshape(n, c, k, k, yo, xo)
     for ki in range(k):
         for kj in range(k):
-            g[:, :, ki:ki + stride * yo:stride, kj:kj + stride * xo:stride] += gw[:, :, ki, kj]
+            g[:, :, ki:ki + yo, kj:kj + xo] += gw[:, :, ki, kj]
     return g
 
 
@@ -179,9 +180,9 @@ class _PoseKernel:
     chunk's state.
     """
 
-    def __init__(self, flat, bank, w1g, w2g, psis, order, hin, stride, padding, pool_out):
-        k, (pt, pb, self.yo), (pl, pr, self.xo) = T._conv_geometry(flat, bank, padding, stride)
-        self.geom = k, stride, (pt, pb), (pl, pr)
+    def __init__(self, flat, bank, w1g, w2g, psis, order, hin, pool_out):
+        self.k = T._conv_geometry(flat, bank)
+        self.yo, self.xo = flat.shape[2:]
         n, ct = flat.shape[:2]
         o, c = bank.shape[0] // order, ct // hin
         kk = bank.shape[2] * bank.shape[3]
@@ -223,9 +224,8 @@ class _PoseKernel:
     def _unfold(self, ck):
         """Give chunk ck its columns x5 [n, C, Hin, K, P] and their sums over p."""
         _, c, hin, o, kk, p = self.dims
-        k, stride, pads_y, pads_x = self.geom
-        fp = T._pad(self.inputs[0].data[ck.lo:ck.hi], pads_y, pads_x)
-        ck.x5 = _im2col(fp, k, stride, self.yo, self.xo).reshape(ck.hi - ck.lo, c, hin, kk, p)
+        fp = T._pad(self.inputs[0].data[ck.lo:ck.hi], self.k // 2)
+        ck.x5 = _im2col(fp, self.k).reshape(ck.hi - ck.lo, c, hin, kk, p)
         ck.xs = ck.x5.sum(axis=-1)          # [n, C, Hin, K]
 
     # -- forward --------------------------------------------------------------
@@ -422,11 +422,10 @@ class _PoseKernel:
         ck.x5 = ck.xs = None
         if dx5 is not None:
             dx5 += const[..., None]
-            k, stride, (pt, pb), (pl, pr) = self.geom
-            y, x = gx.shape[2:]
-            gp = _col2im(dx5, (n, gx.shape[1], pt + y + pb, pl + x + pr), k, stride,
-                         self.yo, self.xo)
-            gx[...] = gp[:, :, pt:pt + y, pl:pl + x]
+            k, y, x = self.k, self.yo, self.xo
+            r = k // 2
+            gp = _col2im(dx5, (n, gx.shape[1], y + 2 * r, x + 2 * r), k)
+            gx[...] = gp[:, :, r:r + y, r:r + x]
         return part
 
     def _spatial_backward(self, ck, dh):
@@ -557,7 +556,7 @@ def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
     least one must be given.  The whole block is one tape record.
 
     alpha_C is [N, C, |H|, |H_in|] ([N, O, C, |H|, |H_in|] with
-    pool_out=False); alpha_X is [N, 1, |H|, |H_in|, Yo, Xo] (an out-channel
+    pool_out=False); alpha_X is [N, 1, |H|, |H_in|, Y, X] (an out-channel
     axis in place of the 1 with pool_out=False).  The maps carry no gradient.
     """
     if ch_params is None and sp_params is None:
@@ -582,11 +581,10 @@ def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
     bank = filter_bank(layer)
     parents = [t for t in (flat, bank, w1g, w2g, psis) if t is not None]
     keep = T.active_tape() is not None and any(t.requires_grad for t in parents)
-    kern = _PoseKernel(flat, bank, w1g, w2g, psis, grp.order, hin, layer.stride,
-                       layer.padding, pool_out)
+    kern = _PoseKernel(flat, bank, w1g, w2g, psis, grp.order, hin, pool_out)
     res, alpha_c, alpha_x = kern.forward(keep)
     o = bank.shape[0] // grp.order
-    out = Tensor(res.reshape(n, o, grp.order, kern.yo, kern.xo))   # a view, in res's order
+    out = Tensor(res.reshape(n, o, grp.order, y, x))    # a view, in res's order
 
     def bwd():
         kern.backward(out.grad)
@@ -598,7 +596,7 @@ def attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=None,
         ac = ac[..., 0].transpose(0, 1, 3, 2) if pool_out else ac.transpose(0, 4, 1, 3, 2)
         ac = Tensor(ac)
     if alpha_x is not None:
-        # [N, g, H, Hin, Yo, Xo], a copy: the record's backward reads alpha_x
+        # [N, g, H, Hin, Y, X], a copy: the record's backward reads alpha_x
         ax = Tensor(alpha_x.transpose(1, 2, 0, 3, 4, 5).copy(order="K"))
     return out, ac, ax
 

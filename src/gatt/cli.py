@@ -301,7 +301,7 @@ def build_parser():
     p.set_defaults(func=cmd_conv_oracle)
 
     p = sub.add_parser("parity-demo", parents=[common],
-                       help="stride-2 vs pool downsampling equivariance error")
+                       help="stride-2 subsampling vs 2x2 pooling: equivariance error")
     p.add_argument("--size", type=_int_from(1), default=32)
     p.set_defaults(func=cmd_parity_demo)
 

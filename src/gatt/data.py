@@ -262,12 +262,17 @@ def read_pgm(path):
         start = pos
         while pos < len(raw) and not raw[pos:pos + 1].isspace():
             pos += 1
-        tokens.append(int(raw[start:pos]))
+        token = raw[start:pos]
+        if not token.isdigit() or int(token) == 0:
+            field = ("width", "height", "maxval")[len(tokens)]
+            raise ValueError(f"{path}: {field} must be a positive integer, got "
+                             f"{token.decode(errors='replace') or 'nothing'}")
+        tokens.append(int(token))
     pos += 1  # single whitespace after maxval
     w, h, maxval = tokens
     if maxval != 255:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
-    data = np.frombuffer(raw, dtype=np.uint8, offset=pos)
+    data = np.frombuffer(raw, dtype=np.uint8, offset=min(pos, len(raw)))
     if data.size != w * h:
         raise ValueError(f"{path}: payload does not match {w}x{h}")
     return data.reshape(h, w)

@@ -2,7 +2,9 @@
 
 Feature maps on the group are plain Tensors [N, C, |H|, Y, X]; planar maps
 use a group axis of extent 1.  A map carries no group: the layer that reads
-it supplies one.  Filters are [O, C, |H_in|, k, k] with odd square k.
+it supplies one.  Filters are [O, C, |H_in|, k, k] with odd square k, and
+every convolution is stride-1 and zero-padded by k//2, so it keeps the
+input's extent; the nets downsample by 2x2 pooling (gatt.nn.MaxPoolG).
 
 A group convolution decomposes into |H| spatial convolutions: for each output
 pose h the filter is transformed by h (spatial index map plus a permutation of
@@ -26,7 +28,7 @@ class GConvLayer:
     |H| for group-to-group layers.
     """
 
-    def __init__(self, group, weight, stride=1, padding="same"):
+    def __init__(self, group, weight):
         if weight.ndim != 5:
             raise ValueError("gconv weight must be [O, C, |H_in|, k, k]")
         hin, k, k2 = weight.shape[2:]
@@ -36,20 +38,18 @@ class GConvLayer:
             raise ValueError(f"filter must be odd and square, got {(k, k2)}")
         self.group = group
         self.weight = weight
-        self.stride = stride
-        self.padding = padding
 
     def params(self):
         return [self.weight]
 
 
 def make_gconv_layer(rng, group, in_channels, out_channels, kernel=3, lifting=False,
-                     stride=1, padding="same", dtype="f32", name=""):
+                     dtype="f32", name=""):
     hin = 1 if lifting else group.order
     fan_in = in_channels * hin * kernel * kernel
     w = he_init(rng, (out_channels, in_channels, hin, kernel, kernel), fan_in,
                 dtype=dtype, name=f"{name}.weight")
-    return GConvLayer(group, w, stride=stride, padding=padding)
+    return GConvLayer(group, w)
 
 
 def filter_bank(layer):
@@ -94,8 +94,8 @@ def group_conv(f: Tensor, layer) -> Tensor:
     _check_input(f, layer)
     n, c, hin, y, x = f.shape
     flat = T.reshape(f, (n, c * hin, y, x))
-    out = T.conv2d(flat, filter_bank(layer), padding=layer.padding, stride=layer.stride)
-    return T.reshape(out, (n, layer.weight.shape[0], layer.group.order) + out.shape[2:])
+    out = T.conv2d(flat, filter_bank(layer))
+    return T.reshape(out, (n, layer.weight.shape[0], layer.group.order, y, x))
 
 
 def group_pool(f: Tensor, group) -> Tensor:

@@ -94,6 +94,24 @@ class MaxPoolG:
         return []
 
 
+class StrideSubsample:
+    """Every second row and column of each pose slice, ending at the last one.
+
+    These are the centres of a same-padded stride-2 convolution's windows
+    (offset 1 - E % 2 of an extent E), so a stride-1 group conv followed by
+    this layer is that strided conv: the stride arm of the parity demo.
+    """
+
+    def forward(self, f, ctx):
+        for axis in (3, 4):
+            e = f.shape[axis]
+            f = T.gather_axis(f, axis, np.arange(1 - e % 2, e, 2))
+        return f
+
+    def params(self):
+        return []
+
+
 class GDropout:
     def __init__(self, rate):
         self.rate = rate
@@ -281,8 +299,9 @@ def build_tiny_net(group_name="C4", variant="input", channels=8,
 def build_parity_nets(dtype="f32", seed=0):
     """The two 2-layer C4 stacks (4 channels) of the stride/pooling comparison.
 
-    (a) downsamples with a stride-2 group conv; (b) uses stride 1 followed by
-    2x2 max pooling.  Both share the same first layer weights.
+    Both convolve at stride 1 and share the same weights.  (a) downsamples
+    like a stride-2 group conv, keeping its window centres (StrideSubsample);
+    (b) uses 2x2 max pooling.
     """
     grp = make_group("C4")
     channels = 4
@@ -291,16 +310,17 @@ def build_parity_nets(dtype="f32", seed=0):
         GBlock(make_gconv_layer(rng_a, grp, 1, channels, 3, lifting=True,
                                 dtype=dtype, name="a1")),
         ReLUG(),
-        GBlock(make_gconv_layer(rng_a, grp, channels, channels, 3, stride=2,
-                                dtype=dtype, name="a2")),
+        GBlock(make_gconv_layer(rng_a, grp, channels, channels, 3, dtype=dtype,
+                                name="a2")),
+        StrideSubsample(),
     ])
     rng_b = new_rng(seed)
     net_b = Network(grp, [
         GBlock(make_gconv_layer(rng_b, grp, 1, channels, 3, lifting=True,
                                 dtype=dtype, name="b1")),
         ReLUG(),
-        GBlock(make_gconv_layer(rng_b, grp, channels, channels, 3, stride=1,
-                                dtype=dtype, name="b2")),
+        GBlock(make_gconv_layer(rng_b, grp, channels, channels, 3, dtype=dtype,
+                                name="b2")),
         MaxPoolG(),
     ])
     return net_a, net_b

@@ -8,10 +8,12 @@ the record list is already a topological order of the data-flow graph and
 output's intermediate gradient are freed as soon as the record has run, so
 a tape is consumed by one backward.
 
-conv2d is the one planar convolution, without a bias.  It works on
-chunked im2col columns, so no k*k-inflated copy of the batch is allocated
-or kept on the tape, and its record keeps the unpadded input, not a padded
-copy; its input gradient is a transposed convolution.  max_pool2d
+conv2d is the one planar convolution: stride 1, an odd k x k filter, a
+zero pad of k//2 on every side (so the output keeps the input's extent)
+and no bias.  It works on chunked im2col columns, so no k*k-inflated copy
+of the batch is allocated or kept on the tape, and its record keeps the
+unpadded input, not a padded copy; its input gradient is a transposed
+convolution.  max_pool2d
 pools fixed 2x2 windows at stride 2.  batch_norm is one record with a
 closed-form backward that recomputes the normalised input instead of
 keeping it; it also applies the ReLU that follows every batch norm of the
@@ -468,20 +470,8 @@ def gather_axis(a, axis, idx):
 # ---------------------------------------------------------------------------
 # spatial ops
 
-def _pad_amounts(extent, k, stride, padding):
-    if padding == "valid":
-        if extent < k:
-            raise ValueError(f"valid conv needs extent >= kernel ({extent} < {k})")
-        return 0, 0, (extent - k) // stride + 1
-    if padding == "same":
-        out = -(-extent // stride)
-        total = max((out - 1) * stride + k - extent, 0)
-        return total // 2, total - total // 2, out
-    raise ValueError(f"unknown padding {padding!r}")
-
-
-def _conv_geometry(f, w, padding, stride):
-    """Check conv operands; return k and the (before, after, out) pad triples of Y and X."""
+def _conv_geometry(f, w):
+    """Check conv operands; return the odd filter extent k."""
     _check_same_dtype(f, w)
     if f.ndim != 4 or w.ndim != 4:
         raise ValueError("conv2d expects f [N,C,Y,X] and w [O,C,k,k]")
@@ -489,19 +479,14 @@ def _conv_geometry(f, w, padding, stride):
         raise ValueError(f"channel mismatch: input {f.shape[1]} vs filter {w.shape[1]}")
     if w.shape[2] != w.shape[3] or w.shape[2] % 2 == 0:
         raise ValueError(f"kernel must be odd and square, got {w.shape[2]}x{w.shape[3]}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    k = w.shape[2]
-    return (k, _pad_amounts(f.shape[2], k, stride, padding),
-            _pad_amounts(f.shape[3], k, stride, padding))
+    return w.shape[2]
 
 
-def _pad(a, pads_y, pads_x):
-    """a [N, C, Y, X] zero-padded by (before, after) pairs, as a new array of a's dtype."""
+def _pad(a, r):
+    """a [N, C, Y, X] zero-padded by r on every side, as a new array of a's dtype."""
     n, c, y, x = a.shape
-    (pt, pb), (pl, pr) = pads_y, pads_x
-    out = np.zeros((n, c, pt + y + pb, pl + x + pr), a.dtype)
-    out[:, :, pt:pt + y, pl:pl + x] = a
+    out = np.zeros((n, c, y + 2 * r, x + 2 * r), a.dtype)
+    out[:, :, r:r + y, r:r + x] = a
     return out
 
 
@@ -513,34 +498,35 @@ CONV_CHUNK_BYTES = 2 << 20
 POSE_CHUNK_BYTES = 8 << 20
 
 
-def _correlate(xp, wm, k, stride, yo, xo, out):
+def _correlate(xp, wm, k, out):
     """out[n] = wm @ im2col(xp[n]): a cross-correlation in wm's dtype.
 
-    xp is the padded input [N, C, Yp, Xp], cast to wm's dtype, and wm the
-    filter matrix [O, C*k*k]; out [N, O, Yo, Xo] receives the result in its
-    own dtype.  A 1x1 stride-1 correlation unfolds nothing: it is one matmul
-    over the batch.  Otherwise each chunk of whole samples is unfolded into
-    one reused buffer of at most CONV_CHUNK_BYTES (one sample if a sample is
+    xp is the padded input [N, C, Yo+k-1, Xo+k-1], cast to wm's dtype, and wm
+    the filter matrix [O, C*k*k]; out [N, O, Yo, Xo] receives the result in
+    its own dtype.  A 1x1 correlation unfolds nothing: it is one matmul over
+    the batch.  Otherwise each chunk of whole samples is unfolded into one
+    reused buffer of at most CONV_CHUNK_BYTES (one sample if a sample is
     larger) as a [C*k*k, nb*Yo*Xo] matrix and takes a single GEMM.
     """
     o = wm.shape[0]
-    if k == 1 and stride == 1:
+    yo, xo = out.shape[2:]
+    if k == 1:
         xm = xp.reshape(xp.shape[0], -1, yo * xo).astype(wm.dtype, copy=False)
         out[...] = np.matmul(wm, xm).reshape(out.shape)
         return
-    for lo, hi, cols in _column_chunks(xp, k, stride, yo, xo, wm.dtype):
+    for lo, hi, cols in _column_chunks(xp, k, wm.dtype):
         res = np.matmul(wm, cols).reshape(o, hi - lo, yo, xo)
         out[lo:hi] = res.transpose(1, 0, 2, 3)
 
 
-def _column_chunks(xp, k, stride, yo, xo, dtype):
+def _column_chunks(xp, k, dtype):
     """Yield (lo, hi, cols): samples [lo, hi) of xp unfolded to [C*k*k, (hi-lo)*Yo*Xo] of dtype."""
-    n, c = xp.shape[:2]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))
+    n, c, yo, xo = win.shape[:4]
+    win = win.transpose(1, 4, 5, 0, 2, 3)                          # [C, k, k, N, Yo, Xo]
     ckk, p = c * k * k, yo * xo
     nb = max(1, min(n, CONV_CHUNK_BYTES // (np.dtype(dtype).itemsize * ckk * p)))
     buf = np.empty(ckk * nb * p, dtype)
-    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::stride, ::stride]
-    win = win.transpose(1, 4, 5, 0, 2, 3)                          # [C, k, k, N, Yo, Xo]
     for lo in range(0, n, nb):
         hi = min(n, lo + nb)
         cols = buf[:ckk * (hi - lo) * p].reshape(c, k, k, hi - lo, yo, xo)
@@ -548,48 +534,40 @@ def _column_chunks(xp, k, stride, yo, xo, dtype):
         yield lo, hi, cols.reshape(ckk, (hi - lo) * p)
 
 
-def conv2d(f, w, padding="same", stride=1):
+def conv2d(f, w):
     """Channel-summing cross-correlation: out(y) = sum_c sum_x f_c(x) w_c(x - y).
 
-    `same` zero-pads (in f's dtype) to ceil(extent / stride) outputs; `valid`
-    takes only fully covered positions.  The forward and the weight gradient
-    run float64 GEMMs over chunked columns (see `_correlate`); the tape keeps
-    only the unpadded input f, which the previous record already holds.  The
-    weight gradient pads f again and recomputes each chunk's columns; the
-    input gradient, in f's dtype, is a transposed convolution: the output
-    gradient, dilated by the stride and padded so that the result lands on
-    the input's extent, correlated with the flipped, channel-transposed filter.
+    The filter is odd, k x k, and the input is zero-padded (in f's dtype) by
+    k//2 on every side, so the output has the input's extent.  The forward
+    and the weight gradient run float64 GEMMs over chunked columns (see
+    `_correlate`); the tape keeps only the unpadded input f, which the
+    previous record already holds.  The weight gradient pads f again and
+    recomputes each chunk's columns; the input gradient, in f's dtype, is a
+    transposed convolution: the output gradient, padded the same way,
+    correlated with the flipped, channel-transposed filter.
     """
-    k, (pt, pb, yo), (pl, pr, xo) = _conv_geometry(f, w, padding, stride)
+    k = _conv_geometry(f, w)
     n, c, y, x = f.shape
     o = w.shape[0]
 
-    def padded():       # a 1x1 filter needs no padding
-        return f.data if k == 1 else _pad(f.data, (pt, pb), (pl, pr))
+    def padded(a):      # a 1x1 filter needs no padding
+        return a if k == 1 else _pad(a, k // 2)
 
-    out = Tensor(np.empty((n, o, yo, xo), dtype=f.data.dtype))
-    _correlate(padded(), w.data.astype(np.float64).reshape(o, c * k * k), k, stride, yo, xo,
-               out.data)
+    out = Tensor(np.empty((n, o, y, x), dtype=f.data.dtype))
+    _correlate(padded(f.data), w.data.astype(np.float64).reshape(o, c * k * k), k, out.data)
 
     def bwd():
         g = out.grad
         if w.requires_grad:
             gw = np.zeros((o, c * k * k))
-            for lo, hi, cols in _column_chunks(padded(), k, stride, yo, xo, np.float64):
+            for lo, hi, cols in _column_chunks(padded(f.data), k, np.float64):
                 gc = np.ascontiguousarray(g[lo:hi].transpose(1, 0, 2, 3), dtype=np.float64)
                 gw += gc.reshape(o, -1) @ cols.T
             _accumulate(w, gw.reshape(w.shape), owned=True)
         if f.requires_grad:
-            # output row i feeds padded input rows i*stride .. i*stride+k-1; the
-            # input's row r sits at padded row r+pt, so k-1-pt leading zeros put
-            # the taps of input row r at rows r .. r+k-1 of the dilated gradient
-            ty, tx = k - 1 - pt, k - 1 - pl
-            gd = np.zeros((n, o, y + k - 1, x + k - 1), f.data.dtype)
-            gd[:, :, ty:ty + (yo - 1) * stride + 1:stride,
-               tx:tx + (xo - 1) * stride + 1:stride] = g
             wt = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, o * k * k)
             gf = np.empty(f.shape, dtype=f.data.dtype)
-            _correlate(gd, wt, k, 1, y, x, gf)
+            _correlate(padded(g), wt, k, gf)
             _accumulate(f, gf, owned=True)
 
     _record(out, (f, w), bwd)

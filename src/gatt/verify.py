@@ -1,6 +1,6 @@
 """Verification routines: equivariance sweeps, map-relabeling laws, a literal
 double-sum convolution oracle, the rank-7 reference of the attentive
-convolution, the stride/pool parity measurement, and finite-difference
+convolution, the stride-2/pool parity measurement, and finite-difference
 gradient checks.
 
 These functions back both the command-line harness and the acceptance tests,
@@ -249,35 +249,34 @@ def attention_relabel_report(group_name="C4", seed=0, dtype="f64", lifting=False
 # ---------------------------------------------------------------------------
 # literal double-sum convolution oracle
 
-def naive_group_conv(x, grp, weight, stride=1, padding="same"):
+def naive_group_conv(x, grp, weight):
     """Direct evaluation: out(g) = sum over (x~, t~) of f(x~, t~) w(g^-1 (x~, t~)).
 
     Works entirely through the affine group algebra and the raw weight array,
     sharing no code with the im2col path.  `x` is [N, C, |H_in|, Y, X] and
     `weight` [O, C, |H_in|, k, k]; a pose extent of 1 means a lifting layer.
-    Per (h, t), g^-1 (x~, t) is formed for all output centres and input pixels
-    at once, by broadcasting coordinate arrays through the affine algebra.
+    Every input pixel is an output centre, and pixels off the plane count as
+    zeros.  Per (h, t), g^-1 (x~, t) is formed for all output centres and
+    input pixels at once, by broadcasting coordinate arrays through the
+    affine algebra.
     """
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(weight, dtype=np.float64)
     n, c, hin, ysz, xsz = x.shape
     o, _, _, k, _ = w.shape
     r = k // 2
-    pt, _, yo_sz = T._pad_amounts(ysz, k, stride, padding)
-    pl, _, xo_sz = T._pad_amounts(xsz, k, stride, padding)
-    centre = ((np.arange(yo_sz) * stride - pt + r)[:, None, None, None],
-              (np.arange(xo_sz) * stride - pl + r)[None, :, None, None])
+    centre = (np.arange(ysz)[:, None, None, None], np.arange(xsz)[None, :, None, None])
     pixel = (np.arange(ysz)[:, None], np.arange(xsz))
-    out = np.zeros((n, o, grp.order, yo_sz, xo_sz))
+    out = np.zeros((n, o, grp.order, ysz, xsz))
     for h in range(grp.order):
         ginv = invert_affine(grp, AffineElement(centre, h))
         for t in range(hin):
             rel = compose_affine(grp, ginv, AffineElement(pixel, t))
-            du, dv = rel.x                                     # [Yo, Xo, Y, X]
+            du, dv = rel.x                                     # [Y, X, Y, X] (centre, pixel)
             inside = (np.abs(du) <= r) & (np.abs(dv) <= r)
             wg = w[:, :, rel.h if hin > 1 else 0,
                    np.where(inside, du + r, 0), np.where(inside, dv + r, 0)]
-            wg = np.where(inside, wg, 0.0)                     # [O, C, Yo, Xo, Y, X]
+            wg = np.where(inside, wg, 0.0)                     # [O, C, Y, X, Y, X]
             out[:, :, h] += np.einsum("ncyx,ocpqyx->nopq", x[:, :, t], wg)
     return out
 
@@ -293,22 +292,16 @@ def conv_oracle_report(seed=0, tolerance=1e-12):
         grp = make_group(gname)
         for size in (4, 5, 6):
             for lifting in (False, True):
-                for stride, padding in ((1, "same"), (2, "same"), (1, "valid")):
-                    rng = new_rng(seed + cases)
-                    layer = make_gconv_layer(rng, grp, 2, 2, kernel=3,
-                                             lifting=lifting, stride=stride,
-                                             padding=padding, dtype="f64",
-                                             name="oracle")
-                    hin = 1 if lifting else grp.order
-                    x = rng.standard_normal((1, 2, hin, size, size))
-                    got = group_conv(Tensor(x), layer).data
-                    want = naive_group_conv(x, grp, layer.weight.data, stride=stride,
-                                            padding=padding)
-                    err = max_abs(got, want)
-                    report[f"err_{gname}_s{size}_{'lift' if lifting else 'gc'}"
-                           f"_{padding}{stride}"] = err
-                    worst = max(worst, err)
-                    cases += 1
+                rng = new_rng(seed + 3 * cases)     # the seeds these cases have always drawn
+                layer = make_gconv_layer(rng, grp, 2, 2, kernel=3, lifting=lifting,
+                                         dtype="f64", name="oracle")
+                hin = 1 if lifting else grp.order
+                x = rng.standard_normal((1, 2, hin, size, size))
+                got = group_conv(Tensor(x), layer).data
+                err = max_abs(got, naive_group_conv(x, grp, layer.weight.data))
+                report[f"err_{gname}_s{size}_{'lift' if lifting else 'gc'}"] = err
+                worst = max(worst, err)
+                cases += 1
     for key, err in attentive_oracle_errors("C4", seed=seed).items():
         report[f"err_attentive_fast_vs_reference_{key}"] = err
         worst = max(worst, err)
@@ -328,7 +321,7 @@ def conv_oracle_report(seed=0, tolerance=1e-12):
 # gate, multiply and reduce, each step an ordinary differentiable op.
 
 def intermediate_responses(f: Tensor, layer):
-    """Per-pair responses before reduction, [N, O, C, |H|, |H_in|, Yo, Xo].
+    """Per-pair responses before reduction, [N, O, C, |H|, |H_in|, Y, X].
 
     Entry [n, o, c, h, t] is the spatial cross-correlation of input slice
     (c, t) with slice (c, t) of the h-transformed filter; summing over
@@ -343,9 +336,8 @@ def intermediate_responses(f: Tensor, layer):
     bank = T.reshape(filter_bank(layer), (oh, 1, ct, k, k))
     eye = Tensor(np.eye(ct, dtype=bank.data.dtype)[None, :, :, None, None])
     diag = T.reshape(T.mul(bank, eye), (oh * ct, ct, k, k))
-    resp = T.conv2d(T.reshape(f, (n, ct, y, x)), diag, padding=layer.padding,
-                    stride=layer.stride)
-    resp = T.reshape(resp, (n, o, layer.group.order, c, hin) + resp.shape[2:])
+    resp = T.conv2d(T.reshape(f, (n, ct, y, x)), diag)
+    resp = T.reshape(resp, (n, o, layer.group.order, c, hin, y, x))
     return T.transpose(resp, (0, 1, 3, 2, 4, 5, 6))
 
 
@@ -447,7 +439,7 @@ def spatial_attention(s_x, params, grp):
             * np.eye(hin)[None, :, None, None, :, None, None])  # [h, t, -, h', t', -, -]
     diag = T.mul(psis, Tensor(mask.astype(psis.data.dtype)))    # [h, t, s, h', t', k, k]
     diag = T.reshape(diag, (hh * hin, 2 * hh * hin, k, k))
-    resp = T.conv2d(T.reshape(s_x, (n, 2 * hh * hin, y, x)), diag, padding="same")
+    resp = T.conv2d(T.reshape(s_x, (n, 2 * hh * hin, y, x)), diag)
     alpha = residual_gate(T.reshape(resp, (n, 1, hh, hin, y, x)))
     if folded is not None:
         nn, o = folded
@@ -502,8 +494,7 @@ def reference_attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=N
 
 
 def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
-                            lifting=False, stride=1, padding="same", seed=0, ties=False,
-                            dtype="f64", batch=2):
+                            lifting=False, seed=0, ties=False, dtype="f64", batch=2):
     """Fast block against reference_attentive_group_conv on one small layer.
 
     Returns max|fast - reference| / max(1, max|reference|) for the output,
@@ -518,8 +509,8 @@ def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
     grp = make_group(group_name)
     rng = new_rng(seed)
     hin = 1 if lifting else grp.order
-    layer = make_gconv_layer(rng, grp, 4, 3, kernel=3, lifting=lifting, stride=stride,
-                             padding=padding, dtype=dtype, name="conv")
+    layer = make_gconv_layer(rng, grp, 4, 3, kernel=3, lifting=lifting, dtype=dtype,
+                             name="conv")
     ch, sp = _attention_for(rng, variant, 4, hin, 2, 3, dtype, "att")
     x = rng.standard_normal((batch, 4, hin, 7, 7))
     if ties:
@@ -596,12 +587,14 @@ def parity_report(size=32, seed=0, dtype="f32"):
     Returns (report, maps): `maps` holds each stack's per-pixel error plane
     of the first sample, under "stride" and "pool".
 
-    The downsampling grid of a stride-2 convolution keeps even-indexed rows
-    and columns; a quarter turn of an even-extent plane maps them onto
-    odd-indexed ones, so the two orders of operations disagree.  2x2 pooling
-    windows tile an even plane symmetrically instead.  On odd extents the
-    situation flips: the stride grid becomes symmetric while no symmetric
-    2x2 tiling exists.
+    The stride-2 stack is a stride-1 group conv followed by nn.StrideSubsample,
+    which keeps the centres of a same-padded stride-2 conv's windows: every
+    second row and column, ending at the last one.  A quarter turn of an
+    even-extent plane maps that grid, which starts at index 1, onto one that
+    starts at index 0, so the two orders of operations disagree.  2x2
+    pooling windows tile an even plane symmetrically instead.  On odd
+    extents the situation flips: the stride grid becomes symmetric while no
+    symmetric 2x2 tiling exists.
     """
     net_a, net_b = build_parity_nets(dtype=dtype, seed=seed)
     grp = net_a.group
@@ -680,22 +673,17 @@ def gradcheck_cases(seed=0):
     xc = _p(rng, (1, 2, 5, 5), "xc")
     wc = _p(rng, (3, 2, 3, 3), "wc", 0.5)
     bc = _p(rng, (1, 3, 1, 1), "bc", 0.1)
-    xv = _p(rng, (1, 2, 7, 7), "xv")
 
     def loss_conv():
-        y1 = T.add(T.conv2d(xc, wc, padding="same", stride=1), bc)
-        y2 = T.conv2d(xv, wc, padding="valid", stride=2)
-        y3 = T.conv2d(xc, wc, padding="same", stride=2)
-        return T.add(T.reduce(T.relu(y1)),
-                     T.add(T.reduce(y2), T.reduce(y3)))
-    cases.append(("conv2d", [xc, wc, bc, xv], loss_conv))
+        return T.reduce(T.relu(T.add(T.conv2d(xc, wc), bc)))
+    cases.append(("conv2d", [xc, wc, bc], loss_conv))
 
     rng = new_rng(seed + 5)
     xm = _p(rng, (2, 2, 6, 6), "xm")
     wm = _p(rng, (2, 2, 3, 3), "wm", 0.5)
 
     def loss_pool():
-        p = T.max_pool2d(T.conv2d(xm, wm, padding="same", stride=1))
+        p = T.max_pool2d(T.conv2d(xm, wm))
         return T.add(T.reduce(p), T.reduce(T.mul(p, p)))
     cases.append(("conv_pool", [xm, wm], loss_pool))
 
@@ -831,14 +819,14 @@ def alpha_x_consistency(net, x, index, tolerance=1e-4):
 
     The law holds only if every 2x2 pooling ahead of layer `index` halves
     its input exactly, so an input extent not divisible by 2^(pools) is
-    rejected with a ValueError.
+    rejected with a ValueError before the net runs.
     """
     grp = net.group
-    base = block_alpha_x(net, x, index)
     scale = 2 ** sum(isinstance(layer, MaxPoolG) for layer in net.layers[:index])
     if any(e % scale for e in x.shape[-2:]):
         raise ValueError(f"{scale} does not divide the {x.shape[-2]}x{x.shape[-1]} input: "
                          f"the 2x2 pooling ahead of layer {index} cannot halve it exactly")
+    base = block_alpha_x(net, x, index)
     pose_axes = (2,) if base.ndim == 5 else (-4, -3)
     report = {"layer": index, "tolerance": tolerance}
     maps = {0: base}

@@ -15,6 +15,7 @@ from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
 from gatt.autodiff import Parameter, backward, new_rng, zero_grads
 from gatt.gconv import group_conv, make_gconv_layer
 from gatt.groups import feature_perm, make_group, transform_array
+from gatt.nn import build_tiny_net
 from gatt.tensor import Tape, Tensor
 from gatt.verify import (attentive_oracle_errors, channel_attention, channel_stats,
                          intermediate_responses, reference_attention_maps,
@@ -392,16 +393,14 @@ def test_fast_block_matches_reference_oracle(group_name, variant):
     cases = 0
     for pool_out in (True, False):
         for lifting in (False, True):
-            for stride, padding in ((1, "same"), (2, "same"), (1, "valid")):
-                seed = 12 * (not pool_out) + cases % 6     # seeds 0-5 and 12-17
-                errs = attentive_oracle_errors(group_name, variant, pool_out, lifting,
-                                               stride, padding, seed=seed,
-                                               ties=seed % 2 == 1)
-                assert set(errs) == keys
-                assert max(errs.values()) <= 1e-10, errs
-                assert errs["tapeless_vs_taped"] == 0.0, errs
-                cases += 1
-    assert cases == 12
+            seed = 12 * (not pool_out) + 3 * lifting       # seeds 0, 3, 12 and 15
+            errs = attentive_oracle_errors(group_name, variant, pool_out, lifting,
+                                           seed=seed, ties=seed % 2 == 1)
+            assert set(errs) == keys
+            assert max(errs.values()) <= 1e-10, errs
+            assert errs["tapeless_vs_taped"] == 0.0, errs
+            cases += 1
+    assert cases == 4
 
 
 @pytest.mark.parametrize("group_name", ["C4", "D4"])
@@ -529,3 +528,14 @@ def test_attentive_forward_and_backward_peak_below_the_whole_batch_slice():
         tracemalloc.stop()
     assert x.grad.shape == x.shape and layer.weight.grad is not None
     assert peak < slice_bytes
+
+
+def test_alpha_x_consistency_rejects_an_unpoolable_extent_before_running(monkeypatch):
+    # a 15x15 input cannot be halved by the tiny net's 2x2 pooling: the
+    # check refuses it without running the net up to the block
+    net = build_tiny_net("C4", variant="full", channels=4, dtype="f64", seed=0)
+    calls = []
+    monkeypatch.setattr(V, "block_alpha_x", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="does not divide"):
+        V.alpha_x_consistency(net, np.zeros((1, 1, 15, 15)), V.attentive_block_indices(net)[0])
+    assert calls == []

@@ -103,7 +103,7 @@ def test_thm1_oracle_detects_absolute_indexing(capsys):
 def test_conv_oracle(capsys):
     code, rep = run_cli(capsys, "conv-oracle", "--dtype", "f64")
     assert code == 0
-    assert rep["cases"] == "36"
+    assert rep["cases"] == "12"
     assert float(rep["max_err"]) <= 1e-12
 
 
@@ -361,6 +361,19 @@ def test_attend_unpoolable_extent_exits_2_without_out(capsys, tmp_path, input_ch
     assert code == 2
     assert captured.out == ""
     assert "does not divide" in captured.err
+
+
+def test_attend_empty_image_exits_2_and_writes_nothing(capsys, tmp_path, input_checkpoint):
+    # a 0x0 graymap is malformed input: read_pgm rejects it before the net runs
+    image, out = tmp_path / "empty.pgm", tmp_path / "maps"
+    image.write_bytes(b"P5\n0 0\n255\n")
+    code = main(["attend", "--checkpoint", input_checkpoint, "--variant", "input",
+                 "--channels", "4", "--seed", "5", "--image", str(image), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert str(image) in captured.err and "width must be a positive integer" in captured.err
+    assert not (out / "attend.txt").exists()
 
 
 def test_checkpoint_with_conv_biases_is_rejected(capsys, tmp_path):

@@ -276,6 +276,17 @@ def test_netpbm_error_paths(tmp_path):
     p.write_bytes(b"P5\n2 2\n255\n\x00")
     with pytest.raises(ValueError, match="payload"):
         read_pgm(p)
+    p.write_bytes(b"P5\n2 2\n255")     # no whitespace and no payload after maxval
+    with pytest.raises(ValueError, match="payload"):
+        read_pgm(p)
+    # a missing, non-numeric, zero or negative extent: a ValueError naming the file
+    for header, field in ((b"P5\n0 0\n255\n", "width"), (b"P5\n4 ", "height"),
+                          (b"P5\n-2 -2\n255\n", "width"), (b"P5\n2 x\n255\n", "height"),
+                          (b"P5\n3 0\n255\n", "height"), (b"P5\n2 2\n", "maxval")):
+        p.write_bytes(header)
+        with pytest.raises(ValueError, match=f"{field} must be a positive integer") as err:
+            read_pgm(p)
+        assert str(p) in str(err.value)
     with pytest.raises(ValueError):
         write_pgm(tmp_path / "x.pgm", np.zeros((2, 2, 3)))
 

@@ -8,6 +8,7 @@ from gatt.autodiff import Parameter, new_rng
 from gatt.gconv import GConvLayer, filter_bank, group_conv, group_pool, make_gconv_layer
 from gatt.groups import (AffineElement, compose_affine, invert_affine, make_group,
                          orbit_index, transform_array)
+from gatt.nn import StrideSubsample
 from gatt.tensor import Tensor
 from gatt.verify import conv_oracle_report, intermediate_responses, naive_group_conv
 
@@ -88,25 +89,36 @@ def test_gconv_matches_double_sum(group_name, lifting):
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+def _centres(extent, k, padding, stride):
+    """Input rows on which a `padding`, stride-`stride` conv centres its windows."""
+    if padding == "same":
+        count = -(-extent // stride)
+        first = k // 2 - max((count - 1) * stride + k - extent, 0) // 2
+    else:
+        count, first = (extent - k) // stride + 1, k // 2
+    return first + stride * np.arange(count)
+
+
 def test_gconv_stride2_matches_double_sum():
+    # the parity demo's stride arm, a group conv then StrideSubsample, is the
+    # literal double sum at the centres of a same-padded stride-2 conv
     grp = make_group("C4")
-    layer = make_gconv_layer(new_rng(10), grp, 2, 2, kernel=3, stride=2,
-                             dtype="f64")
-    x = new_rng(11).standard_normal((1, 2, 4, 6, 6))
-    got = group_conv(_feature(x), layer).data
-    want = naive_group_conv(x, grp, layer.weight.data, stride=2)
-    np.testing.assert_allclose(got, want, atol=1e-12)
+    layer = make_gconv_layer(new_rng(10), grp, 2, 2, kernel=3, dtype="f64")
+    for size in (6, 7):
+        x = new_rng(11).standard_normal((1, 2, 4, size, size))
+        got = StrideSubsample().forward(group_conv(_feature(x), layer), None).data
+        c = _centres(size, 3, "same", 2)
+        want = naive_group_conv(x, grp, layer.weight.data)[..., c[:, None], c]
+        assert got.shape == want.shape == (1, 2, 4, len(c), len(c))
+        np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-def _per_term_output(x, grp, w, h, yo, xo, stride, padding):
-    """out[:, :, h, yo, xo] of the correlation, one invert_affine /
-    compose_affine call per term of the double sum."""
+def _per_term_output(x, grp, w, h, cy, cx):
+    """out[:, :, h] of the correlation at the window centre (cy, cx), one
+    invert_affine / compose_affine call per term of the double sum."""
     _, _, hin, ysz, xsz = x.shape
-    k = w.shape[-1]
-    r = k // 2
-    pt = T._pad_amounts(ysz, k, stride, padding)[0]
-    pl = T._pad_amounts(xsz, k, stride, padding)[0]
-    ginv = invert_affine(grp, AffineElement((yo * stride - pt + r, xo * stride - pl + r), h))
+    r = w.shape[-1] // 2
+    ginv = invert_affine(grp, AffineElement((cy, cx), h))
     total = np.zeros((x.shape[0], w.shape[0]))
     for t in range(hin):
         for ty in range(ysz):
@@ -125,19 +137,21 @@ def _per_term_output(x, grp, w, h, yo, xo, stride, padding):
     ids=["lift", "group", "stride2", "valid"])
 def test_naive_group_conv_matches_per_term_sum(group_name, lifting, stride, padding):
     # the array-evaluated oracle against its own definition, term by term, at
-    # both corners and a few sampled outputs
+    # the first and last and a few sampled window centres of a conv of the
+    # given geometry: every one is an output of the stride-1 same oracle
     grp = make_group(group_name)
     rng = new_rng(30)
     hin = 1 if lifting else grp.order
     w = rng.standard_normal((2, 3, hin, 3, 3))
     x = rng.standard_normal((2, 3, hin, 6, 6))
-    out = naive_group_conv(x, grp, w, stride=stride, padding=padding)
-    _, _, hsz, yo_sz, xo_sz = out.shape
-    samples = [(0, 0, 0), (hsz - 1, yo_sz - 1, xo_sz - 1)] + [
-        tuple(int(rng.integers(e)) for e in (hsz, yo_sz, xo_sz)) for _ in range(4)]
-    for h, yo, xo in samples:
-        want = _per_term_output(x, grp, w, h, yo, xo, stride, padding)
-        np.testing.assert_allclose(out[:, :, h, yo, xo], want, rtol=0, atol=1e-13)
+    out = naive_group_conv(x, grp, w)
+    assert out.shape == (2, 2, grp.order, 6, 6)
+    c = _centres(6, 3, padding, stride)
+    samples = [(0, 0, 0), (grp.order - 1, len(c) - 1, len(c) - 1)] + [
+        tuple(int(rng.integers(e)) for e in (grp.order, len(c), len(c))) for _ in range(4)]
+    for h, i, j in samples:
+        want = _per_term_output(x, grp, w, h, c[i], c[j])
+        np.testing.assert_allclose(out[:, :, h, c[i], c[j]], want, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("lifting", [True, False])
@@ -211,27 +225,25 @@ def test_intermediate_responses_lifting():
 
 
 @pytest.mark.parametrize("lifting", [True, False])
-@pytest.mark.parametrize("stride", [1, 2])
-def test_intermediate_responses_are_single_channel_convs(lifting, stride):
+def test_intermediate_responses_are_single_channel_convs(lifting):
     # slice [n, o, c, h, t] correlates input slice (c, t) with bank row (o, h),
     # column (c, t): the block-diagonal filter mixes no other input channel
     grp = make_group("D4")
     layer = make_gconv_layer(new_rng(17), grp, 2, 3, kernel=3, lifting=lifting,
-                             stride=stride, dtype="f64")
+                             dtype="f64")
     hin = 1 if lifting else grp.order
     x = new_rng(18).standard_normal((2, 2, hin, 7, 7))
     resp = intermediate_responses(_feature(x), layer).data
     bank = filter_bank(layer).data                 # [(O, H), (C, Hin), k, k]
     o = 3
-    assert resp.shape == (2, o, 2, grp.order, hin, 4 if stride == 2 else 7,
-                          4 if stride == 2 else 7)
+    assert resp.shape == (2, o, 2, grp.order, hin, 7, 7)
     for c in range(2):
         for t in range(hin):
             plane = Tensor(x[:, c:c + 1, t])
             for h in range(grp.order):
                 for oi in range(o):
                     w = Tensor(bank[oi * grp.order + h, c * hin + t][None, None])
-                    want = T.conv2d(plane, w, stride=stride).data[:, 0]
+                    want = T.conv2d(plane, w).data[:, 0]
                     np.testing.assert_allclose(resp[:, oi, c, h, t], want, rtol=0,
                                                atol=1e-12)
 

@@ -13,7 +13,7 @@ from gatt.gconv import make_gconv_layer
 from gatt.groups import make_group, transform_array
 from gatt.nn import (BN_EPS, VARIANTS, ForwardCtx, GBatchNorm, GBlock, GDropout,
                      GroupPoolL, MaxPoolG, Network, PoseBias, ReLUG, SpatialMeanL,
-                     build_digit_net, build_parity_nets, build_tiny_net)
+                     StrideSubsample, build_digit_net, build_parity_nets, build_tiny_net)
 from gatt.tensor import Tape, Tensor
 from gatt.training import accuracy, fit, minibatch_order, predict
 from gatt.verify import random_stack, reference_batch_norm, stack_suite
@@ -320,8 +320,12 @@ def test_parity_nets_share_first_layer():
     wa = net_a.layers[0].layer.weight.data
     wb = net_b.layers[0].layer.weight.data
     np.testing.assert_array_equal(wa, wb)
-    assert net_a.layers[2].layer.stride == 2
-    assert net_b.layers[2].layer.stride == 1
+    assert len(net_a.layers) == len(net_b.layers) == 4
+    # both second convs are stride-1 with the same weights; only the
+    # downsampling differs
+    np.testing.assert_array_equal(net_a.layers[2].layer.weight.data,
+                                  net_b.layers[2].layer.weight.data)
+    assert isinstance(net_a.layers[3], StrideSubsample)
     assert isinstance(net_b.layers[3], MaxPoolG)
 
 

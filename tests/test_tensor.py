@@ -5,11 +5,17 @@ from hypothesis import strategies as st
 
 import gatt.tensor as T
 from gatt.autodiff import Parameter, backward
+from gatt.nn import StrideSubsample
 from gatt.tensor import Tape, Tensor
 
 
 def loop_conv2d(f, w, padding="same", stride=1):
-    """Reference cross-correlation written as plain loops; no shared code."""
+    """Reference cross-correlation written as plain loops; no shared code.
+
+    Besides conv2d's one geometry (same padding, stride 1) it computes a
+    strided or `valid` conv, whose outputs lie on a grid of conv2d's (see
+    `_grid`).
+    """
     n, c, y, x = f.shape
     o, _, k, _ = w.shape
     r = k // 2
@@ -39,26 +45,48 @@ def loop_conv2d(f, w, padding="same", stride=1):
     return out
 
 
+def _grid(extent, k, padding, stride):
+    """Where a `padding`, stride-`stride` conv's outputs sit among conv2d's.
+
+    Output i of that conv centres its window on input row first + i*stride,
+    and conv2d's output row j is centred on input row j, so the strided conv
+    is conv2d's output sampled on this slice.
+    """
+    if padding == "same":
+        count = -(-extent // stride)
+        first = k // 2 - max((count - 1) * stride + k - extent, 0) // 2
+    else:
+        count, first = (extent - k) // stride + 1, k // 2
+    return slice(first, first + (count - 1) * stride + 1, stride)
+
+
+def _on_grid(a, k, padding, stride):
+    """The part of a conv2d output a [N, O, Y, X] that a `padding`,
+    stride-`stride` conv computes."""
+    return a[..., _grid(a.shape[2], k, padding, stride), _grid(a.shape[3], k, padding, stride)]
+
+
 @pytest.mark.parametrize("padding,stride", [("same", 1), ("same", 2), ("same", 3),
                                             ("valid", 1), ("valid", 2)])
 @pytest.mark.parametrize("size", [5, 6, 8])
 def test_conv2d_matches_loop_oracle(padding, stride, size):
+    # a strided or valid conv is conv2d's output on a grid: conv2d keeps
+    # every window centre
     rng = np.random.default_rng(7)
     f = Tensor(rng.standard_normal((2, 3, size, size)))
     w = Tensor(rng.standard_normal((4, 3, 3, 3)))
-    got = T.conv2d(f, w, padding=padding, stride=stride).data
+    got = _on_grid(T.conv2d(f, w).data, 3, padding, stride)
     want = loop_conv2d(f.data, w.data, padding=padding, stride=stride)
     assert got.shape == want.shape
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_conv2d_output_extents():
-    f = Tensor(np.zeros((1, 1, 7, 7)))
-    w = Tensor(np.zeros((1, 1, 3, 3)))
-    assert T.conv2d(f, w, "same", 1).shape == (1, 1, 7, 7)
-    assert T.conv2d(f, w, "same", 2).shape == (1, 1, 4, 4)
-    assert T.conv2d(f, w, "valid", 1).shape == (1, 1, 5, 5)
-    assert T.conv2d(f, w, "valid", 2).shape == (1, 1, 3, 3)
+    # every filter extent is same-padded: the output keeps the input's extent
+    for k in (1, 3, 5):
+        for y, x in ((7, 7), (2, 9), (1, 1)):
+            f = Tensor(np.zeros((2, 3, y, x)))
+            assert T.conv2d(f, Tensor(np.zeros((4, 3, k, k)))).shape == (2, 4, y, x)
 
 
 def test_conv2d_delta_stamps_flipped_kernel():
@@ -66,7 +94,7 @@ def test_conv2d_delta_stamps_flipped_kernel():
     f = np.zeros((1, 1, 7, 7))
     f[0, 0, 3, 3] = 1.0
     w = np.arange(9, dtype=np.float64).reshape(1, 1, 3, 3)
-    out = T.conv2d(Tensor(f), Tensor(w), padding="same").data
+    out = T.conv2d(Tensor(f), Tensor(w)).data
     np.testing.assert_array_equal(out[0, 0, 2:5, 2:5], w[0, 0, ::-1, ::-1])
 
 
@@ -75,9 +103,9 @@ def test_conv2d_commutes_with_translation():
     f = np.zeros((1, 2, 9, 9))
     f[:, :, 2:7, 2:7] = rng.standard_normal((1, 2, 5, 5))
     w = rng.standard_normal((3, 2, 3, 3))
-    base = T.conv2d(Tensor(f), Tensor(w), padding="same").data
+    base = T.conv2d(Tensor(f), Tensor(w)).data
     shifted = np.roll(f, (1, 1), axis=(2, 3))
-    got = T.conv2d(Tensor(shifted), Tensor(w), padding="same").data
+    got = T.conv2d(Tensor(shifted), Tensor(w)).data
     np.testing.assert_allclose(got, np.roll(base, (1, 1), axis=(2, 3)), atol=1e-12)
 
 
@@ -89,13 +117,6 @@ def test_conv2d_rejects_bad_inputs():
         T.conv2d(f, Tensor(np.zeros((1, 2, 2, 2))))  # even kernel
     with pytest.raises(ValueError):
         T.conv2d(f, Tensor(np.zeros((1, 2, 3, 5))))  # non-square kernel
-    with pytest.raises(ValueError):
-        T.conv2d(f, Tensor(np.zeros((1, 2, 3, 3))), stride=0)
-    with pytest.raises(ValueError):
-        T.conv2d(Tensor(np.zeros((1, 2, 2, 2))), Tensor(np.zeros((1, 2, 3, 3))),
-                 padding="valid")  # input smaller than kernel
-    with pytest.raises(ValueError):
-        T.conv2d(f, Tensor(np.zeros((1, 2, 3, 3))), padding="reflect")
     with pytest.raises(ValueError):
         T.conv2d(f, Tensor(np.zeros((1, 2, 3, 3), dtype=np.float32)))  # dtype mix
 
@@ -129,12 +150,17 @@ def loop_conv2d_grads(f, w, g, padding="same", stride=1):
 
 
 def _conv_with_grads(f, w, g, padding, stride):
+    """conv2d's output on the `padding`/`stride` grid, and its input and
+    weight gradients for the output gradient g on that grid (0 elsewhere)."""
     fp = Parameter(f, dtype=f.dtype)
     wp = Parameter(w, dtype=w.dtype)
     with Tape() as tape:
-        out = T.conv2d(fp, wp, padding=padding, stride=stride)
-        backward(tape, T.reduce(T.mul(out, Tensor(g.astype(f.dtype)))))
-    return out.data, fp.grad, wp.grad
+        out = T.conv2d(fp, wp)
+        k = w.shape[2]
+        g_all = np.zeros(out.shape, f.dtype)
+        _on_grid(g_all, k, padding, stride)[...] = g
+        backward(tape, T.reduce(T.mul(out, Tensor(g_all))))
+    return _on_grid(out.data, k, padding, stride), fp.grad, wp.grad
 
 
 def _check_conv_against_loops(f, w, padding, stride, atol):
@@ -167,8 +193,7 @@ def test_conv2d_chunks_span_the_batch_with_a_ragged_last_one(monkeypatch, paddin
     f = rng.standard_normal((5, 2, 7, 6))
     w = rng.standard_normal((3, 2, 3, 3))
     # columns of two samples per forward chunk: chunks of 2, 2 and 1 samples
-    yo, xo = T.conv2d(Tensor(f), Tensor(w), padding, stride).shape[2:]
-    monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 8 * 2 * 9 * yo * xo)
+    monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 8 * 2 * 9 * 7 * 6)
     chunks = []
     column_chunks = T._column_chunks
 
@@ -234,7 +259,7 @@ def test_f32_conv2d_input_gradient_runs_in_f32(monkeypatch, stride):
         correlate(xp, wm, *args)
 
     monkeypatch.setattr(T, "_correlate", recording)
-    g = rng.standard_normal(T.conv2d(Tensor(f), Tensor(w), "same", stride).shape)
+    g = rng.standard_normal(_on_grid(np.empty((3, 4, 7, 8)), 3, "same", stride).shape)
     gemm_dtypes.clear()
     _, df, _ = _conv_with_grads(f, w, g, "same", stride)
     assert gemm_dtypes == [np.float64, np.float32] and df.dtype == np.float32
@@ -250,7 +275,7 @@ def test_conv2d_chunk_budget_is_bytes_in_the_gemm_dtype(monkeypatch):
     monkeypatch.setattr(T, "CONV_CHUNK_BYTES", 2 * 8 * ckk * p)
     sizes = {}
     for dtype in (np.float64, np.float32):
-        chunks = list(T._column_chunks(xp, 3, 1, 6, 6, dtype))
+        chunks = list(T._column_chunks(xp, 3, dtype))
         assert all(cols.dtype == dtype for _, _, cols in chunks)
         sizes[dtype] = [hi - lo for lo, hi, _ in chunks]
     assert sizes[np.float64] == [2, 2, 2, 2, 1] and sizes[np.float32] == [4, 4, 1]
@@ -268,6 +293,27 @@ def test_conv2d_1x1_pads_in_neither_pass(monkeypatch, stride):
     monkeypatch.setattr(T, "_pad", lambda *args: pads.append(args) or pad(*args))
     _check_conv_against_loops(f, w, "same", stride, atol=1e-5)
     assert not pads
+
+
+@pytest.mark.parametrize("size", [8, 9])
+def test_stride_subsample_after_conv2d_is_the_stride2_conv(size):
+    # the parity demo's stride arm: nn.StrideSubsample keeps the centres of a
+    # same-padded stride-2 conv's windows, so after conv2d it is that conv,
+    # forward and backward
+    rng = np.random.default_rng(40)
+    f = rng.standard_normal((2, 3, size, size))
+    w = rng.standard_normal((4, 3, 3, 3))
+    want = loop_conv2d(f, w, stride=2)
+    g = rng.standard_normal(want.shape)
+    fp, wp = Parameter(f, dtype="f64"), Parameter(w, dtype="f64")
+    with Tape() as tape:
+        out = T.reshape(T.conv2d(fp, wp), (2, 4, 1, size, size))
+        sub = StrideSubsample().forward(out, None)
+        backward(tape, T.reduce(T.mul(sub, Tensor(g[:, :, None]))))
+    want_df, want_dw = loop_conv2d_grads(f, w, g, stride=2)
+    np.testing.assert_allclose(sub.data[:, :, 0], want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fp.grad, want_df, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(wp.grad, want_dw, rtol=0, atol=1e-12)
 
 
 def test_conv2d_tape_keeps_no_columns():
