@@ -177,7 +177,10 @@ class _PoseKernel:
     copy of the input: a chunk pads and unfolds its samples (`_im2col`) in
     the forward and again in the backward, which folds the chunk's input
     gradient (`_col2im`) into one whole-input array and then frees the
-    chunk's state.
+    chunk's state.  A chunk keeps, per pose, alpha_C with its bottleneck
+    inputs, the alpha_X max and the route maps, each route in the narrowest
+    unsigned dtype for its extent (`_narrow`); for all poses it keeps the
+    gated channel sums, alpha_X and the statistics' spectra.
     """
 
     def __init__(self, flat, bank, w1g, w2g, psis, order, hin, pool_out):
@@ -214,11 +217,6 @@ class _PoseKernel:
             self.lag_out = np.ix_(*[(np.arange(e) - ks // 2) % ln
                                     for e, ln in zip((self.yo, self.xo), self.fshape)])
             self.lag_psi = np.ix_(*[(np.arange(ks) - ks // 2) % ln for ln in self.fshape])
-            # flat index of R[n, c, t, 0, p] in a chunk: a column over c is col_base + o* p
-            self.col_base = _flat_index((nb, c, hin, o, p),
-                                        np.arange(nb)[:, None, None, None, None],
-                                        np.arange(c)[:, None, None, None],
-                                        np.arange(hin)[:, None, None], 0, np.arange(p))
         self.chunks = []
 
     def _unfold(self, ck):
@@ -309,7 +307,7 @@ class _PoseKernel:
             rv = r.reshape(n, c, hin, g, -1)
             am = rv.argmax(axis=-1)                                 # [n, C, Hin, g]
             smax = np.take_along_axis(rv, am[..., None], axis=-1)[..., 0]
-            st.update(am=am)
+            st.update(am=_narrow(am, rv.shape[-1]))
         s = np.stack((np.einsum("ctgk,nctk->nctg", self.wsum[h], ck.xs) / (rep * p), smax))
         sb = s.transpose(3, 2, 0, 1, 4).reshape(hin, c, 2 * n * g)  # [Hin, C, (2, n, g)]
         u = np.matmul(self.w1[h], sb)
@@ -336,14 +334,17 @@ class _PoseKernel:
             mx = gmc.max(axis=2, keepdims=True)                     # [n, Hin, 1, P]
             om = _first_true(gmc == mx, axis=2)
             mean = gc.sum(axis=2, keepdims=True) / (o * c)
-            col = np.take(r, self.col_base[:n] + om[:, None] * p)  # [n, C, Hin, 1, P]
+            # flat index of R[n, c, t, o*, p]: one per (n, t, p), plus c's stride
+            at = _flat_index(r.shape, np.arange(n)[:, None, None, None], 0,
+                             np.arange(hin)[:, None, None], om, np.arange(p))
+            col = np.take(r, at[:, None] + np.arange(c)[:, None, None, None] * (hin * o * p))
         else:
             om = np.arange(o)[:, None]
             mx, mean, col = gmc, gc / c, r
         cm = _first_true(col == mx[:, None], axis=1)[:, 0]          # [n, Hin, g, P]
         out[:, :, 0] = mean.transpose(0, 2, 1, 3)
         out[:, :, 1] = mx.transpose(0, 2, 1, 3)
-        st.update(om=om, cm=cm, mx=mx)
+        st.update(om=_narrow(om, o), cm=_narrow(cm, c), mx=mx)
 
     # -- backward -------------------------------------------------------------
 
@@ -445,7 +446,8 @@ class _PoseKernel:
         fcorr = (np.conj(fdq)[:, :, :, None] * ck.fs).sum(axis=(1, 2))
         dmean, dmax = ds.reshape(order, n, g, 2, hin, p).transpose(3, 1, 4, 0, 2, 5)
         e += dmean / (o * c if self.pool_out else c)
-        routes = [(st["om"], st["cm"], dmax[:, :, h]) for h, st in enumerate(ck.poses)]
+        routes = [(st["om"].astype(np.intp), st["cm"].astype(np.intp), dmax[:, :, h])
+                  for h, st in enumerate(ck.poses)]
         return e.reshape(n, hin, order * o, p), routes, fcorr
 
     def _route_max_x(self, ck, h, route, dwb, dac, dx5):
@@ -500,7 +502,7 @@ class _PoseKernel:
         dwb += np.einsum("nctg,nctk->ctgk", dsa, ck.xs).repeat(rep, axis=2) / span
         const += np.einsum("nctg,ctgk->nctk", dsa, self.wsum[h]) / span
         # max statistic: routed to the first (o, p) reaching it; indexed per (n, c, t, g, k)
-        am = st["am"][..., None]
+        am = st["am"].astype(np.intp)[..., None]
         at = (np.arange(n)[:, None, None, None, None], np.arange(c)[:, None, None, None],
               np.arange(hin)[:, None, None], am // p + np.arange(g)[:, None] * rep,
               np.arange(kk), am % p)
@@ -526,6 +528,13 @@ def _first_true(mask, axis):
     rank = rank.reshape((-1,) + (1,) * (mask.ndim - axis - 1))
     first = extent - (mask * rank).max(axis=axis, keepdims=True).astype(np.intp)
     return np.minimum(first, extent - 1)    # a row without True (NaN input) stays in range
+
+
+def _narrow(route, extent):
+    """A route map of indices below `extent` in the narrowest unsigned dtype
+    that holds them.  Widen it to intp before any index arithmetic: NumPy
+    keeps uint8 * 4 in uint8, wrapping silently."""
+    return route.astype(np.min_scalar_type(extent - 1))
 
 
 def _flat_index(shape, *idx):

@@ -1,13 +1,15 @@
 """Command-line harness.
 
-Subcommands: check-equivariance, thm1-oracle, parity-demo, gradcheck, train,
-attend.  Every command prints a line-oriented key=value report to stdout
-(and to `--out/<command>.txt` when an output directory is given) and uses
-exit codes 0 = pass, 1 = property failure, 2 = usage or config error.
+Subcommands: check-equivariance, thm1-oracle, conv-oracle, parity-demo,
+gradcheck, train, attend.  Every command but train prints a line-oriented
+key=value report to stdout and, when an output directory is given, writes it
+to `--out/<command>.txt` and, as one JSON object, to `--out/<command>.json`.
+Exit codes: 0 = pass, 1 = property failure, 2 = usage or config error.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
@@ -28,13 +30,27 @@ from .verify import (alpha_panels, alpha_x_consistency, attention_relabel_report
 DATA_DIR_ENV = "GATT_DATA_DIR"
 
 
+def _json_value(v):
+    """A report value as strict JSON: numpy scalars become Python scalars and
+    a non-finite float becomes null."""
+    if isinstance(v, np.generic):
+        v = v.item()
+    if isinstance(v, float) and not math.isfinite(v):
+        return None
+    return v
+
+
 def emit(report, out_dir, name):
+    """Print the report; with out_dir, also write it to <name>.txt and,
+    from the same dict, to <name>.json."""
     text = "".join(f"{k}={_fmt(v)}\n" for k, v in report.items())
     sys.stdout.write(text)
     if out_dir:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{name}.txt").write_text(text)
+        doc = {k: _json_value(v) for k, v in report.items()}
+        (out / f"{name}.json").write_text(json.dumps(doc, indent=1, allow_nan=False) + "\n")
 
 
 def _resolve_config(args, **extra):

@@ -13,8 +13,8 @@ zero pad of k//2 on every side (so the output keeps the input's extent)
 and no bias.  It works on chunked im2col columns, so no k*k-inflated copy
 of the batch is allocated or kept on the tape, and its record keeps the
 unpadded input, not a padded copy; its input gradient is a transposed
-convolution.  max_pool2d
-pools fixed 2x2 windows at stride 2.  batch_norm is one record with a
+convolution.  max_pool2d pools fixed 2x2 windows at stride 2 over the
+last two axes of a map of any rank.  batch_norm is one record with a
 closed-form backward that recomputes the normalised input instead of
 keeping it; it also applies the ReLU that follows every batch norm of the
 product nets, in the same record, so the rectified output is the only
@@ -575,30 +575,35 @@ def conv2d(f, w):
 
 
 def max_pool2d(f):
-    """2x2 max pooling at stride 2; an odd last row or column is dropped.
+    """2x2 max pooling at stride 2 over the last two axes of a map of any
+    rank >= 2; an odd last row or column is dropped.
 
+    The leading axes are never merged, so the record of a map that is not
+    C-contiguous (the [N, O, H, Y, X] view of [N, H, O, Y, X] memory that
+    an attentive block returns) keeps that map, not a C-ordered copy of it.
     Ties go to the first index of the window in (wy, wx) order.
     """
-    if f.ndim != 4:
-        raise ValueError("max_pool2d expects [N,C,Y,X]")
-    n, c, y, x = f.shape
+    if f.ndim < 2:
+        raise ValueError(f"max_pool2d expects a map of rank >= 2, got rank {f.ndim}")
+    lead, (y, x) = f.shape[:-2], f.shape[-2:]
     yo, xo = y // 2, x // 2
     if yo == 0 or xo == 0:
         raise ValueError(f"2x2 pooling needs extents >= 2, got {(y, x)}")
 
-    def windows(a):     # [N, C, Yo, Xo, 2, 2] view of the covered part of a
-        return a[:, :, :2 * yo, :2 * xo].reshape(n, c, yo, 2, xo, 2).transpose(0, 1, 2, 4, 3, 5)
+    def windows(a):     # [..., Yo, Xo, 2, 2] view of the covered part of a
+        w = a[..., :2 * yo, :2 * xo].reshape(lead + (yo, 2, xo, 2))
+        return w.swapaxes(-3, -2)
 
-    flat = windows(f.data).reshape(n, c, yo, xo, 4)
+    flat = windows(f.data).reshape(lead + (yo, xo, 4))
     idx = flat.argmax(axis=-1)[..., None].astype(np.uint8)     # window offsets 0-3
     out = Tensor(np.take_along_axis(flat, idx, axis=-1)[..., 0])
 
     def bwd():
         if f.requires_grad:
-            g = np.zeros((n, c, yo, xo, 4), dtype=f.data.dtype)
+            g = np.zeros(lead + (yo, xo, 4), dtype=f.data.dtype)
             np.put_along_axis(g, idx, out.grad[..., None], axis=-1)
-            gf = np.zeros_like(f.data)
-            windows(gf)[...] = g.reshape(n, c, yo, xo, 2, 2)
+            gf = np.zeros(f.shape, dtype=f.data.dtype)
+            windows(gf)[...] = g.reshape(lead + (yo, xo, 2, 2))
             _accumulate(f, gf, owned=True)
 
     _record(out, (f,), bwd)

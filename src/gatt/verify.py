@@ -494,25 +494,26 @@ def reference_attentive_group_conv(f: Tensor, layer, ch_params=None, sp_params=N
 
 
 def attentive_oracle_errors(group_name="C4", variant="full", pool_out=True,
-                            lifting=False, seed=0, ties=False, dtype="f64", batch=2):
+                            lifting=False, seed=0, ties=False, dtype="f64", batch=2,
+                            channels=4, out_channels=3, size=7):
     """Fast block against reference_attentive_group_conv on one small layer.
 
     Returns max|fast - reference| / max(1, max|reference|) for the output,
     alpha_C, alpha_X and the gradients of the input and of every parameter
-    under a random linear loss, on `batch` samples.  The same for the output
-    and maps of a forward with no tape (keys `tapeless_*`), and under
-    `tapeless_vs_taped` the largest absolute difference between those and
-    the taped forward's, 0 when the two agree bit for bit.  With `ties` the
-    input and weights are rounded and the input has zero rows, so every max
-    has ties to route.
+    under a random linear loss, on `batch` samples of `channels` x `size` x
+    `size` to `out_channels`.  The same for the output and maps of a
+    forward with no tape (keys `tapeless_*`), and under `tapeless_vs_taped`
+    the largest absolute difference between those and the taped forward's,
+    0 when the two agree bit for bit.  With `ties` the input and weights
+    are rounded and the input has zero rows, so every max has ties to route.
     """
     grp = make_group(group_name)
     rng = new_rng(seed)
     hin = 1 if lifting else grp.order
-    layer = make_gconv_layer(rng, grp, 4, 3, kernel=3, lifting=lifting, dtype=dtype,
-                             name="conv")
-    ch, sp = _attention_for(rng, variant, 4, hin, 2, 3, dtype, "att")
-    x = rng.standard_normal((batch, 4, hin, 7, 7))
+    layer = make_gconv_layer(rng, grp, channels, out_channels, kernel=3, lifting=lifting,
+                             dtype=dtype, name="conv")
+    ch, sp = _attention_for(rng, variant, channels, hin, 2, 3, dtype, "att")
+    x = rng.standard_normal((batch, channels, hin, size, size))
     if ties:
         layer.weight.data = np.round(2 * layer.weight.data) / 2
         x = np.maximum(np.round(x), 0.0)

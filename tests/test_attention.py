@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import gatt.tensor as T
 import gatt.verify as V
-from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams,
+from gatt.attention import (ChannelAttentionParams, SpatialAttentionParams, _Chunk,
                             _PoseKernel, _rel_index, _scatter_add, attentive_group_conv,
                             input_attention,
                             make_channel_attention, make_spatial_attention,
@@ -425,6 +425,60 @@ def test_fast_block_matches_reference_oracle_over_ragged_chunks(monkeypatch, gro
         assert max(errs.values()) <= 1e-10, errs
         assert errs["tapeless_vs_taped"] == 0.0, errs
     assert spans and all(s == [(0, 2), (2, 4), (4, 5)] for s in spans)
+
+
+def _spy_kept_state(monkeypatch):
+    """Collect (kernel, [chunk state]) of every attentive record as its
+    backward starts; a chunk's state maps each set slot to its value."""
+    kept = []
+    backward = _PoseKernel.backward
+
+    def spy(self, dout):
+        kept.append((self, [{s: getattr(ck, s) for s in _Chunk.__slots__ if hasattr(ck, s)}
+                            for ck in self.chunks]))
+        return backward(self, dout)
+
+    monkeypatch.setattr(_PoseKernel, "backward", spy)
+    return kept
+
+
+@pytest.mark.parametrize("group_name, geometry, ties, route, dtype, beyond", [
+    # the channel route cm is uint8; at C = 40 on D4 it reaches past 255 // |H_in|,
+    # where cm * |H_in| would wrap in uint8.  Untied: rounding weights of fan-in
+    # 2880 to halves zeroes them all and every route ties at channel 0
+    ("D4", dict(channels=40, out_channels=3, size=7), False, "cm", np.uint8, 255 // 8),
+    # O*Y*X = 132496: alpha_C's max route reaches past uint16
+    ("C4", dict(channels=2, out_channels=4, size=182, lifting=True, batch=1), True, "am",
+     np.uint32, np.iinfo(np.uint16).max),
+])
+def test_fast_block_matches_reference_with_narrow_routes(monkeypatch, group_name, geometry,
+                                                         ties, route, dtype, beyond):
+    # the kept route maps are stored narrow and widened before any index
+    # arithmetic, so the block still matches the reference
+    kept = _spy_kept_state(monkeypatch)
+    errs = attentive_oracle_errors(group_name, "full", seed=9, ties=ties, **geometry)
+    assert max(errs.values()) <= 1e-10, errs
+    maps = [st[route] for _, chunks in kept for ck in chunks for st in ck["poses"]]
+    assert maps and all(m.dtype == dtype for m in maps)
+    assert max(int(m.max()) for m in maps) > beyond
+
+
+@pytest.mark.parametrize("pool_out", [True, False])
+def test_record_keeps_no_intp_routes_or_columns(monkeypatch, pool_out):
+    # the backward unfolds the columns again and widens the narrow route
+    # maps itself; the kernel keeps no forward-only gather index
+    kept = _spy_kept_state(monkeypatch)
+    errs = attentive_oracle_errors("D4", "full", pool_out, seed=4, ties=True)
+    assert max(errs.values()) <= 1e-10, errs
+    assert len(kept) == 1
+    kern, chunks = kept[0]
+    assert not hasattr(kern, "col_base")
+    for ck in chunks:
+        assert ck["x5"] is None and ck["xs"] is None
+        arrays = [v for v in ck.values() if isinstance(v, np.ndarray)]
+        arrays += [v for st in ck["poses"] for v in st.values()]
+        assert {"am", "om", "cm"} <= {k for st in ck["poses"] for k in st}
+        assert not any(a.dtype == np.intp for a in arrays)
 
 
 def test_scatter_add_sums_repeated_indices():

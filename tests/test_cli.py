@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ from gatt.cli import main
 from gatt.data import (load_checkpoint, read_pgm, save_checkpoint, synth_shapes,
                        write_pgm)
 from gatt.nn import build_tiny_net
+from gatt.training import _fmt
 
 
 def run_cli(capsys, *args):
@@ -306,6 +308,43 @@ def test_attend_round_trip(capsys, tmp_path):
         for h in range(4):
             montage = read_pgm(out / f"attend_h{h}.pgm")
             assert montage.shape[0] == 16 * 8  # input extent x the montage's 8x upsample
+
+
+def _reject_non_finite(token):
+    raise AssertionError(f"report JSON holds the non-standard constant {token}")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check-equivariance", "--depth", "1", "--trials", "1", "--dtype", "f64"],
+     "check_equivariance"),
+    (["thm1-oracle", "--dtype", "f64"], "thm1_oracle"),
+    (["conv-oracle"], "conv_oracle"),
+    (["parity-demo", "--size", "8"], "parity_demo"),
+    (["gradcheck"], "gradcheck"),
+    (["attend", "--variant", "input", "--channels", "4", "--seed", "5"], "attend"),
+])
+def test_report_json_twin_holds_the_text_report(capsys, tmp_path, input_checkpoint,
+                                                argv, name):
+    # <name>.json is strict JSON from the same dict as <name>.txt: the same
+    # keys in the same order, each value printing as its text line, and a
+    # non-finite float (parity-demo's ratio) as null
+    if argv[0] == "attend":
+        argv = argv + ["--checkpoint", input_checkpoint]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    printed = capsys.readouterr().out
+    text = (tmp_path / f"{name}.txt").read_text()
+    assert printed == text
+    lines = [line.split("=", 1) for line in text.splitlines()]
+    doc = json.loads((tmp_path / f"{name}.json").read_text(),
+                     parse_constant=_reject_non_finite)
+    assert list(doc) == [k for k, _ in lines]
+    for key, value in lines:
+        if doc[key] is None:
+            assert value in ("nan", "inf", "-inf"), key
+        else:
+            assert _fmt(doc[key]) == value, key
+    if name == "parity_demo":
+        assert doc["ratio"] is None
 
 
 def test_attend_plain_variant_exits_2(capsys, tmp_path):

@@ -432,6 +432,31 @@ def test_max_pool2d_matches_loops_with_ties_and_odd_extents(shape, dtype):
     np.testing.assert_array_equal(a.grad, want_grad)
 
 
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+@pytest.mark.parametrize("extent", [(6, 8), (7, 9)])
+def test_max_pool2d_pools_a_strided_5d_map_as_its_flattened_copy(extent, dtype):
+    # the [N, O, H, Y, X] view of [N, H, O, Y, X] memory that an attentive
+    # block returns is pooled without merging axes; output and input gradient
+    # carry the bits of pooling the [N, O*H, Y, X] copy
+    rng = np.random.default_rng(14)
+    y, x = extent
+    mem = rng.integers(0, 3, (2, 4, 3, y, x)).astype(T.DTYPES[dtype])     # many ties
+    a = Parameter(mem.transpose(0, 2, 1, 3, 4), dtype=dtype)
+    assert np.shares_memory(a.data, mem) and not a.data.flags.c_contiguous
+    flat = Parameter(a.data.reshape(2, 12, y, x), dtype=dtype)
+    g = rng.standard_normal((2, 3, 4, y // 2, x // 2)).astype(T.DTYPES[dtype])
+    outs = []
+    for p, probe in ((a, g), (flat, g.reshape(2, 12, y // 2, x // 2))):
+        with Tape() as tape:
+            out = T.max_pool2d(p)
+            backward(tape, T.reduce(T.mul(out, Tensor(probe))))
+        outs.append(out.data)
+    assert outs[0].shape == (2, 3, 4, y // 2, x // 2)
+    np.testing.assert_array_equal(outs[0], outs[1].reshape(outs[0].shape))
+    np.testing.assert_array_equal(a.grad, flat.grad.reshape(a.shape))
+    assert a.grad.any()
+
+
 def test_max_pool2d_window_too_large():
     # a 2x2 window needs two rows and two columns
     for shape in ((1, 1, 1, 4), (1, 1, 4, 1)):
