@@ -167,16 +167,16 @@ def _build_net(cfg, arch, dropout_rate, channels):
 def cmd_train(args):
     cfg = _resolve_config(args, epochs=args.epochs, batch=args.batch, lr=args.lr)
     arch = args.arch or ("tiny" if args.data == "synth" else "digit")
+    if arch == "tiny" and args.data != "synth":     # before make_rotmnist rotates every image
+        raise ConfigError("tiny architecture is 4-way; use --arch digit")
     dropout_rate = args.dropout if args.dropout is not None else \
         (0.0 if args.data == "synth" else 0.3)
     if args.data == "synth":
         train = synth_shapes(args.train_size, seed=cfg.seed)
         val = synth_shapes(512, seed=cfg.seed + 1)
         test = synth_shapes(512, seed=cfg.seed + 2)
-        n_classes = 4
     else:
         train, val, test = make_rotmnist(_data_dir(args), seed=cfg.seed)
-        n_classes = 10
     if args.limit:
         train = (train[0][:args.limit], train[1][:args.limit])
         val = (val[0][:512], val[1][:512])
@@ -187,8 +187,6 @@ def cmd_train(args):
         val = (val[0] - mean, val[1])
         test = (test[0] - mean, test[1])
     net = _build_net(cfg, arch, dropout_rate, args.channels)
-    if arch == "tiny" and n_classes != 4:
-        raise ConfigError("tiny architecture is 4-way; use --arch digit")
 
     lines = []
 
@@ -198,9 +196,9 @@ def cmd_train(args):
 
     log(f"data={args.data} arch={arch} group={cfg.group} variant={cfg.variant} "
         f"params={net.param_count()} dropout={dropout_rate:g} seed={cfg.seed}")
-    history, opt = fit(net, train, val, epochs=cfg.epochs, batch=cfg.batch,
-                       lr=cfg.lr, weight_decay=args.weight_decay, seed=cfg.seed,
-                       log=log, lr_decay_epochs=args.lr_decay or ())
+    history, _ = fit(net, train, val, epochs=cfg.epochs, batch=cfg.batch,
+                     lr=cfg.lr, weight_decay=args.weight_decay, seed=cfg.seed,
+                     log=log, lr_decay_epochs=args.lr_decay or ())
     test_acc = accuracy(net, *test)
     final = {
         "final_train_loss": history[-1]["train_loss"] if history else float("nan"),
@@ -214,7 +212,7 @@ def cmd_train(args):
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "train_log.txt").write_text("\n".join(lines) + "\n")
-        save_checkpoint(out / "model.ckpt", net.params() + net.buffers(), opt)
+        save_checkpoint(out / "model.ckpt", net.params() + net.buffers())
     return 0
 
 

@@ -2,10 +2,9 @@
 
 File formats kept deliberately plain: IDX for digit data (big-endian header,
 raw payload), binary PGM for image dumps, a line-oriented key=value config,
-and a checkpoint that is an uncompressed .npz of named arrays (parameters,
-BatchNorm statistics and Adam state, each under its tensor's name) and
-round-trips them bitwise.  The readers reject every malformed file with
-ValueError.
+and a checkpoint that is an uncompressed .npz of named arrays (parameters
+and BatchNorm statistics, each under its tensor's name) and round-trips
+them bitwise.  The readers reject every malformed file with ValueError.
 """
 from __future__ import annotations
 
@@ -422,32 +421,22 @@ def load_config(path=None, text=None, overrides=None) -> RunConfig:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def _members(tensors, with_adam):
-    """Member name -> the array stored under it; Adam's are placeholders of its shape and dtype."""
+def _members(tensors):
+    """Member name -> the array stored under it."""
     members = {"format": np.array(2), **{t.name: t.data for t in tensors}}
     if len(members) != len(tensors) + 1:
         raise ValueError("tensor names must be unique, and not 'format', for checkpointing")
-    if with_adam:
-        members["adam.step"] = np.array(0)
-        for t in tensors:
-            if t.requires_grad:
-                members[f"adam.m.{t.name}"] = members[f"adam.v.{t.name}"] = t.data
     return members
 
 
-def save_checkpoint(path, tensors, optimizer=None):
-    """Each tensor under its name, then Adam's step and moments, as an uncompressed .npz."""
-    members = _members(tensors, False)
-    if optimizer is not None:
-        members["adam.step"] = np.array(optimizer.step_count)
-        for p, m, v in zip(optimizer.params, optimizer.m, optimizer.v):
-            members[f"adam.m.{p.name}"], members[f"adam.v.{p.name}"] = m, v
+def save_checkpoint(path, tensors):
+    """Each tensor under its name, and `format` 2, as an uncompressed .npz."""
     with open(path, "wb") as fh:    # a file object: np.savez adds no .npz suffix
-        np.savez(fh, **members)
+        np.savez(fh, **_members(tensors))
 
 
-def load_checkpoint(path, tensors, optimizer=None):
-    """Restore tensors by name, and Adam's state if the file holds it.
+def load_checkpoint(path, tensors):
+    """Restore tensors by name.
 
     Nothing is assigned until the archive has passed every check: its zip end
     record closes the file and counts every member once; every member is
@@ -455,8 +444,7 @@ def load_checkpoint(path, tensors, optimizer=None):
     are exactly those save_checkpoint writes for `tensors`; and each member's
     .npy header matches its target's shape and dtype before its payload is
     read.  A truncated, corrupt or mismatched file, a version-1 ("GATT") file
-    among them, raises ValueError and leaves the tensors and the optimizer
-    untouched.
+    among them, raises ValueError and leaves the tensors untouched.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -469,7 +457,7 @@ def load_checkpoint(path, tensors, optimizer=None):
         with zipfile.ZipFile(io.BytesIO(raw)) as zf:
             infos = zf.infolist()
             names = {info.filename for info in infos}
-            want = {f"{k}.npy": a for k, a in _members(tensors, "adam.step.npy" in names).items()}
+            want = {f"{k}.npy": a for k, a in _members(tensors).items()}
             if not len(infos) == len(names) == count:
                 raise ValueError(f"{path}: {len(infos)} members, {len(names)} distinct names, "
                                  f"but the end record counts {count}")
@@ -493,11 +481,5 @@ def load_checkpoint(path, tensors, optimizer=None):
         raise ValueError(f"{path}: corrupt checkpoint ({exc})") from None
     if arrays["format"] != want["format.npy"]:
         raise ValueError(f"{path}: unsupported checkpoint format {arrays['format']}")
-    adam = optimizer is not None and "adam.step" in arrays
-    state = [arrays[f"adam.{k}.{p.name}"] for k in "mv" for p in optimizer.params] if adam else []
     for t in tensors:
         t.data = arrays[t.name].copy()
-    if adam:
-        optimizer.step_count = int(arrays["adam.step"])
-        for buf, arr in zip(optimizer.m + optimizer.v, state):
-            buf[...] = arr

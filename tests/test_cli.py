@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import shutil
 import subprocess
 import sys
@@ -13,7 +14,8 @@ from gatt.cli import main
 from gatt.data import (load_checkpoint, read_pgm, save_checkpoint, synth_shapes,
                        write_pgm)
 from gatt.nn import build_tiny_net
-from gatt.training import _fmt
+from gatt.tensor import Tensor
+from gatt.training import _fmt, fit
 
 
 def run_cli(capsys, *args):
@@ -237,6 +239,17 @@ def test_rotmnist_missing_files_exit_2(capsys, monkeypatch, tmp_path):
     assert code == 2
 
 
+def test_rotmnist_with_tiny_arch_exits_2_before_loading(capsys, monkeypatch, tmp_path):
+    # the tiny net is 4-way: the pairing is rejected before the digits are rotated
+    def unreachable(*args, **kwargs):
+        raise AssertionError("make_rotmnist ran before the architecture check")
+    monkeypatch.setattr("gatt.cli.make_rotmnist", unreachable)
+    monkeypatch.setenv("GATT_DATA_DIR", str(tmp_path))
+    code = main(["train", "--data", "rotmnist", "--arch", "tiny", "--epochs", "1"])
+    assert code == 2
+    assert "4-way" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # training and attention dumps
 
@@ -253,11 +266,17 @@ def test_train_writes_log_and_checkpoint(capsys, tmp_path):
         100.0 * (1.0 - float(rep["test_acc"])), abs=1e-6)
     log = (tmp_path / "train_log.txt").read_text()
     assert "final_val_acc=" in log and "epoch=0" in log
+    # the checkpoint is the model: its parameters and BatchNorm statistics, no optimizer state
+    net = build_tiny_net("C4", variant="plain", channels=4, seed=5)
+    tensors = net.params() + net.buffers()
+    initial = {t.name: t.data.copy() for t in tensors}
     with np.load(tmp_path / "model.ckpt") as ckpt:
         assert ckpt["format"] == 2
-        # the BatchNorm statistics ride along; Adam state only for what takes a gradient
-        assert {"bn1.running_mean", "bn2.running_var", "adam.m.bn1.gamma"} <= set(ckpt.files)
-        assert "adam.m.bn1.running_mean" not in ckpt.files
+        assert sorted(ckpt.files) == sorted(["format", *initial])
+        assert not np.array_equal(ckpt["bn1.running_var"], initial["bn1.running_var"])
+        load_checkpoint(tmp_path / "model.ckpt", tensors)
+        for t in tensors:
+            np.testing.assert_array_equal(t.data, ckpt[t.name])
 
 
 def test_train_exits_1_on_a_nan_input(capsys, monkeypatch):
@@ -433,6 +452,55 @@ def test_checkpoint_with_conv_biases_is_rejected(capsys, tmp_path):
                  "--channels", "4", "--seed", "5"])
     assert code == 2
     assert "conv2.bias" in capsys.readouterr().err
+
+
+def _readme_conversion():
+    """The README's one-line command that drops a checkpoint's Adam members."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [line] = [ln for ln in readme.read_text().splitlines()
+              if ln.startswith("python3 -c") and "adam." in ln]
+    return shlex.split(line)
+
+
+def test_checkpoint_with_adam_state_is_rejected_and_converts(capsys, tmp_path):
+    # earlier versions of `gatt train` also saved Adam's step and moments:
+    # the loader names them and assigns nothing, and attend exits 2 and
+    # writes nothing; the README's conversion drops them, and the result
+    # reloads to the writer's eval logits bit for bit
+    old = build_tiny_net("C4", variant="full", channels=4, seed=6)
+    _, opt = fit(old, synth_shapes(16, seed=0), epochs=1, batch=8, seed=0)
+    members = {"format": np.array(2), **{t.name: t.data for t in old.params() + old.buffers()},
+               "adam.step": np.array(opt.step_count)}
+    for p, m, v in zip(opt.params, opt.m, opt.v):
+        members[f"adam.m.{p.name}"], members[f"adam.v.{p.name}"] = m, v
+    path, out = tmp_path / "model.ckpt", tmp_path / "maps"
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    net = build_tiny_net("C4", variant="full", channels=4, seed=5)
+    tensors = net.params() + net.buffers()
+    before = [t.data.copy() for t in tensors]
+    with pytest.raises(ValueError, match=r"unexpected \['adam\."):
+        load_checkpoint(path, tensors)
+    for t, data in zip(tensors, before):
+        np.testing.assert_array_equal(t.data, data)
+    code = main(["attend", "--checkpoint", str(path), "--variant", "full",
+                 "--channels", "4", "--seed", "5", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "adam.m.conv2.weight.npy" in captured.err
+    assert not (out / "attend.txt").exists()
+
+    converted = tmp_path / "model.npz"
+    cmd = _readme_conversion()
+    assert cmd[-2:] == ["model.ckpt", "model.npz"]
+    subprocess.run([sys.executable] + cmd[1:-2] + [str(path), str(converted)],
+                   check=True, timeout=120)
+    load_checkpoint(converted, tensors)
+    x = Tensor(synth_shapes(8, seed=3)[0])
+    np.testing.assert_array_equal(net.forward(x).data, old.forward(x).data)
+    assert main(["attend", "--checkpoint", str(converted), "--variant", "full",
+                 "--channels", "4", "--seed", "5"]) == 0
 
 
 @pytest.mark.parametrize("where", ["directory", "under_a_file"])

@@ -7,7 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from gatt.autodiff import Adam, Parameter, new_rng
+from gatt.autodiff import Parameter, new_rng
 from gatt.data import (ConfigError, RunConfig, attention_montage, load_checkpoint,
                        load_config, load_idx_images, load_idx_labels,
                        make_rotmnist, read_idx, read_pgm, rotate_bilinear,
@@ -417,23 +417,6 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         np.testing.assert_array_equal(p.data, w)
 
 
-def test_checkpoint_restores_adam_state(tmp_path):
-    ps = _params(3)
-    opt = Adam(ps, lr=0.05)
-    for p in ps:
-        p.grad = np.ones_like(p.data)
-    opt.step()
-    opt.step()
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(path, ps, opt)
-    fresh = _params(4)
-    opt2 = Adam(fresh, lr=0.05)
-    load_checkpoint(path, fresh, opt2)
-    assert opt2.step_count == 2
-    for a, b in zip(opt.m + opt.v, opt2.m + opt2.v):
-        np.testing.assert_array_equal(a, b)
-
-
 def _version1_bytes(ps):
     """The retired layout: "GATT", version 1, then name, dtype tag, shape and data."""
     out = b"GATT" + struct.pack("<II", 1, len(ps))
@@ -498,53 +481,39 @@ def test_checkpoint_rejects_duplicate_names(tmp_path):
         save_checkpoint(tmp_path / "m.ckpt", ps)
 
 
-def _adam_checkpoint(tmp_path):
-    ps = _params(8)
-    opt = Adam(ps, lr=0.05)
-    for p in ps:
-        p.grad = np.ones_like(p.data)
-    opt.step()
-    path = tmp_path / "adam.ckpt"
-    save_checkpoint(path, ps, opt)
+def _checkpoint(tmp_path):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, _params(8))
     return path.read_bytes()
 
 
+def _assert_untouched(fresh):
+    for p, q in zip(fresh, _params(9)):
+        np.testing.assert_array_equal(p.data, q.data)
+
+
 def test_checkpoint_rejects_every_truncation(tmp_path):
-    raw = _adam_checkpoint(tmp_path)
+    raw = _checkpoint(tmp_path)
     cut = tmp_path / "cut.ckpt"
     cut.write_bytes(raw)
     for n in reversed(range(len(raw))):
         os.truncate(cut, n)
         fresh = _params(9)
-        opt = Adam(fresh)
         with pytest.raises(ValueError):
-            load_checkpoint(cut, fresh, opt)
-        with pytest.raises(ValueError):
-            load_checkpoint(cut, fresh)  # without an optimizer, as `attend` loads
-        # a rejected file assigns nothing
-        for p, q in zip(fresh, _params(9)):
-            np.testing.assert_array_equal(p.data, q.data)
-        assert opt.step_count == 0
-
-
-def _assert_untouched(fresh, opt):
-    for p, q in zip(fresh, _params(9)):
-        np.testing.assert_array_equal(p.data, q.data)
-    assert opt.step_count == 0
-    assert not any(buf.any() for buf in opt.m + opt.v)
+            load_checkpoint(cut, fresh)
+        _assert_untouched(fresh)   # a rejected file assigns nothing
 
 
 def test_checkpoint_rejects_corrupt_fields(tmp_path):
-    raw = _adam_checkpoint(tmp_path)
+    raw = _checkpoint(tmp_path)
     path = tmp_path / "bad.ckpt"
 
     def rejects(data, match):
         path.write_bytes(bytes(data))
         fresh = _params(9)
-        opt = Adam(fresh)
         with pytest.raises(ValueError, match=match):
-            load_checkpoint(path, fresh, opt)
-        _assert_untouched(fresh, opt)
+            load_checkpoint(path, fresh)
+        _assert_untouched(fresh)
 
     def drop(name):
         return lambda m: m.pop(name)
@@ -554,10 +523,9 @@ def test_checkpoint_rejects_corrupt_fields(tmp_path):
 
     rejects(_rewrite(raw, recast("w", (2, 3), np.float32)), r"w.npy holds float32")
     rejects(_rewrite(raw, recast("b", (4,), np.float32)), r"b.npy holds float32 \(4,\)")
-    rejects(_rewrite(raw, recast("adam.m.w", (3, 3), np.float64)), r"adam.m.w.npy holds")
-    rejects(_rewrite(raw, recast("adam.v.b", (3,), np.float64)), r"adam.v.b.npy holds float64")
-    rejects(_rewrite(raw, drop("adam.v.b")), r"missing \['adam.v.b.npy'\]")
-    rejects(_rewrite(raw, drop("adam.step")), r"unexpected \['adam.m.b.npy'")
+    rejects(_rewrite(raw, recast("format", (1,), np.int64)), r"format.npy holds int64 \(1,\)")
+    rejects(_rewrite(raw, drop("b")), r"missing \['b.npy'\]")
+    rejects(_rewrite(raw, drop("format")), r"missing \['format.npy'\]")
     rejects(_rewrite(raw, lambda m: m.update(extra=np.zeros(1))), r"unexpected \['extra.npy'\]")
     rejects(_rewrite(raw, lambda m: None, np.savez_compressed), "compressed")
     dup = io.BytesIO(raw)
@@ -569,20 +537,17 @@ def test_checkpoint_rejects_corrupt_fields(tmp_path):
     rejects(miscount, "end record counts")
     rejects(raw + b"\x00", "trailing")
     flipped = bytearray(raw)
-    flipped[raw.index(b"adam.m.w.npy") + 200] ^= 1   # a payload byte of a stored member
+    flipped[raw.index(_params(8)[0].data.tobytes()) + 3] ^= 1   # a payload byte of w.npy
     rejects(flipped, "corrupt")
     # the untouched archive loads
-    load_checkpoint(path.with_name("adam.ckpt"), _params(9), Adam(_params(9)))
+    load_checkpoint(path.with_name("model.ckpt"), _params(9))
 
 
 def test_checkpoint_bit_flips_are_rejected_or_harmless(tmp_path):
     # flip bits 0 and 7 of every byte: zip metadata that no reader uses may
     # change and load the same arrays, but nothing may load different numbers
-    raw = _adam_checkpoint(tmp_path)
-    ps = _params(8)
-    opt = Adam(ps)
-    load_checkpoint(tmp_path / "adam.ckpt", ps, opt)
-    want = [p.data for p in ps] + opt.m + opt.v
+    raw = _checkpoint(tmp_path)
+    want = [p.data for p in _params(8)]
     path = tmp_path / "flip.ckpt"
     rejected = 0
     for i in range(len(raw)):
@@ -591,15 +556,12 @@ def test_checkpoint_bit_flips_are_rejected_or_harmless(tmp_path):
             flipped[i] ^= 1 << bit
             path.write_bytes(bytes(flipped))
             fresh = _params(9)
-            fopt = Adam(fresh)
             try:
-                load_checkpoint(path, fresh, fopt)
+                load_checkpoint(path, fresh)
             except ValueError:
-                _assert_untouched(fresh, fopt)
+                _assert_untouched(fresh)
                 rejected += 1
                 continue
-            got = [p.data for p in fresh] + fopt.m + fopt.v
-            assert fopt.step_count == opt.step_count, (i, bit)
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w), (i, bit)
+            for p, w in zip(fresh, want):
+                assert p.data.dtype == w.dtype and np.array_equal(p.data, w), (i, bit)
     assert rejected > len(raw)   # most flips land in CRC-checked payloads
